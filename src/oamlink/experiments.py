@@ -16,6 +16,7 @@ import csv
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from . import __version__
 from .channel import channel_matrices, channel_matrix, oam_effective
 from .config import LinkConfig, default_link
 from .geometry import Pose, STAGE_AFTER_ROLL, STAGE_INITIAL
-from .metrics import asymptotic_sir, capacity, steered_sir
+from .metrics import asymptotic_sir, capacity, steered_sirs
 from .optimizer import SaParams, capacity_profile, optimize_roll
 from .pipeline import hybrid_pipeline
 from .servo import ServoConfig
@@ -156,12 +157,30 @@ def parse_config(text: str) -> dict:
 
 
 def _validate_domains(overrides: dict) -> None:
+    for key, value in overrides.items():
+        if SCHEMA[key][1] is float and not math.isfinite(value):
+            raise ConfigError(f"key {key!r} must be finite, got {value}")
     for key in _POSITIVE_INT_KEYS:
         if key in overrides and overrides[key] < 1:
             raise ConfigError(f"key {key!r} must be >= 1, got {overrides[key]}")
-    for key in ("scenario.radius_rx_wavelengths", "scenario.radius_tx_wavelengths", "scenario.range_wavelengths"):
+    for key in (
+        "scenario.radius_rx_wavelengths",
+        "scenario.radius_tx_wavelengths",
+        "scenario.range_wavelengths",
+        "snr.step_db",
+        "monotonicity.s_coupling",
+    ):
         if key in overrides and not overrides[key] > 0:
             raise ConfigError(f"key {key!r} must be positive, got {overrides[key]}")
+    for lo, hi in (
+        ("snr.start_db", "snr.stop_db"),
+        ("complexity.p_coarse", "complexity.p_fine"),
+        ("complexity.u_coarse", "complexity.u_fine"),
+        ("complexity.n_min", "complexity.n_max"),
+        ("complexity.p_min", "complexity.p_max"),
+    ):
+        if lo in overrides and hi in overrides and overrides[lo] > overrides[hi]:
+            raise ConfigError(f"keys {lo!r}, {hi!r} must satisfy {lo} <= {hi}")
     for key in ("pose.gamma_deg", "pose.psi_deg"):
         if key in overrides and not abs(overrides[key]) < 90.0:
             raise ConfigError(f"key {key!r} must satisfy |angle| < 90 degrees, got {overrides[key]}")
@@ -191,8 +210,17 @@ class ExperimentSpec:
         values.update(_EXPERIMENT_OVERRIDES.get(name, {}))
         values.update(overrides)
         values["experiment.name"] = name
+        _validate_domains(values)
         spec = cls(name, values)
-        spec.link()  # surface domain errors (mode count vs N, ...) at resolve time
+        # Build every derived object now, so an out-of-domain value exits as
+        # a config error naming its key instead of failing inside the run.
+        spec.link()
+        spec.snr_grid_db()
+        spec.sweep_grid_deg()
+        spec.roll_grid_deg()
+        spec.monotonicity_grid_deg()
+        spec.sa_params()
+        spec.servo_config()
         return spec
 
     def __getitem__(self, key: str):
@@ -220,32 +248,73 @@ class ExperimentSpec:
 
     def sa_params(self, seed: int | None = None) -> SaParams:
         step = self["sa.step_scale_rad"]
-        return SaParams(
-            t_init=self["sa.t_init"],
-            t_min=self["sa.t_min"],
-            cooling=self["sa.cooling"],
-            inner_iters=self["sa.inner_iters"],
-            step_scale=None if step == 0.0 else step,
-            rng_seed=self["sa.seed"] if seed is None else seed,
-        )
+        with _cited_keys(_SA_KEYS):
+            return SaParams(
+                t_init=self["sa.t_init"],
+                t_min=self["sa.t_min"],
+                cooling=self["sa.cooling"],
+                inner_iters=self["sa.inner_iters"],
+                step_scale=None if step == 0.0 else step,
+                rng_seed=self["sa.seed"] if seed is None else seed,
+            )
 
     def servo_config(self) -> ServoConfig:
-        return ServoConfig(
-            period_k=self["servo.period_s"],
-            pulse_min=self["servo.pulse_min_s"],
-            pulse_mid=self["servo.pulse_mid_s"],
-            pulse_max=self["servo.pulse_max_s"],
-            accuracy_nu=math.radians(self["servo.accuracy_deg"]),
-        )
+        with _cited_keys(_SERVO_KEYS):
+            return ServoConfig(
+                period_k=self["servo.period_s"],
+                pulse_min=self["servo.pulse_min_s"],
+                pulse_mid=self["servo.pulse_mid_s"],
+                pulse_max=self["servo.pulse_max_s"],
+                accuracy_nu=math.radians(self["servo.accuracy_deg"]),
+            )
 
     def snr_grid_db(self) -> np.ndarray:
         return np.arange(self["snr.start_db"], self["snr.stop_db"] + 1e-9, self["snr.step_db"])
 
     def sweep_grid_deg(self) -> np.ndarray:
-        start, stop = self["sweep.start_deg"], self["sweep.stop_deg"]
+        return self._tilt_grid_deg("sweep")
+
+    def roll_grid_deg(self) -> np.ndarray:
+        return np.linspace(self["roll.start_deg"], self["roll.stop_deg"], self["roll.count"])
+
+    def monotonicity_grid_deg(self) -> np.ndarray:
+        return self._tilt_grid_deg("monotonicity")
+
+    def _tilt_grid_deg(self, section: str) -> np.ndarray:
+        start, stop = self[f"{section}.start_deg"], self[f"{section}.stop_deg"]
         if not (-90.0 < start < 90.0 and -90.0 < stop < 90.0 and start < stop):
-            raise ConfigError("sweep bounds must satisfy -90 < start < stop < 90 degrees")
-        return np.linspace(start, stop, self["sweep.count"])
+            raise ConfigError(
+                f"keys '{section}.start_deg', '{section}.stop_deg' must satisfy"
+                " -90 < start < stop < 90 degrees"
+            )
+        return np.linspace(start, stop, self[f"{section}.count"])
+
+
+# Field of SaParams / ServoConfig -> the config key that sets it.
+_SA_KEYS = {
+    "t_init": "sa.t_init",
+    "t_min": "sa.t_min",
+    "cooling": "sa.cooling",
+    "inner_iters": "sa.inner_iters",
+    "step_scale": "sa.step_scale_rad",
+}
+_SERVO_KEYS = {
+    "period_k": "servo.period_s",
+    "pulse_min": "servo.pulse_min_s",
+    "pulse_mid": "servo.pulse_mid_s",
+    "pulse_max": "servo.pulse_max_s",
+    "accuracy_nu": "servo.accuracy_deg",
+}
+
+
+@contextmanager
+def _cited_keys(keys: dict[str, str]):
+    """Re-raise a ValueError as a ConfigError naming the keys of the fields its message cites."""
+    try:
+        yield
+    except ValueError as exc:
+        cited = [key for field, key in keys.items() if field in str(exc)] or list(keys.values())
+        raise ConfigError(f"key {', '.join(map(repr, cited))}: {exc}") from None
 
 
 def serialize_config(spec: ExperimentSpec) -> str:
@@ -306,7 +375,7 @@ def _run_angle_sweep(spec: ExperimentSpec, workers: int, axis: str):
 
 def _run_roll_profile(spec: ExperimentSpec, workers: int):
     cfg = spec.link()
-    thetas_deg = np.linspace(spec["roll.start_deg"], spec["roll.stop_deg"], spec["roll.count"])
+    thetas_deg = spec.roll_grid_deg()
     thetas = np.radians(thetas_deg)
     caps = capacity_profile(thetas, cfg)
     header = ["theta_deg", "theta_rad", "capacity_bps_hz"]
@@ -373,29 +442,16 @@ def _run_sa_trace(spec: ExperimentSpec, workers: int):
 def _run_monotonicity(spec: ExperimentSpec, workers: int):
     cfg = spec.link()
     s_target = spec["monotonicity.s_coupling"]
-    grid_deg = np.linspace(
-        spec["monotonicity.start_deg"], spec["monotonicity.stop_deg"], spec["monotonicity.count"]
-    )
-
-    def point(args):
-        axis, u, angle_deg = args
-        angle = math.radians(angle_deg)
-        exact = steered_sir(axis, cfg.modes, u, angle, s_target, cfg.n_elements)
-        asym = asymptotic_sir(cfg.modes, u, cfg.n_elements, angle, s_target)
-        return exact, asym
-
-    tasks = [
-        (axis, u, angle_deg)
-        for axis in ("yaw", "pitch")
-        for u in range(cfg.n_modes)
-        for angle_deg in grid_deg
-    ]
-    results = _map_points(point, tasks, workers)
+    grid_deg = spec.monotonicity_grid_deg()
+    angles = [math.radians(d) for d in grid_deg]
     header = ["axis", "mode", "angle_deg", "sir_linear", "sir_asymptotic"]
-    rows = [
-        [axis, str(cfg.modes[u]), _fmt(angle_deg), _fmt(exact), _fmt(asym)]
-        for (axis, u, angle_deg), (exact, asym) in zip(tasks, results)
-    ]
+    rows = []
+    for axis in ("yaw", "pitch"):
+        exact = steered_sirs(axis, cfg.modes, angles, s_target, cfg.n_elements)
+        for u in range(cfg.n_modes):
+            for k, angle in enumerate(angles):
+                asym = asymptotic_sir(cfg.modes, u, cfg.n_elements, angle, s_target)
+                rows.append([axis, str(cfg.modes[u]), _fmt(grid_deg[k]), _fmt(exact[k, u]), _fmt(asym)])
     return header, rows
 
 

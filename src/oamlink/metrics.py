@@ -8,6 +8,15 @@ log2(1 + SINR) over subcarriers and sums over modes.
 The small-coupling closed forms give the leading-order magnitude of the
 diagonal (signal) and off-diagonal (interference) entries when the pitch is
 zero; they underpin the monotonicity checks of SIR versus yaw/pitch.
+
+The exact steered entries of a single-axis tilt come from the Jacobi-Anger
+expansion e^{iS cos d} = sum_q i^q J_q(S) e^{iqd} (DLMF 10.12).  Two Bessel
+sequences, A_q = i^q J_q(S (1+cos)/2) and B_w = (i sigma)^w J_w(S (1-cos)/2),
+are folded by residue mod N into A^_r and B^_s; every entry is then
+sum over r with 2r = l_u + l_v (mod N) of A^_r B^_{(l_u - r) mod N}, at most
+two products.  ``steered_entries`` evaluates all angles and mode pairs of
+one tilt axis from one array ``jv`` call per sequence; it stays accurate
+where the plain double DFT sum cancels at small coupling.
 """
 
 from __future__ import annotations
@@ -83,11 +92,11 @@ def sir(effective: OamMatrix, u: int) -> float:
     if not 0 <= u < h.shape[0]:
         raise IndexError(f"mode index {u} outside 0..{h.shape[0] - 1}")
     row_power = np.abs(h[u]) ** 2
-    signal = row_power[u]
-    interference = float(np.sum(row_power) - signal)
+    # summed directly: row sum - signal cancels when interference << signal
+    interference = float(np.sum(np.delete(row_power, u)))
     if interference <= 0.0:
         return math.inf
-    return float(signal / interference)
+    return float(row_power[u] / interference)
 
 
 def capacity(effectives: Sequence[OamMatrix], rho: float) -> float:
@@ -161,6 +170,70 @@ def asymptotic_sir(
     return signal**2 / interference_power
 
 
+# i^k indexed by k mod 4, and the k with i * sigma = i^k per tilt axis
+# (sigma = -1 for yaw, +1 for pitch).
+_I_POWERS = np.array([1, 1j, -1, -1j])
+_AXIS_I_POWER = {"yaw": 3, "pitch": 1}
+
+
+def _residue_fold(seq: np.ndarray, q_max: int, n: int) -> np.ndarray:
+    """Sum the orders -q_max..q_max on the last axis of ``seq`` by residue mod ``n``.
+
+    Column r of the result holds the sum over every order q = r (mod n).
+    """
+    lead = (-q_max) % n  # zero-pad so the first order is a multiple of n
+    tail = -(lead + seq.shape[-1]) % n
+    padded = np.pad(seq, ((0, 0), (lead, tail)))
+    return padded.reshape(seq.shape[0], -1, n).sum(axis=1)
+
+
+def steered_entries(
+    axis: str,
+    modes: Sequence[int],
+    angles,
+    s_coupling: float,
+    n_elements: int,
+) -> np.ndarray:
+    """Steered mode-domain matrices for a single-axis tilt, in units of eta * N^2.
+
+    Returns an (A, U, U) array: entry [k, u, v] belongs to ``angles[k]``.
+    Both arrays' reference elements sit at angle zero.  Each sequence is
+    built with one array ``jv`` call of shape (A, 2 q_max + 1); nothing
+    scales with angles times the (q, w) lattice.  See ``steered_mode_entry``
+    for the folded-residue form it evaluates.
+    """
+    if axis not in _AXIS_I_POWER:
+        raise ValueError(f"axis must be 'yaw' or 'pitch', got {axis!r}")
+    c = np.cos(np.atleast_1d(np.asarray(angles, dtype=float)))
+    a = s_coupling * (1.0 + c) / 2.0
+    b = s_coupling * (1.0 - c) / 2.0
+    n = n_elements
+    q_max = int(math.ceil(np.max(a + b))) + 2 * n + 25
+    orders = np.arange(-q_max, q_max + 1)
+    a_hat = _residue_fold(_I_POWERS[orders % 4] * jv(orders, a[:, None]), q_max, n)
+    b_hat = _residue_fold(_I_POWERS[orders * _AXIS_I_POWER[axis] % 4] * jv(orders, b[:, None]), q_max, n)
+    lu = np.asarray(modes, dtype=int)[:, None]
+    r = np.arange(n)
+    hit = (2 * r - lu[:, :, None] - lu.T[:, :, None]) % n == 0  # (U, U, N): 2r = l_u + l_v
+    return np.einsum("uvr,ar,aur->auv", hit, a_hat, b_hat[:, (lu - r) % n])
+
+
+def steered_sirs(
+    axis: str,
+    modes: Sequence[int],
+    angles,
+    s_coupling: float,
+    n_elements: int,
+) -> np.ndarray:
+    """(A, U) SIR of every mode at every angle of a single-axis tilt; +inf when interference-free."""
+    power = np.abs(steered_entries(axis, modes, angles, s_coupling, n_elements)) ** 2
+    off = ~np.eye(power.shape[-1], dtype=bool)
+    signal = np.diagonal(power, axis1=1, axis2=2)
+    interference = np.where(off, power, 0.0).sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(interference > 0.0, signal / interference, math.inf)
+
+
 def steered_mode_entry(
     axis: str,
     modes: Sequence[int],
@@ -174,40 +247,25 @@ def steered_mode_entry(
 
     Covers the electronically steered link tilted in yaw only (zero pitch) or
     pitch only (zero yaw) with both arrays' reference elements at angle zero.
-    The double phase sum is expanded with the Jacobi-Anger identity into
-    products of Bessel functions, which stays numerically accurate even when
-    the entry is many orders below the per-element magnitudes (the plain
-    double sum loses those entries to cancellation noise at small coupling):
+    The double phase sum is expanded with the Jacobi-Anger identity
+    e^{iS cos d} = sum_q i^q J_q(S) e^{iqd} (DLMF 10.12) into a lattice of
+    Bessel products, which stays accurate even when the entry is many orders
+    below the per-element magnitudes (the plain double sum loses those
+    entries to cancellation noise at small coupling).
 
-    entry = sum over integer (q, w) with q + w = l_u (mod N), q - w = l_v
-    (mod N) of i^(q+w) * sigma^w * J_q(S (1+cos)/2) * J_w(S (1-cos)/2),
-    with sigma = -1 for the yaw axis and +1 for the pitch axis.
+    With a = S (1+cos)/2 and b = S (1-cos)/2, let A_q = i^q J_q(a) and
+    B_w = (i sigma)^w J_w(b), sigma = -1 for yaw and +1 for pitch, and fold
+    each sequence by residue mod N: A^_r = sum_{q = r} A_q and
+    B^_s = sum_{w = s} B_w (orders truncated at |q|, |w| <= q_max).  Then
+
+    entry = sum over r with 2r = l_u + l_v (mod N) of A^_r * B^_{(l_u - r) mod N},
+
+    at most two terms.  It is the lattice sum over (q, w) with
+    q + w = l_u, q - w = l_v (mod N) of i^(q+w) sigma^w J_q(a) J_w(b),
+    grouped by the residue of q.  This is the one-angle view of
+    ``steered_entries``.
     """
-    if axis == "yaw":
-        sigma = -1.0
-    elif axis == "pitch":
-        sigma = 1.0
-    else:
-        raise ValueError(f"axis must be 'yaw' or 'pitch', got {axis!r}")
-    c = math.cos(angle)
-    a = s_coupling * (1.0 + c) / 2.0
-    b = s_coupling * (1.0 - c) / 2.0
-    lu, lv = int(modes[u]), int(modes[v])
-    q_max = int(math.ceil(a + b)) + 2 * n_elements + 25
-    total = 0.0 + 0.0j
-    for q in range(-q_max, q_max + 1):
-        # congruences force w = lu - q (mod N) and w = q - lv (mod N)
-        if (2 * q - lu - lv) % n_elements != 0:
-            continue
-        jq = jv(q, a)
-        if jq == 0.0:
-            continue
-        w0 = lu - q
-        j_lo = -(q_max + w0) // n_elements
-        for j in range(j_lo, (q_max - w0) // n_elements + 1):
-            w = w0 + j * n_elements
-            total += (1j ** (q + w)) * (sigma**w) * jq * jv(w, b)
-    return complex(total)
+    return complex(steered_entries(axis, modes, [angle], s_coupling, n_elements)[0, u, v])
 
 
 def steered_sir(
@@ -218,16 +276,8 @@ def steered_sir(
     s_coupling: float,
     n_elements: int,
 ) -> float:
-    """SIR on mode ``u`` for a single-axis tilt, via the stable entry evaluation."""
-    signal = abs(steered_mode_entry(axis, modes, u, u, angle, s_coupling, n_elements)) ** 2
-    interference = sum(
-        abs(steered_mode_entry(axis, modes, u, v, angle, s_coupling, n_elements)) ** 2
-        for v in range(len(modes))
-        if v != u
-    )
-    if interference <= 0.0:
-        return math.inf
-    return signal / interference
+    """SIR on mode ``u`` for a single-axis tilt; the one-angle view of ``steered_sirs``."""
+    return float(steered_sirs(axis, modes, [angle], s_coupling, n_elements)[0, u])
 
 
 def scaled_coupling_link(cfg: LinkConfig, s_target: float) -> LinkConfig:
@@ -258,10 +308,6 @@ def check_monotonicity(
     grid = list(grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    values = [
-        steered_sir(axis, cfg.modes, u, angle, s_target, cfg.n_elements) for angle in grid
-    ]
-    worst = 0.0
-    for a, b in zip(values, values[1:]):
-        worst = max(worst, (b - a) / a)
+    values = steered_sirs(axis, cfg.modes, grid, s_target, cfg.n_elements)[:, u]
+    worst = float(np.max((values[1:] - values[:-1]) / values[:-1], initial=0.0))
     return worst <= 1e-12, worst

@@ -34,9 +34,9 @@ class ServoConfig:
 
     def __post_init__(self):
         if not (0 < self.pulse_min < self.pulse_mid < self.pulse_max <= self.period_k):
-            raise ValueError("pulse widths must satisfy 0 < min < mid < max <= period")
+            raise ValueError("need 0 < pulse_min < pulse_mid < pulse_max <= period_k")
         if not self.accuracy_nu > 0:
-            raise ValueError("potentiometer accuracy must be positive")
+            raise ValueError("accuracy_nu (potentiometer accuracy) must be positive")
 
     @property
     def reachable_range(self) -> tuple[float, float]:

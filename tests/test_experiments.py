@@ -234,3 +234,28 @@ def test_cli_success_and_exit_codes(tmp_path, capsys):
 def test_all_experiment_names_have_runners():
     for name in EXPERIMENT_NAMES:
         assert ExperimentSpec.resolve(name).name == name
+
+
+@pytest.mark.parametrize(
+    "experiment, key, value",
+    [
+        ("sweep-yaw", "snr.step_db", "0"),
+        ("sweep-yaw", "snr.step_db", "-1"),
+        ("sweep-yaw", "snr.start_db", "40"),
+        ("sa-trace", "sa.cooling", "1.5"),
+        ("hybrid-compare", "servo.accuracy_deg", "0"),
+        ("sweep-pitch", "sweep.start_deg", "nan"),
+        ("roll-profile", "roll.start_deg", "inf"),
+        ("monotonicity", "monotonicity.s_coupling", "nan"),
+        ("monotonicity", "monotonicity.s_coupling", "-1"),
+        ("monotonicity", "monotonicity.stop_deg", "inf"),
+        ("complexity", "complexity.p_coarse", "10"),
+        ("complexity", "complexity.n_min", "40"),
+    ],
+)
+def test_cli_out_of_domain_value_exits_1_naming_key(tmp_path, capsys, experiment, key, value):
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import jv
 
 from oamlink import (
     ModePair,
@@ -22,7 +23,7 @@ from oamlink import (
     sir_asymptotic,
 )
 from oamlink.channel import OamMatrix
-from oamlink.metrics import scaled_coupling_link, steered_mode_entry, steered_sir
+from oamlink.metrics import scaled_coupling_link, steered_entries, steered_mode_entry, steered_sir
 
 MODES = tuple(range(-4, 5))
 
@@ -56,6 +57,14 @@ def test_sinr_validation():
 
 def test_sir_diagonal_is_infinite():
     assert sir(OamMatrix(np.diag([1.0 + 0j, 2.0 + 0j])), 0) == math.inf
+
+
+@pytest.mark.parametrize("off", [1e-9, 3e-8])
+def test_sir_sums_off_diagonal_power_without_cancellation(off):
+    # row sum - signal rounds 1 + off^2 back to 1 and reported inf (1e-9)
+    # or a 1.3% error (3e-8); the true SIR is 1 / off^2
+    eff = OamMatrix(np.array([[1.0, off], [off, 1.0]], dtype=complex))
+    assert sir(eff, 0) == pytest.approx(1.0 / off**2, rel=1e-14)
 
 
 def test_sinr_approaches_sir_at_high_snr():
@@ -172,6 +181,55 @@ def test_steered_entry_matches_double_sum_at_moderate_coupling():
                 for v in (2, 4, 8):
                     bessel = steered_mode_entry(axis, scaled.modes, u, v, angle, s_target, 10)
                     assert abs(bessel * scale - eff[u, v]) < 1e-10
+
+
+def lattice_entry(axis, modes, u, v, angle, s_coupling, n_elements):
+    """Independent oracle: the (q, w) Bessel lattice summed term by term.
+
+    entry = sum over integer (q, w) with q + w = l_u (mod N), q - w = l_v
+    (mod N) of i^(q+w) * sigma^w * J_q(S (1+cos)/2) * J_w(S (1-cos)/2),
+    sigma = -1 for yaw and +1 for pitch.  The plain double DFT sum cannot
+    serve here: at small S it loses these entries to cancellation.
+    """
+    sigma = -1.0 if axis == "yaw" else 1.0
+    c = math.cos(angle)
+    a = s_coupling * (1.0 + c) / 2.0
+    b = s_coupling * (1.0 - c) / 2.0
+    lu, lv = int(modes[u]), int(modes[v])
+    q_max = int(math.ceil(a + b)) + 2 * n_elements + 25
+    total = 0.0 + 0.0j
+    for q in range(-q_max, q_max + 1):
+        # congruences force w = lu - q (mod N) and w = q - lv (mod N)
+        if (2 * q - lu - lv) % n_elements != 0:
+            continue
+        jq = jv(q, a)
+        if jq == 0.0:
+            continue
+        w0 = lu - q
+        j_lo = -(q_max + w0) // n_elements
+        for j in range(j_lo, (q_max - w0) // n_elements + 1):
+            w = w0 + j * n_elements
+            total += (1j ** (q + w)) * (sigma**w) * jq * jv(w, b)
+    return complex(total)
+
+
+@pytest.mark.parametrize("n_elements, modes", [(10, range(-4, 5)), (9, range(-4, 5)), (16, range(-3, 4))])
+@pytest.mark.parametrize("s_coupling", [1e-3, 1e-2, 1.0, 5.585053606381855])
+def test_steered_entries_match_scalar_lattice(n_elements, modes, s_coupling):
+    modes = tuple(modes)
+    angles = np.radians([0.0, 1.0, 33.0, 60.0, 89.0])
+    for axis in ("yaw", "pitch"):
+        batched = steered_entries(axis, modes, angles, s_coupling, n_elements)
+        assert batched.shape == (len(angles), len(modes), len(modes))
+        for k, angle in enumerate(angles):
+            for u in range(len(modes)):
+                for v in range(len(modes)):
+                    oracle = lattice_entry(axis, modes, u, v, angle, s_coupling, n_elements)
+                    got = batched[k, u, v]
+                    if oracle == 0:
+                        assert got == 0, (axis, angle, u, v)
+                    else:
+                        assert abs(got - oracle) <= 1e-13 * abs(oracle), (axis, angle, u, v)
 
 
 def test_exact_sir_converges_to_asymptotic():
