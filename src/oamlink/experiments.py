@@ -522,14 +522,25 @@ def run(
     wall = time.monotonic() - started
 
     csv_path = out / f"{spec.name}.csv"
-    with open(csv_path, "w", newline="") as fh:
+    with _open_fresh(csv_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
     manifest_path = out / "manifest.txt"
-    with open(manifest_path, "w") as fh:
+    with _open_fresh(manifest_path) as fh:
         fh.write(f"# oamlink {__version__} experiment manifest\n")
         fh.write(f"# wall_time_s = {wall:.3f}\n")
         fh.write(f"# rows = {len(rows)}\n")
         fh.write(serialize_config(spec))
     return csv_path, manifest_path
+
+
+def _open_fresh(path: Path, newline: str | None = None):
+    """Open ``path`` for writing as a new file, removing an earlier run's file first.
+
+    Truncating a non-empty file in place makes ext4 (auto_da_alloc) flush the
+    new data when it is closed, a disk wait of 0.1 ms to several ms per file
+    that a new file does not pay.
+    """
+    path.unlink(missing_ok=True)
+    return open(path, "w", newline=newline)

@@ -120,6 +120,17 @@ def test_manifest_reruns_byte_identical(tmp_path):
     assert csv1.read_bytes() == csv2.read_bytes()
 
 
+def test_rerun_into_same_directory_replaces_outputs(tmp_path):
+    long = ExperimentSpec.resolve("monotonicity", {"monotonicity.count": 5})
+    short = ExperimentSpec.resolve("monotonicity", {"monotonicity.count": 2})
+    run(long, tmp_path / "reused")
+    csv_reused, manifest_reused = run(short, tmp_path / "reused")
+    csv_fresh, manifest_fresh = run(short, tmp_path / "fresh")
+    assert csv_reused.read_bytes() == csv_fresh.read_bytes()
+    assert parse_config(manifest_reused.read_text()) == parse_config(manifest_fresh.read_text())
+    assert sorted(p.name for p in (tmp_path / "reused").iterdir()) == ["manifest.txt", "monotonicity.csv"]
+
+
 def test_seed_override_changes_trace(tmp_path):
     spec = ExperimentSpec.resolve("sa-trace")
     c1, _ = run(spec, tmp_path / "a", seed=1)
