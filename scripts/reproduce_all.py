@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every experiment with its defaults into results/<name>/.
 
-Usage: python scripts/reproduce_all.py [--out DIR] [--workers N]
+Usage: python scripts/reproduce_all.py [--out DIR]
 """
 
 import argparse
@@ -13,11 +13,10 @@ from oamlink.experiments import EXPERIMENT_NAMES, ExperimentSpec, run
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("results"))
-    parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args()
     for name in EXPERIMENT_NAMES:
         spec = ExperimentSpec.resolve(name)
-        csv_path, manifest_path = run(spec, args.out / name, workers=args.workers)
+        csv_path, manifest_path = run(spec, args.out / name)
         print(f"{name}: {csv_path}")
 
 

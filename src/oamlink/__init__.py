@@ -4,7 +4,6 @@ with electronic-only and hybrid mechanical + electronic beam steering."""
 from .channel import (
     ChannelMatrix,
     OamMatrix,
-    channel_coeff,
     channel_matrices,
     channel_matrix,
     dft_vector,
@@ -34,8 +33,6 @@ from .steering import (
     MechanicalCommand,
     ResidualPose,
     SteeringPhases,
-    closed_form_diag,
-    combined_e,
     mechanical_pitch_yaw,
     mechanical_roll,
     phases_e1,

@@ -35,23 +35,6 @@ class OamMatrix:
     entries: np.ndarray
 
 
-def channel_coeff(
-    p: int,
-    m: int,
-    n: int,
-    pose: Pose | None,
-    residual: Pose | None,
-    stage: str,
-    cfg: LinkConfig,
-    method: str = "farfield",
-) -> complex:
-    """Coefficient from transmit element ``n`` to receive element ``m``."""
-    k = cfg.wavenumber(p)
-    d = geometry.distance(n, m, pose, residual, stage, cfg, method=method)
-    amplitude = cfg.beta / (2.0 * k * (d if method == "exact" else cfg.range_r))
-    return complex(amplitude * np.exp(-1j * k * d))
-
-
 def _distance_grid(
     pose: Pose | None,
     residual: Pose | None,

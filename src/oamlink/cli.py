@@ -23,7 +23,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None, help="key-value config file")
         p.add_argument("--out", type=Path, default=Path("results"), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the annealer seed")
-        p.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
+        p.add_argument("--workers", type=int, default=1, help="accepted and ignored (runs are single-threaded)")
     return parser
 
 
@@ -42,7 +42,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        csv_path, manifest_path = run(spec, args.out, seed=args.seed, workers=args.workers)
+        csv_path, manifest_path = run(spec, args.out, seed=args.seed)
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit code 2
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

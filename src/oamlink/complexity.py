@@ -11,9 +11,8 @@ plotted, not a cycle-accurate measurement.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -98,16 +97,3 @@ def cost_hybrid(params: ComplexityParams) -> CostBreakdown:
 def relative_cost(params: ComplexityParams) -> float:
     """Hybrid total over electronic-only total."""
     return cost_hybrid(params).total / cost_electronic(params).total
-
-
-def export_sweep_csv(path, params: ComplexityParams, n_values, p_values) -> None:
-    """Sweep element count and subcarrier count; write cost totals and their ratio."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_elements", "p_data", "cost_hybrid", "cost_electronic", "ratio"])
-        for n in n_values:
-            for p in p_values:
-                swept = replace(params, n_elements=int(n), p_data=int(p))
-                hybrid = cost_hybrid(swept).total
-                electronic = cost_electronic(swept).total
-                writer.writerow([int(n), int(p), repr(hybrid), repr(electronic), repr(hybrid / electronic)])

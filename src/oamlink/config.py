@@ -55,10 +55,6 @@ class CarrierGrid:
         return len(self.frequencies)
 
     @property
-    def wavelengths(self) -> np.ndarray:
-        return SPEED_OF_LIGHT / np.asarray(self.frequencies)
-
-    @property
     def wavenumbers(self) -> np.ndarray:
         """k_p = 2*pi / wavelength_p."""
         return 2.0 * math.pi * np.asarray(self.frequencies) / SPEED_OF_LIGHT
@@ -99,6 +95,10 @@ class LinkConfig:
         object.__setattr__(self, "modes", modes)
         if self.beta is None:
             object.__setattr__(self, "beta", 2.0 * self.wavenumber(0) * self.range_r)
+        k = self.carriers.wavenumbers
+        coupling = k * self.rx.radius * self.tx.radius / self.range_r
+        if not (math.isfinite(self.beta) and np.all(np.isfinite(k * self.range_r)) and np.all(np.isfinite(coupling))):
+            raise ValueError("beta, k_p * range and the coupling k_p * R_r * R_t / range must be finite")
         if self.range_r < 10.0 * (self.tx.radius + self.rx.radius):
             warnings.warn(
                 "range below 10x the summed radii; far-field channel model degrades",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,14 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import channel_matrices, channel_matrix, oam_effective
+from .channel import channel_matrix, oam_effective
 from .config import LinkConfig, default_link
-from .geometry import Pose, STAGE_AFTER_ROLL, STAGE_INITIAL
+from .geometry import Pose, STAGE_INITIAL
 from .metrics import asymptotic_sir, capacity, steered_sirs
 from .optimizer import SaParams, capacity_profile, optimize_roll
 from .pipeline import hybrid_pipeline
 from .servo import ServoConfig
-from .steering import ResidualPose, phases_eo
+from .steering import ResidualPose, mechanical_roll, phases_eo
 from .complexity import ComplexityParams, cost_electronic, cost_hybrid
 
 EXPERIMENT_NAMES = (
@@ -129,6 +128,13 @@ _POSITIVE_INT_KEYS = (
 )
 
 
+# The steered-SIR Bessel lattice has about 2 S orders per angle; the
+# experiment studies small coupling (the reference link's is 5.6).
+_MAX_S_COUPLING = 100.0
+# Keeps 10^(dB/10) and the capacity arithmetic finite and non-zero.
+_MAX_ABS_SNR_DB = 1000.0
+
+
 def parse_config(text: str) -> dict:
     """Parse flat key-value config text into an overrides dict.
 
@@ -164,6 +170,8 @@ def _validate_domains(overrides: dict) -> None:
         if key in overrides and overrides[key] < 1:
             raise ConfigError(f"key {key!r} must be >= 1, got {overrides[key]}")
     for key in (
+        "scenario.freq_start_hz",
+        "scenario.freq_stop_hz",
         "scenario.radius_rx_wavelengths",
         "scenario.radius_tx_wavelengths",
         "scenario.range_wavelengths",
@@ -173,6 +181,7 @@ def _validate_domains(overrides: dict) -> None:
         if key in overrides and not overrides[key] > 0:
             raise ConfigError(f"key {key!r} must be positive, got {overrides[key]}")
     for lo, hi in (
+        ("scenario.mode_min", "scenario.mode_max"),
         ("snr.start_db", "snr.stop_db"),
         ("complexity.p_coarse", "complexity.p_fine"),
         ("complexity.u_coarse", "complexity.u_fine"),
@@ -181,6 +190,11 @@ def _validate_domains(overrides: dict) -> None:
     ):
         if lo in overrides and hi in overrides and overrides[lo] > overrides[hi]:
             raise ConfigError(f"keys {lo!r}, {hi!r} must satisfy {lo} <= {hi}")
+    if overrides.get("monotonicity.s_coupling", 0.0) > _MAX_S_COUPLING:
+        raise ConfigError(f"key 'monotonicity.s_coupling' must be at most {_MAX_S_COUPLING:g}")
+    for key in ("scenario.snr_db", "snr.start_db", "snr.stop_db"):
+        if key in overrides and not abs(overrides[key]) <= _MAX_ABS_SNR_DB:
+            raise ConfigError(f"key {key!r} must satisfy |value| <= {_MAX_ABS_SNR_DB:g} dB, got {overrides[key]}")
     for key in ("pose.gamma_deg", "pose.psi_deg"):
         if key in overrides and not abs(overrides[key]) < 90.0:
             raise ConfigError(f"key {key!r} must satisfy |angle| < 90 degrees, got {overrides[key]}")
@@ -221,6 +235,8 @@ class ExperimentSpec:
         spec.monotonicity_grid_deg()
         spec.sa_params()
         spec.servo_config()
+        if name == "hybrid-compare":
+            spec._check_servo_commands()
         return spec
 
     def __getitem__(self, key: str):
@@ -268,6 +284,32 @@ class ExperimentSpec:
                 accuracy_nu=math.radians(self["servo.accuracy_deg"]),
             )
 
+    def _check_servo_commands(self) -> None:
+        """Every angle hybrid-compare commands must be reachable and leave |residual| < pi/2."""
+        servo = self.servo_config()
+        lo, hi = servo.reachable_range
+
+        def reachable(target: float) -> float:
+            achieved = round(target / servo.accuracy_nu) * servo.accuracy_nu  # as execute_rotation
+            if not (lo <= target <= hi and lo <= achieved <= hi):
+                raise ConfigError(
+                    "keys 'servo.pulse_min_s', 'servo.pulse_mid_s', 'servo.pulse_max_s': commanded"
+                    f" angle {target:.6g} rad outside the reachable range [{lo:.6g}, {hi:.6g}] rad"
+                )
+            return achieved
+
+        half = math.pi / self["scenario.n_elements"]
+        reachable(-half)  # the roll search interval
+        reachable(half)
+        for angle in np.radians(self.hybrid_grid_deg()):
+            for key in ("pose.aoa_error_gamma_deg", "pose.aoa_error_psi_deg"):
+                if not abs(angle - reachable(angle + math.radians(self[key]))) < math.pi / 2:
+                    raise ConfigError(f"key {key!r}: residual misalignment must stay below 90 degrees")
+
+    def hybrid_grid_deg(self) -> np.ndarray:
+        """Equal yaw and pitch swept together from alignment up to the config pose."""
+        return np.linspace(0.0, max(self["pose.gamma_deg"], self["pose.psi_deg"]), 7)
+
     def snr_grid_db(self) -> np.ndarray:
         return np.arange(self["snr.start_db"], self["snr.stop_db"] + 1e-9, self["snr.step_db"])
 
@@ -275,6 +317,8 @@ class ExperimentSpec:
         return self._tilt_grid_deg("sweep")
 
     def roll_grid_deg(self) -> np.ndarray:
+        if not math.isfinite(self["roll.stop_deg"] - self["roll.start_deg"]):
+            raise ConfigError("keys 'roll.start_deg', 'roll.stop_deg' must span a finite interval")
         return np.linspace(self["roll.start_deg"], self["roll.stop_deg"], self["roll.count"])
 
     def monotonicity_grid_deg(self) -> np.ndarray:
@@ -350,22 +394,17 @@ def _electronic_capacities(pose_angles, cfg: LinkConfig, rhos) -> dict:
     }
 
 
-def _run_angle_sweep(spec: ExperimentSpec, workers: int, axis: str):
+def _run_angle_sweep(spec: ExperimentSpec, axis: str):
     cfg = spec.link()
     angles_deg = spec.sweep_grid_deg()
     snrs_db = spec.snr_grid_db()
     rhos = [10.0 ** (s / 10.0) for s in snrs_db]
     aligned = _electronic_capacities((0.0, 0.0), cfg, rhos)["none"]
-
-    def point(angle_deg: float):
-        angle = math.radians(angle_deg)
-        pose_angles = (angle, 0.0) if axis == "yaw" else (0.0, angle)
-        return _electronic_capacities(pose_angles, cfg, rhos)
-
-    results = _map_points(point, angles_deg, workers)
     header = ["angle_deg", "snr_db", "scheme", "capacity_bps_hz"]
     rows = []
-    for angle_deg, caps in zip(angles_deg, results):
+    for angle_deg in angles_deg:
+        angle = math.radians(angle_deg)
+        caps = _electronic_capacities((angle, 0.0) if axis == "yaw" else (0.0, angle), cfg, rhos)
         for j, snr_db in enumerate(snrs_db):
             rows.append([_fmt(angle_deg), _fmt(snr_db), "aligned", _fmt(aligned[j])])
             rows.append([_fmt(angle_deg), _fmt(snr_db), "none", _fmt(caps["none"][j])])
@@ -373,7 +412,7 @@ def _run_angle_sweep(spec: ExperimentSpec, workers: int, axis: str):
     return header, rows
 
 
-def _run_roll_profile(spec: ExperimentSpec, workers: int):
+def _run_roll_profile(spec: ExperimentSpec):
     cfg = spec.link()
     thetas_deg = spec.roll_grid_deg()
     thetas = np.radians(thetas_deg)
@@ -383,12 +422,11 @@ def _run_roll_profile(spec: ExperimentSpec, workers: int):
     return header, rows
 
 
-def _run_hybrid_compare(spec: ExperimentSpec, workers: int):
+def _run_hybrid_compare(spec: ExperimentSpec):
     cfg = spec.link()
     servo = spec.servo_config()
     sa = spec.sa_params()
-    # equal yaw and pitch swept together from alignment up to the config pose
-    angles_deg = np.linspace(0.0, max(spec["pose.gamma_deg"], spec["pose.psi_deg"]), 7)
+    angles_deg = spec.hybrid_grid_deg()
     snrs_db = spec.snr_grid_db()
     rhos = [10.0 ** (s / 10.0) for s in snrs_db]
     # The roll objective does not depend on the pose: anneal once, reuse.
@@ -397,24 +435,16 @@ def _run_hybrid_compare(spec: ExperimentSpec, workers: int):
         math.radians(spec["pose.aoa_error_gamma_deg"]),
         math.radians(spec["pose.aoa_error_psi_deg"]),
     )
-
-    def point(angle_deg: float):
-        angle = math.radians(angle_deg)
-        pose = Pose(angle, angle)
-        result = hybrid_pipeline(pose, cfg, sa, servo, aoa_error=aoa_error, theta_star=theta_star)
-        hybrid = [capacity(result.effective, rho) for rho in rhos]
-        electronic = _electronic_capacities((angle, angle), cfg, rhos)["electronic"]
-        rolled = channel_matrices(
-            None, ResidualPose(0.0, 0.0).as_pose(roll=result.theta_star), STAGE_AFTER_ROLL, cfg
-        )
-        perfect_eff = [oam_effective(H, cfg.modes) for H in rolled]
-        perfect = [capacity(perfect_eff, rho) for rho in rhos]
-        return hybrid, electronic, perfect
-
-    results = _map_points(point, angles_deg, workers)
     header = ["angle_deg", "snr_db", "scheme", "capacity_bps_hz"]
     rows = []
-    for angle_deg, (hybrid, electronic, perfect) in zip(angles_deg, results):
+    for angle_deg in angles_deg:
+        angle = math.radians(angle_deg)
+        result = hybrid_pipeline(Pose(angle, angle), cfg, sa, servo, aoa_error=aoa_error, theta_star=theta_star)
+        hybrid = [capacity(result.effective, rho) for rho in rhos]
+        electronic = _electronic_capacities((angle, angle), cfg, rhos)["electronic"]
+        rolled = mechanical_roll(ResidualPose(0.0, 0.0), result.theta_star, cfg)
+        perfect_eff = [oam_effective(H, cfg.modes) for H in rolled]
+        perfect = [capacity(perfect_eff, rho) for rho in rhos]
         for j, snr_db in enumerate(snrs_db):
             rows.append([_fmt(angle_deg), _fmt(snr_db), "perfect", _fmt(perfect[j])])
             rows.append([_fmt(angle_deg), _fmt(snr_db), "hybrid", _fmt(hybrid[j])])
@@ -422,7 +452,7 @@ def _run_hybrid_compare(spec: ExperimentSpec, workers: int):
     return header, rows
 
 
-def _run_sa_trace(spec: ExperimentSpec, workers: int):
+def _run_sa_trace(spec: ExperimentSpec):
     cfg = spec.link()
     theta_star, trace = optimize_roll(cfg, spec.sa_params())
     header = ["outer_iter", "temperature", "best_theta_rad", "best_capacity_bps_hz", "accepted"]
@@ -439,7 +469,7 @@ def _run_sa_trace(spec: ExperimentSpec, workers: int):
     return header, rows
 
 
-def _run_monotonicity(spec: ExperimentSpec, workers: int):
+def _run_monotonicity(spec: ExperimentSpec):
     cfg = spec.link()
     s_target = spec["monotonicity.s_coupling"]
     grid_deg = spec.monotonicity_grid_deg()
@@ -449,13 +479,13 @@ def _run_monotonicity(spec: ExperimentSpec, workers: int):
     for axis in ("yaw", "pitch"):
         exact = steered_sirs(axis, cfg.modes, angles, s_target, cfg.n_elements)
         for u in range(cfg.n_modes):
-            for k, angle in enumerate(angles):
-                asym = asymptotic_sir(cfg.modes, u, cfg.n_elements, angle, s_target)
-                rows.append([axis, str(cfg.modes[u]), _fmt(grid_deg[k]), _fmt(exact[k, u]), _fmt(asym)])
+            asym = asymptotic_sir(cfg.modes, u, cfg.n_elements, angles, s_target)
+            for k in range(len(angles)):
+                rows.append([axis, str(cfg.modes[u]), _fmt(grid_deg[k]), _fmt(exact[k, u]), _fmt(asym[k])])
     return header, rows
 
 
-def _run_complexity(spec: ExperimentSpec, workers: int):
+def _run_complexity(spec: ExperimentSpec):
     params = ComplexityParams(
         p_data=spec["scenario.n_subcarriers"],
         u_data=spec["complexity.u_data"],
@@ -483,17 +513,9 @@ def _run_complexity(spec: ExperimentSpec, workers: int):
     return header, rows
 
 
-def _map_points(fn, items, workers: int):
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 _RUNNERS = {
-    "sweep-yaw": lambda spec, workers: _run_angle_sweep(spec, workers, "yaw"),
-    "sweep-pitch": lambda spec, workers: _run_angle_sweep(spec, workers, "pitch"),
+    "sweep-yaw": lambda spec: _run_angle_sweep(spec, "yaw"),
+    "sweep-pitch": lambda spec: _run_angle_sweep(spec, "pitch"),
     "roll-profile": _run_roll_profile,
     "hybrid-compare": _run_hybrid_compare,
     "sa-trace": _run_sa_trace,
@@ -502,12 +524,7 @@ _RUNNERS = {
 }
 
 
-def run(
-    spec: ExperimentSpec,
-    out_dir,
-    seed: int | None = None,
-    workers: int = 1,
-) -> tuple[Path, Path]:
+def run(spec: ExperimentSpec, out_dir, seed: int | None = None) -> tuple[Path, Path]:
     """Execute an experiment; write ``<name>.csv`` and ``manifest.txt``.
 
     ``seed`` overrides the config's sa.seed.  Returns (csv_path,
@@ -518,7 +535,7 @@ def run(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    header, rows = _RUNNERS[spec.name](spec, workers)
+    header, rows = _RUNNERS[spec.name](spec)
     wall = time.monotonic() - started
 
     csv_path = out / f"{spec.name}.csv"

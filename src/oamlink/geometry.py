@@ -25,7 +25,6 @@ ROLL = "roll"
 STAGE_INITIAL = "initial"
 STAGE_AFTER_PITCH_YAW = "after_pitch_yaw"
 STAGE_AFTER_ROLL = "after_roll"
-STAGES = (STAGE_INITIAL, STAGE_AFTER_PITCH_YAW, STAGE_AFTER_ROLL)
 
 _HALF_PI = math.pi / 2.0
 
@@ -218,28 +217,18 @@ def distance(
     """Transmit element ``n`` to receive element ``m`` distance [m].
 
     ``cfg`` carries ``tx``/``rx`` array geometries and the center range
-    ``range_r``.  The exact method takes the Euclidean norm between element
-    positions; the far-field method evaluates the first-order expansion in
-    (array radius / range), which keeps only phase-relevant terms.
+    ``range_r``.  With q the receive element position (``rx_element_position``)
+    and t the transmit element position, the exact method takes the Euclidean
+    norm |q + r z - t|; the far-field method evaluates its first-order
+    expansion in (array radius / range), r + q_z - (q_x t_x + q_y t_y) / r,
+    which keeps only phase-relevant terms.
     """
-    tx, rx, r = cfg.tx, cfg.rx, cfg.range_r
-    phi_n = tx.element_angle(n)
+    r = cfg.range_r
+    phi_n = cfg.tx.element_angle(n)
+    q = rx_element_position(m, pose, residual, stage, cfg.rx)
+    t = cfg.tx.radius * np.array([math.cos(phi_n), math.sin(phi_n), 0.0])
     if method == "exact":
-        q = rx_element_position(m, pose, residual, stage, rx)
-        t = tx.radius * np.array([math.cos(phi_n), math.sin(phi_n), 0.0])
         return float(np.linalg.norm(q + np.array([0.0, 0.0, r]) - t))
     if method != "farfield":
         raise ValueError(f"unknown distance method {method!r}")
-    gamma, psi, roll = _stage_angles(pose, residual, stage)
-    theta = rx.element_angle(m) + roll
-    st, ct = math.sin(theta), math.cos(theta)
-    sg, cg = math.sin(gamma), math.cos(gamma)
-    sp, cp = math.sin(psi), math.cos(psi)
-    sf, cf = math.sin(phi_n), math.cos(phi_n)
-    rr_rt = rx.radius * tx.radius / r
-    return (
-        r
-        - rr_rt * st * cf * sp * sg
-        - rr_rt * (ct * cf * cg + st * sf * cp)
-        + rx.radius * (st * sp * cg - ct * sg)
-    )
+    return float(r + q[2] - (q[0] * t[0] + q[1] * t[1]) / r)

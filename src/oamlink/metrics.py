@@ -26,15 +26,15 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import jv
 
 from .channel import OamMatrix
 from .config import CarrierGrid, LinkConfig
 
 
 def _fold(x: float, n: int) -> float:
-    """Distance of x from the nearest multiple of n: min(|x|, n - |x|)."""
-    return min(abs(x), n - abs(x))
+    """Distance of x from the nearest multiple of n."""
+    r = abs(x) % n
+    return min(r, n - r)
 
 
 @dataclass(frozen=True)
@@ -73,50 +73,60 @@ class ModePair:
         )
 
 
+def _signal_interference(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row signal and interference power of a (..., U, U) stack of mode-domain matrices.
+
+    The interference sums the off-diagonal powers directly: row sum minus
+    signal cancels when the interference is many orders below the signal.
+    """
+    power = np.abs(h) ** 2
+    off = ~np.eye(power.shape[-1], dtype=bool)
+    return np.diagonal(power, axis1=-2, axis2=-1), np.where(off, power, 0.0).sum(axis=-1)
+
+
+def _row(effective: OamMatrix, u: int) -> tuple[float, float]:
+    h = effective.entries
+    if not 0 <= u < h.shape[0]:
+        raise IndexError(f"mode index {u} outside 0..{h.shape[0] - 1}")
+    signal, interference = _signal_interference(h)
+    return float(signal[u]), float(interference[u])
+
+
 def sinr(effective: OamMatrix, u: int, rho: float) -> float:
     """Signal-to-interference-plus-noise ratio on mode row ``u`` (linear)."""
     if not rho > 0:
         raise ValueError("rho must be positive")
-    h = effective.entries
-    if not 0 <= u < h.shape[0]:
-        raise IndexError(f"mode index {u} outside 0..{h.shape[0] - 1}")
-    row_power = np.abs(h[u]) ** 2
-    signal = row_power[u]
-    interference = float(np.sum(row_power) - signal)
-    return float(rho * signal / (rho * interference + 1.0))
+    signal, interference = _row(effective, u)
+    return rho * signal / (rho * interference + 1.0)
 
 
 def sir(effective: OamMatrix, u: int) -> float:
     """Signal-to-interference ratio on mode row ``u``; +inf when interference-free."""
-    h = effective.entries
-    if not 0 <= u < h.shape[0]:
-        raise IndexError(f"mode index {u} outside 0..{h.shape[0] - 1}")
-    row_power = np.abs(h[u]) ** 2
-    # summed directly: row sum - signal cancels when interference << signal
-    interference = float(np.sum(np.delete(row_power, u)))
+    signal, interference = _row(effective, u)
     if interference <= 0.0:
         return math.inf
-    return float(row_power[u] / interference)
+    return signal / interference
 
 
 def capacity(effectives: Sequence[OamMatrix], rho: float) -> float:
     """Mean-over-subcarriers, sum-over-modes capacity [bits/s/Hz]."""
     if len(effectives) < 1:
         raise ValueError("need at least one effective matrix")
-    total = 0.0
-    for eff in effectives:
-        for u in range(eff.entries.shape[0]):
-            total += math.log2(1.0 + sinr(eff, u, rho))
-    return total / len(effectives)
+    if not rho > 0:
+        raise ValueError("rho must be positive")
+    signal, interference = _signal_interference(np.stack([eff.entries for eff in effectives]))
+    return float(np.log2(1.0 + rho * signal / (rho * interference + 1.0)).sum() / len(effectives))
 
 
 def sir_asymptotic(
     pair: ModePair,
-    gamma: float,
+    gamma,
     s_coupling: float,
     eta_scale: float = 1.0,
-) -> tuple[float, float]:
+):
     """Leading-order (signal, interference) entry magnitudes at zero pitch.
+
+    ``gamma`` is one yaw angle or an array of them.
 
     Valid in the small-coupling regime (s_coupling well below ~0.1):
 
@@ -130,7 +140,7 @@ def sir_asymptotic(
     ``eta_scale`` stands in for |eta| N^2 and cancels in any SIR built from
     these terms.
     """
-    cg = math.cos(gamma)
+    cg = np.cos(gamma)
     signal = (
         eta_scale
         * (s_coupling * (1.0 + cg)) ** pair.tau
@@ -152,22 +162,24 @@ def asymptotic_sir(
     modes: Sequence[int],
     u: int,
     n_elements: int,
-    gamma: float,
+    gamma,
     s_coupling: float,
-) -> float:
-    """Small-coupling SIR on mode ``u`` at zero pitch, from the closed forms."""
-    signal = None
-    interference_power = 0.0
+):
+    """Small-coupling SIR on mode ``u`` at zero pitch, from the closed forms.
+
+    ``gamma`` is one yaw angle or an array of them; the result has its shape.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    signal, interference_power = 0.0, np.zeros_like(gamma)
     for v in range(len(modes)):
         if v == u:
             continue
         pair = ModePair.from_modes(modes, u, v, n_elements)
-        sig, interf = sir_asymptotic(pair, gamma, s_coupling)
-        signal = sig  # identical for every pair: it depends on mode u only
-        interference_power += interf**2
-    if signal is None or interference_power <= 0.0:
-        return math.inf
-    return signal**2 / interference_power
+        signal, interf = sir_asymptotic(pair, gamma, s_coupling)  # signal depends on mode u only
+        interference_power = interference_power + interf**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(interference_power > 0.0, signal**2 / interference_power, math.inf)
+    return ratio if ratio.ndim else float(ratio)
 
 
 # i^k indexed by k mod 4, and the k with i * sigma = i^k per tilt axis
@@ -202,6 +214,8 @@ def steered_entries(
     scales with angles times the (q, w) lattice.  See ``steered_mode_entry``
     for the folded-residue form it evaluates.
     """
+    from scipy.special import jv  # imported here: scipy.special dominates ``import oamlink``
+
     if axis not in _AXIS_I_POWER:
         raise ValueError(f"axis must be 'yaw' or 'pitch', got {axis!r}")
     c = np.cos(np.atleast_1d(np.asarray(angles, dtype=float)))
@@ -226,10 +240,7 @@ def steered_sirs(
     n_elements: int,
 ) -> np.ndarray:
     """(A, U) SIR of every mode at every angle of a single-axis tilt; +inf when interference-free."""
-    power = np.abs(steered_entries(axis, modes, angles, s_coupling, n_elements)) ** 2
-    off = ~np.eye(power.shape[-1], dtype=bool)
-    signal = np.diagonal(power, axis1=1, axis2=2)
-    interference = np.where(off, power, 0.0).sum(axis=2)
+    signal, interference = _signal_interference(steered_entries(axis, modes, angles, s_coupling, n_elements))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(interference > 0.0, signal / interference, math.inf)
 

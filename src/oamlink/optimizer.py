@@ -11,7 +11,6 @@ reference; annealing runs are deterministic for a given seed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -72,7 +71,12 @@ class SaTrace:
 
 
 def capacity_profile(thetas, cfg: LinkConfig) -> np.ndarray:
-    """Diagonal-model capacity [bits/s/Hz] at each roll angle (vectorized)."""
+    """Diagonal-model capacity [bits/s/Hz] at each roll angle (vectorized).
+
+    Mode l's diagonal entry is N eta(p) sum_delta exp(i l (delta - theta) + i S_p cos(delta - theta)),
+    delta = 2 pi j / N, j = 1..N: periodic in theta with period 2 pi / N and equal in magnitude
+    to the double DFT sum of the aligned link rolled to theta.
+    """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     n = cfg.n_elements
     modes = np.asarray(cfg.modes, dtype=float)
@@ -148,20 +152,3 @@ def optimize_roll(
         trace.append(temperature, theta_best, cap_best, accepted)
         temperature *= sa.cooling
     return theta_best, trace
-
-
-def export_trace_csv(path, trace: SaTrace) -> None:
-    """Write the annealing trace as CSV (one row per temperature level)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["outer_iter", "temperature", "best_theta_rad", "best_capacity_bps_hz", "accepted"])
-        for i in range(len(trace)):
-            writer.writerow(
-                [
-                    i,
-                    repr(trace.temperatures[i]),
-                    repr(trace.best_thetas[i]),
-                    repr(trace.best_capacities[i]),
-                    trace.accepted_counts[i],
-                ]
-            )

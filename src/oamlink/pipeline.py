@@ -29,15 +29,11 @@ from .steering import (
     MechanicalCommand,
     ResidualPose,
     SteeringPhases,
-    combined_e,
     mechanical_pitch_yaw,
     mechanical_roll,
     phases_e1,
     phases_e2,
 )
-
-FOUR_STEP = "four_step"
-TWO_STEP = "two_step"
 
 
 @dataclass
@@ -60,18 +56,13 @@ def hybrid_pipeline(
     servo_cfg: ServoConfig | None = None,
     aoa_error: tuple[float, float] = (0.0, 0.0),
     theta_star: float | None = None,
-    order: str = FOUR_STEP,
 ) -> HybridResult:
     """Run the full steering chain and return the effective mode-domain channel.
 
     ``theta_star`` short-circuits the annealer with a precomputed roll angle
-    (it depends only on the link, not on the pose).  ``order`` selects the
-    four-step bookkeeping (separate E1 and E2 weights) or the merged
-    two-step bookkeeping (single summed schedule); both produce the same
-    effective matrices.
+    (it depends only on the link, not on the pose).  ``phases`` of the result
+    holds the summed E1 + E2 schedule per subcarrier.
     """
-    if order not in (FOUR_STEP, TWO_STEP):
-        raise ValueError(f"unknown pipeline order {order!r}")
     servo_cfg = servo_cfg if servo_cfg is not None else ServoConfig()
     sa_params = sa_params if sa_params is not None else SaParams()
 
@@ -94,15 +85,10 @@ def hybrid_pipeline(
     effective: list[OamMatrix] = []
     phase_schedules: list[SteeringPhases] = []
     for p, H in enumerate(channels):
-        if order == FOUR_STEP:
-            e1 = phases_e1(p, residual, cfg)
-            e2 = phases_e2(p, residual, theta_achieved, cfg)
-            effective.append(oam_effective(H, cfg.modes, [e1, e2]))
-            phase_schedules.append(SteeringPhases(p, e1.phases + e2.phases))
-        else:
-            combined = combined_e(p, residual, theta_achieved, cfg)
-            effective.append(oam_effective(H, cfg.modes, combined))
-            phase_schedules.append(combined)
+        e1 = phases_e1(p, residual, cfg)
+        e2 = phases_e2(p, residual, theta_achieved, cfg)
+        effective.append(oam_effective(H, cfg.modes, [e1, e2]))
+        phase_schedules.append(SteeringPhases(p, e1.phases + e2.phases))
     return HybridResult(
         effective=effective,
         command=command,

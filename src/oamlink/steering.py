@@ -16,7 +16,6 @@ stage rather than multiplied by anything.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -37,11 +36,6 @@ class SteeringPhases:
 
     subcarrier_index: int
     phases: np.ndarray
-
-    @property
-    def row(self) -> np.ndarray:
-        """Unit-modulus weights exp(i * phases)."""
-        return np.exp(1j * np.asarray(self.phases))
 
 
 @dataclass(frozen=True)
@@ -101,13 +95,6 @@ def phases_e2(p: int, residual: ResidualPose, theta_star: float, cfg: LinkConfig
     return SteeringPhases(p, w)
 
 
-def combined_e(p: int, residual: ResidualPose, theta_star: float, cfg: LinkConfig) -> SteeringPhases:
-    """Elementwise sum of the two electronic stages (Hadamard product of weights)."""
-    return SteeringPhases(
-        p, phases_e1(p, residual, cfg).phases + phases_e2(p, residual, theta_star, cfg).phases
-    )
-
-
 def mechanical_pitch_yaw(
     pose: Pose,
     command: MechanicalCommand,
@@ -136,30 +123,3 @@ def mechanical_roll(
     if not abs(theta_star) <= math.pi:
         raise ValueError(f"roll angle must satisfy |theta| <= pi, got {theta_star}")
     return channel_matrices(None, residual.as_pose(roll=theta_star), STAGE_AFTER_ROLL, cfg)
-
-
-def closed_form_diag(p: int, mode: int, theta: float, cfg: LinkConfig) -> complex:
-    """Mode-domain diagonal entry of the fully steered link at roll angle ``theta``.
-
-    N * eta(p) * sum_delta exp(i (2*pi*delta/N - theta) * mode
-    + i S_p cos(2*pi*delta/N - theta)); exactly periodic in theta with period
-    2*pi/N.  The despiralization convention here tracks the rolled element
-    angles, so the value equals the fixed-DFT double sum times the unit phase
-    exp(-i * mode * theta); magnitudes (hence SINR and capacity) coincide.
-    """
-    n = cfg.n_elements
-    s = cfg.coupling(p)
-    delta = 2.0 * math.pi * np.arange(1, n + 1) / n - theta
-    total = np.sum(np.exp(1j * (delta * mode + s * np.cos(delta))))
-    return complex(n * cfg.eta(p) * total)
-
-
-def export_phase_schedule_csv(path, cfg: LinkConfig, schedules) -> None:
-    """Write per-element phases as CSV rows (subcarrier_hz, element_index, phase_rad)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subcarrier_hz", "element_index", "phase_rad"])
-        for sched in schedules:
-            freq = cfg.carriers.frequencies[sched.subcarrier_index]
-            for idx, phase in enumerate(sched.phases, start=1):
-                writer.writerow([repr(float(freq)), idx, repr(float(phase))])

@@ -10,10 +10,10 @@ from oamlink import (
     Pose,
     STAGE_AFTER_PITCH_YAW,
     STAGE_INITIAL,
-    channel_coeff,
     channel_matrix,
     default_link,
     dft_vector,
+    distance,
     oam_effective,
     partial_dft,
     simulate_reception,
@@ -59,14 +59,17 @@ def test_aligned_channel_depends_on_index_difference_only():
 
 
 def test_channel_matrix_matches_channel_coeff():
+    # per-element coefficients beta/(2 k d) exp(-i k d) from the scalar distance oracle
     cfg = default_link(n_elements=5, n_subcarriers=2, modes=(0, 1, 2))
     pose = Pose(math.radians(33), math.radians(-21))
+    k = cfg.wavenumber(1)
     for method in ("farfield", "exact"):
         H = channel_matrix(1, pose, None, STAGE_INITIAL, cfg, method=method).entries
         for m in range(1, 6):
             for n in range(1, 6):
-                c = channel_coeff(1, m, n, pose, None, STAGE_INITIAL, cfg, method=method)
-                assert c == pytest.approx(H[m - 1, n - 1], rel=1e-12)
+                d = distance(n, m, pose, None, STAGE_INITIAL, cfg, method=method)
+                amplitude = cfg.beta / (2.0 * k * (d if method == "exact" else cfg.range_r))
+                assert amplitude * np.exp(-1j * k * d) == pytest.approx(H[m - 1, n - 1], rel=1e-12)
 
 
 def test_exact_channel_against_brute_force():
@@ -81,8 +84,6 @@ def test_farfield_phase_tracks_exact_phase():
     cfg = default_link()
     pose = Pose(math.radians(30), math.radians(20))
     k = cfg.wavenumber(0)
-    from oamlink import distance
-
     worst_d = max(
         abs(
             distance(n, m, pose, None, STAGE_INITIAL, cfg, "exact")

@@ -71,18 +71,6 @@ def test_hybrid_dominates_whenever_coarse_estimation_costs():
     assert all(v >= 0 for v in cost_hybrid(params).terms.values())
 
 
-def test_export_sweep_csv(tmp_path):
-    from oamlink.complexity import export_sweep_csv
-
-    path = tmp_path / "complexity.csv"
-    export_sweep_csv(path, ComplexityParams(), n_values=(8, 10), p_values=(4, 8))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "n_elements,p_data,cost_hybrid,cost_electronic,ratio"
-    assert len(lines) == 1 + 4
-    n, p, hy, el, ratio = lines[1].split(",")
-    assert float(ratio) == pytest.approx(float(hy) / float(el))
-
-
 def test_dominant_ratio_structure():
     # the leading excess is the coarse-estimation block over the fine one
     params = ComplexityParams(

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oamlink.cli import main
 from oamlink.experiments import (
     ConfigError,
     EXPERIMENT_NAMES,
+    SCHEMA,
     ExperimentSpec,
     parse_config,
     run,
@@ -100,8 +102,8 @@ FAST_SWEEP = {
 
 def test_sweep_yaw_outputs_and_determinism(tmp_path):
     spec = ExperimentSpec.resolve("sweep-yaw", dict(FAST_SWEEP))
-    csv1, manifest1 = run(spec, tmp_path / "a", workers=1)
-    csv2, _ = run(spec, tmp_path / "b", workers=4)
+    csv1, manifest1 = run(spec, tmp_path / "a")
+    csv2, _ = run(spec, tmp_path / "b")
     assert csv1.read_bytes() == csv2.read_bytes()
     header, rows = read_rows(csv1)
     assert header == ["angle_deg", "snr_db", "scheme", "capacity_bps_hz"]
@@ -167,7 +169,7 @@ def test_sweep_capacity_declines_with_angle(tmp_path):
     spec = ExperimentSpec.resolve(
         "sweep-yaw", {"sweep.count": 17, "sweep.stop_deg": 80.0, "snr.step_db": 6.0}
     )
-    path, _ = run(spec, tmp_path, workers=2)
+    path, _ = run(spec, tmp_path)
     _, rows = read_rows(path)
     series: dict = {}
     for angle, snr, scheme, cap in rows:
@@ -204,7 +206,7 @@ def test_sa_trace_columns(tmp_path):
 
 def test_monotonicity_experiment(tmp_path):
     spec = ExperimentSpec.resolve("monotonicity", {"monotonicity.count": 12})
-    path, _ = run(spec, tmp_path, workers=4)
+    path, _ = run(spec, tmp_path)
     header, rows = read_rows(path)
     assert header == ["axis", "mode", "angle_deg", "sir_linear", "sir_asymptotic"]
     assert len(rows) == 2 * 9 * 12
@@ -231,6 +233,7 @@ def test_cli_success_and_exit_codes(tmp_path, capsys):
     assert (out / "complexity.csv").exists()
     assert (out / "manifest.txt").exists()
     assert str(out / "complexity.csv") in printed
+    assert main(["complexity", "--out", str(out), "--workers", "4"]) == 0  # accepted and ignored
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("scenario.n_elements = 0\n")
@@ -255,10 +258,16 @@ def test_all_experiment_names_have_runners():
         ("sweep-yaw", "snr.start_db", "40"),
         ("sa-trace", "sa.cooling", "1.5"),
         ("hybrid-compare", "servo.accuracy_deg", "0"),
+        ("hybrid-compare", "servo.pulse_mid_s", "0.0019"),
+        ("hybrid-compare", "servo.pulse_mid_s", "0.00195\npose.gamma_deg = 0\npose.psi_deg = 0"),  # roll
         ("sweep-pitch", "sweep.start_deg", "nan"),
         ("roll-profile", "roll.start_deg", "inf"),
+        ("roll-profile", "roll.start_deg", "-1e308\nroll.stop_deg = 1e308"),
+        ("sweep-yaw", "snr.stop_db", "4000"),
+        ("sweep-yaw", "snr.start_db", "-4000"),
         ("monotonicity", "monotonicity.s_coupling", "nan"),
         ("monotonicity", "monotonicity.s_coupling", "-1"),
+        ("monotonicity", "monotonicity.s_coupling", "1e6"),
         ("monotonicity", "monotonicity.stop_deg", "inf"),
         ("complexity", "complexity.p_coarse", "10"),
         ("complexity", "complexity.n_min", "40"),
@@ -270,3 +279,45 @@ def test_cli_out_of_domain_value_exits_1_naming_key(tmp_path, capsys, experiment
     assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# Numeric keys the cheap experiments read, by prefix.  Every resolve also
+# builds the link, grids, annealer and servo, so all of these reach it.
+FUZZ_PREFIXES = {
+    "roll-profile": ("scenario.", "roll."),
+    "monotonicity": ("scenario.", "monotonicity."),
+    "complexity": ("scenario.", "complexity.", "sa.", "pose.", "servo."),
+}
+# Integer ranges keep one example to milliseconds; floats range over every double.
+FUZZ_INT_RANGES = {
+    "scenario.n_elements": (-1, 12),
+    "scenario.n_subcarriers": (-1, 4),
+    "roll.count": (-1, 50),
+    "monotonicity.count": (-1, 8),
+}
+
+
+def _fuzz_value(key):
+    default, typ = SCHEMA[key]
+    if typ is int:
+        return st.integers(*FUZZ_INT_RANGES.get(key, (-2, 40)))
+    near = 2.0 * abs(default) + 1.0
+    return st.floats() | st.floats(-near, near)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_config_fuzz_exits_0_or_1_without_nan(tmp_path_factory, data):
+    experiment = data.draw(st.sampled_from(sorted(FUZZ_PREFIXES)))
+    keys = [k for k, (_, typ) in SCHEMA.items() if typ is not str and k.startswith(FUZZ_PREFIXES[experiment])]
+    chosen = data.draw(st.lists(st.sampled_from(keys), unique=True, min_size=1, max_size=6))
+    values = {key: data.draw(_fuzz_value(key), label=key) for key in chosen}
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = tmp / "fuzz.cfg"
+    cfg.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+    code = main([experiment, "--config", str(cfg), "--out", str(tmp / "out")])
+    assert code in (0, 1)
+    if code == 0:
+        _, rows = read_rows(tmp / "out" / f"{experiment}.csv")
+        assert rows
+        assert not any(cell.lower() == "nan" for row in rows for cell in row)

@@ -1,12 +1,17 @@
 """SINR/SIR/capacity metrics and the small-coupling SIR analysis."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
+import oamlink
 from oamlink import (
     ModePair,
     Pose,
@@ -143,7 +148,9 @@ def test_mode_pair_orders():
     odd = ModePair.from_modes(MODES, u=5, v=4, n_elements=10)  # l_u=1, l_v=0
     assert odd.t == 1
     assert odd.tau_bar == 0.5
-    for p in (pair, odd):
+    wrapped = ModePair.from_modes((13, -1), u=0, v=1, n_elements=10)  # l_u = 3, t = 14 (mod 10)
+    assert (wrapped.tau, wrapped.tau_bar, wrapped.chi) == (3, 3, 4)
+    for p in (pair, odd, wrapped):
         assert 0 <= p.tau <= 5 and 0 <= p.tau_bar <= 5 and 0 <= p.chi <= 5
 
 
@@ -284,3 +291,13 @@ def test_asymptotic_sir_monotone_decreasing():
     for u in range(9):
         vals = [asymptotic_sir(MODES, u, 10, g, 0.01) for g in grid]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+        # one call for the whole grid; array and scalar powers may round an ulp apart
+        np.testing.assert_allclose(asymptotic_sir(MODES, u, 10, grid, 0.01), vals, rtol=1e-14)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # only steered_entries needs jv; scipy.special would dominate import time
+    code = "import sys, oamlink.experiments; print('scipy.special' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(oamlink.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

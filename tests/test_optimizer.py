@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 from oamlink import (
+    ResidualPose,
     SaParams,
     capacity_objective,
     capacity_profile,
-    closed_form_diag,
     default_link,
     grid_search_roll,
+    mechanical_roll,
+    oam_effective,
     optimize_roll,
 )
 from oamlink.metrics import scaled_coupling_link
-from oamlink.optimizer import export_trace_csv
 
 
 def test_sa_params_validation():
@@ -37,12 +38,13 @@ def test_outer_iteration_count():
 
 
 def test_capacity_objective_matches_closed_form_diag():
+    # the objective's closed-form diagonal against the explicit double DFT sum
+    # of the aligned link rolled to theta
     cfg = default_link()
     theta = 0.07
     total = 0.0
-    for p in range(cfg.n_subcarriers):
-        for mode in cfg.modes:
-            h = closed_form_diag(p, mode, theta, cfg)
+    for H in mechanical_roll(ResidualPose(0.0, 0.0), theta, cfg):
+        for h in np.diag(oam_effective(H, cfg.modes).entries):
             total += math.log2(1.0 + cfg.snr_rho * abs(h) ** 2)
     assert capacity_objective(theta, cfg) == pytest.approx(total / cfg.n_subcarriers, rel=1e-12)
 
@@ -136,13 +138,3 @@ def test_optimize_roll_stabilizes_quickly():
         bc = np.array(trace.best_capacities)
         first_stable = int(np.argmax(bc[-1] - bc < 1e-6))
         assert first_stable <= 30, f"seed {seed}: stabilized at iter {first_stable}"
-
-
-def test_export_trace_csv(tmp_path):
-    cfg = default_link(n_subcarriers=1)
-    _, trace = optimize_roll(cfg, SaParams(rng_seed=0, inner_iters=2))
-    path = tmp_path / "trace.csv"
-    export_trace_csv(path, trace)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "outer_iter,temperature,best_theta_rad,best_capacity_bps_hz,accepted"
-    assert len(lines) == 1 + len(trace)

@@ -13,10 +13,12 @@ from oamlink import (
     channel_matrix,
     default_link,
     hybrid_pipeline,
+    mechanical_roll,
     oam_effective,
+    phases_e1,
+    phases_e2,
 )
 from oamlink import STAGE_INITIAL
-from oamlink.pipeline import FOUR_STEP, TWO_STEP
 
 SA = SaParams(rng_seed=0)
 SERVO = ServoConfig()
@@ -56,14 +58,16 @@ def test_aoa_error_shifts_residual(cfg):
 
 
 def test_orderings_agree(cfg):
+    # the stored schedule is the elementwise E1 + E2 sum, and applying it as a
+    # single (two-step) schedule reproduces the four-step effective matrices
     pose = Pose(math.radians(45.08), math.radians(20.11))
-    four = hybrid_pipeline(pose, cfg, SA, SERVO, order=FOUR_STEP)
-    two = hybrid_pipeline(pose, cfg, SA, SERVO, order=TWO_STEP, theta_star=four.theta_star)
-    for a, b in zip(four.effective, two.effective):
-        scale = np.abs(a.entries).max()
-        assert np.abs(a.entries - b.entries).max() <= 1e-12 * scale
-    for pa, pb in zip(four.phases, two.phases):
-        assert np.abs(pa.phases - pb.phases).max() < 1e-12
+    result = hybrid_pipeline(pose, cfg, SA, SERVO)
+    res, ts = result.residual, result.theta_star
+    rolled = mechanical_roll(res, ts, cfg)
+    for p, (H, eff, sched) in enumerate(zip(rolled, result.effective, result.phases)):
+        assert np.array_equal(sched.phases, phases_e1(p, res, cfg).phases + phases_e2(p, res, ts, cfg).phases)
+        two = oam_effective(H, cfg.modes, sched).entries
+        assert np.abs(eff.entries - two).max() <= 1e-12 * np.abs(eff.entries).max()
 
 
 def test_theta_star_within_search_interval(cfg):
@@ -101,8 +105,3 @@ def test_pipeline_beats_electronic_only(cfg):
         eo.append(oam_effective(H, cfg.modes, phases_eo(p, pose.psi, pose.gamma, cfg)))
     for rho in (1.0, 100.0):
         assert capacity(result.effective, rho) > capacity(eo, rho)
-
-
-def test_unknown_order_rejected(cfg):
-    with pytest.raises(ValueError):
-        hybrid_pipeline(Pose(0.0, 0.0), cfg, SA, SERVO, order="six_step")
