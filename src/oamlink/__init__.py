@@ -26,7 +26,15 @@ from .geometry import (
     rx_element_position,
 )
 from .metrics import ModePair, asymptotic_sir, capacity, check_monotonicity, sinr, sir, sir_asymptotic
-from .optimizer import SaParams, SaTrace, capacity_objective, capacity_profile, grid_search_roll, optimize_roll
+from .optimizer import (
+    SaParams,
+    SaTrace,
+    capacity_objective,
+    capacity_profile,
+    grid_search_roll,
+    optimize_roll,
+    roll_objective,
+)
 from .pipeline import HybridResult, hybrid_pipeline
 from .servo import ServoConfig, angle_from_duty, duty_from_angle, execute_rotation
 from .steering import (

@@ -66,7 +66,7 @@ class CostBreakdown:
 
 def _annealer_evals(params: ComplexityParams) -> float:
     """inner_iters * log_cooling(t_min / t_init): total candidate evaluations."""
-    return params.inner_iters * math.log(params.t_min / params.t_init) / math.log(params.cooling)
+    return params.inner_iters * (math.log(params.t_min) - math.log(params.t_init)) / math.log(params.cooling)
 
 
 def cost_electronic(params: ComplexityParams) -> CostBreakdown:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,10 +55,12 @@ class CarrierGrid:
     def n_subcarriers(self) -> int:
         return len(self.frequencies)
 
-    @property
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
-        """k_p = 2*pi / wavelength_p."""
-        return 2.0 * math.pi * np.asarray(self.frequencies) / SPEED_OF_LIGHT
+        """k_p = 2*pi / wavelength_p (computed once, read-only)."""
+        k = 2.0 * math.pi * np.asarray(self.frequencies) / SPEED_OF_LIGHT
+        k.flags.writeable = False
+        return k
 
 
 @dataclass(frozen=True)

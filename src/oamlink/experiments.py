@@ -133,6 +133,12 @@ _POSITIVE_INT_KEYS = (
 _MAX_S_COUPLING = 100.0
 # Keeps 10^(dB/10) and the capacity arithmetic finite and non-zero.
 _MAX_ABS_SNR_DB = 1000.0
+# Annealer candidate evaluations per run (outer levels x inner iterations);
+# the default schedule makes 2 200, at tens of microseconds each.
+_MAX_SA_EVALUATIONS = 100_000
+# SNR points per run; the sweeps and hybrid-compare evaluate the capacity
+# once per SNR, angle and scheme (16 points by default).
+_MAX_SNR_POINTS = 10_000
 
 
 def parse_config(text: str) -> dict:
@@ -265,7 +271,7 @@ class ExperimentSpec:
     def sa_params(self, seed: int | None = None) -> SaParams:
         step = self["sa.step_scale_rad"]
         with _cited_keys(_SA_KEYS):
-            return SaParams(
+            sa = SaParams(
                 t_init=self["sa.t_init"],
                 t_min=self["sa.t_min"],
                 cooling=self["sa.cooling"],
@@ -273,6 +279,13 @@ class ExperimentSpec:
                 step_scale=None if step == 0.0 else step,
                 rng_seed=self["sa.seed"] if seed is None else seed,
             )
+        evaluations = sa.outer_iterations * sa.inner_iters
+        if evaluations > _MAX_SA_EVALUATIONS:
+            raise ConfigError(
+                "keys 'sa.t_init', 'sa.t_min', 'sa.cooling', 'sa.inner_iters': the schedule makes"
+                f" {evaluations} objective evaluations, more than {_MAX_SA_EVALUATIONS}"
+            )
+        return sa
 
     def servo_config(self) -> ServoConfig:
         with _cited_keys(_SERVO_KEYS):
@@ -311,7 +324,14 @@ class ExperimentSpec:
         return np.linspace(0.0, max(self["pose.gamma_deg"], self["pose.psi_deg"]), 7)
 
     def snr_grid_db(self) -> np.ndarray:
-        return np.arange(self["snr.start_db"], self["snr.stop_db"] + 1e-9, self["snr.step_db"])
+        start, stop, step = self["snr.start_db"], self["snr.stop_db"] + 1e-9, self["snr.step_db"]
+        # np.arange's length is ceil((stop - start) / step); check it before allocating.
+        if not (stop - start) / step <= _MAX_SNR_POINTS:
+            raise ConfigError(
+                f"key 'snr.step_db': {self['snr.step_db']!r} makes more than {_MAX_SNR_POINTS}"
+                " points between 'snr.start_db' and 'snr.stop_db'"
+            )
+        return np.arange(start, stop, step)
 
     def sweep_grid_deg(self) -> np.ndarray:
         return self._tilt_grid_deg("sweep")

@@ -5,6 +5,15 @@ link: every mode sees SINR = rho * |h_diag|^2, so the capacity depends on the
 roll angle only through the per-mode diagonal magnitudes.  The objective is
 periodic with period 2*pi/N, hence the search interval [-pi/N, pi/N].
 
+The per-link constants (delta, the modes, the couplings S_p and the scales
+N |eta_p|) are built once per annealing run by ``roll_objective``; each
+candidate angle is then one broadcast (subcarriers, modes, N) expression with
+the same floating-point operations as the batched ``capacity_profile``, so
+both give the same bits and the seeded trace makes the same accept
+decisions.  A Jacobi-Anger (Bessel-series) form of the diagonal would be
+cheaper still but changes the last bits of the objective, and with them
+possibly the accept decisions.
+
 A brute-force grid search over the same interval serves as the optimizer's
 reference; annealing runs are deterministic for a given seed.
 """
@@ -48,7 +57,8 @@ class SaParams:
     @property
     def outer_iterations(self) -> int:
         """Number of temperature levels until t_init * cooling^k <= t_min."""
-        return math.ceil(math.log(self.t_min / self.t_init) / math.log(self.cooling))
+        # A difference of logs: t_min / t_init underflows for extreme schedules.
+        return math.ceil((math.log(self.t_min) - math.log(self.t_init)) / math.log(self.cooling))
 
 
 @dataclass
@@ -70,31 +80,64 @@ class SaTrace:
         return len(self.temperatures)
 
 
+def _diag_constants(cfg: LinkConfig):
+    """Per-link constants of the diagonal model.
+
+    Returns delta = 2 pi j / N, j = 1..N (N,), the modes as a (U, 1) column,
+    the couplings S_p as (P, 1, 1) and the scales N |eta_p| as (P, 1).
+    """
+    n = cfg.n_elements
+    delta = 2.0 * math.pi * np.arange(1, n + 1) / n
+    modes = np.asarray(cfg.modes, dtype=float)[:, None]
+    subcarriers = range(cfg.n_subcarriers)
+    s = np.array([cfg.coupling(p) for p in subcarriers])[:, None, None]
+    scale = np.array([n * abs(cfg.eta(p)) for p in subcarriers])[:, None]
+    return delta, modes, s, scale
+
+
 def capacity_profile(thetas, cfg: LinkConfig) -> np.ndarray:
     """Diagonal-model capacity [bits/s/Hz] at each roll angle (vectorized).
 
     Mode l's diagonal entry is N eta(p) sum_delta exp(i l (delta - theta) + i S_p cos(delta - theta)),
     delta = 2 pi j / N, j = 1..N: periodic in theta with period 2 pi / N and equal in magnitude
-    to the double DFT sum of the aligned link rolled to theta.
+    to the double DFT sum of the aligned link rolled to theta.  Loops over subcarriers, so the
+    temporaries stay (angles, modes, N).
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    n = cfg.n_elements
-    modes = np.asarray(cfg.modes, dtype=float)
-    delta = 2.0 * math.pi * np.arange(1, n + 1) / n
+    delta, modes, s, scale = _diag_constants(cfg)
+    ang = delta[None, :] - thetas[:, None]  # (T, N)
     total = np.zeros(thetas.shape[0])
     for p in range(cfg.n_subcarriers):
-        s = cfg.coupling(p)
-        scale = n * abs(cfg.eta(p))
-        ang = delta[None, :] - thetas[:, None]  # (T, N)
-        phase = ang[:, None, :] * modes[None, :, None] + s * np.cos(ang)[:, None, :]
-        h_abs = scale * np.abs(np.exp(1j * phase).sum(axis=2))  # (T, U)
+        phase = ang[:, None, :] * modes + s[p] * np.cos(ang)[:, None, :]
+        h_abs = scale[p] * np.abs(np.exp(1j * phase).sum(axis=2))  # (T, U)
         total += np.log2(1.0 + cfg.snr_rho * h_abs**2).sum(axis=1)
     return total / cfg.n_subcarriers
 
 
+def roll_objective(cfg: LinkConfig):
+    """The annealer's objective: theta -> ``capacity_profile([theta], cfg)[0]``, bit for bit.
+
+    The link constants are built once; each call is one (P, U, N) expression
+    with the profile's operations, whose per-subcarrier sums are added in
+    subcarrier order as the profile does (``np.sum`` would add eight or more
+    of them pairwise).
+    """
+    delta, modes, s, scale = _diag_constants(cfg)
+    rho, n_sub = cfg.snr_rho, cfg.n_subcarriers
+
+    def objective(theta: float) -> float:
+        ang = delta - theta
+        phase = ang * modes + s * np.cos(ang)  # (P, U, N)
+        h_abs = scale * np.abs(np.exp(1j * phase).sum(axis=2))  # (P, U)
+        per_subcarrier = np.log2(1.0 + rho * h_abs**2).sum(axis=1)
+        return float(np.add.accumulate(per_subcarrier)[-1] / n_sub)
+
+    return objective
+
+
 def capacity_objective(theta: float, cfg: LinkConfig) -> float:
     """Diagonal-model capacity at a single roll angle."""
-    return float(capacity_profile(theta, cfg)[0])
+    return roll_objective(cfg)(theta)
 
 
 def grid_search_roll(cfg: LinkConfig, resolution: int) -> tuple[float, float]:
@@ -128,7 +171,8 @@ def optimize_roll(
     theta = -half if theta_init is None else float(theta_init)
     if not -half <= theta <= half:
         raise ValueError(f"theta_init {theta} outside [-pi/N, pi/N]")
-    cap = capacity_objective(theta, cfg)
+    objective = roll_objective(cfg)
+    cap = objective(theta)
     theta_best, cap_best = theta, cap
     temperature = sa.t_init
     trace = SaTrace()
@@ -141,7 +185,7 @@ def optimize_roll(
             if not -half < cand < half:
                 cand = theta - e
             cand = min(max(cand, -half), half)
-            cap_new = capacity_objective(cand, cfg)
+            cap_new = objective(cand)
             if cap_new > cap or rng.random() < math.exp((cap_new - cap) / temperature):
                 theta, cap = cand, cap_new
                 accepted += 1

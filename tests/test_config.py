@@ -19,6 +19,10 @@ def test_carrier_grid_validation():
     assert grid.n_subcarriers == 8
     assert np.all(np.diff(grid.frequencies) > 0)
     assert grid.wavenumbers[0] == pytest.approx(2 * math.pi * 3.9982e9 / 299792458.0)
+    # computed once and shared by every reader, so it must not be writable
+    assert grid.wavenumbers is grid.wavenumbers
+    with pytest.raises(ValueError):
+        grid.wavenumbers[0] = 0.0
 
 
 def test_single_frequency_grid():

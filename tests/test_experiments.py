@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -256,7 +257,10 @@ def test_all_experiment_names_have_runners():
         ("sweep-yaw", "snr.step_db", "0"),
         ("sweep-yaw", "snr.step_db", "-1"),
         ("sweep-yaw", "snr.start_db", "40"),
+        ("sweep-yaw", "snr.step_db", "1e-9"),
         ("sa-trace", "sa.cooling", "1.5"),
+        ("sa-trace", "sa.cooling", "0.999999999"),
+        ("sa-trace", "sa.t_init", "1e308\nsa.t_min = 1e-308"),
         ("hybrid-compare", "servo.accuracy_deg", "0"),
         ("hybrid-compare", "servo.pulse_mid_s", "0.0019"),
         ("hybrid-compare", "servo.pulse_mid_s", "0.00195\npose.gamma_deg = 0\npose.psi_deg = 0"),  # roll
@@ -279,6 +283,18 @@ def test_cli_out_of_domain_value_exits_1_naming_key(tmp_path, capsys, experiment
     assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_snr_grid_length_checked_before_allocating():
+    # 3e7 points would take 240 MB; the count is checked from start, stop and step
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="snr.step_db"):
+            ExperimentSpec.resolve("sweep-yaw", {"snr.step_db": 1e-6})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 # Numeric keys the cheap experiments read, by prefix.  Every resolve also

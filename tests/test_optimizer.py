@@ -15,6 +15,7 @@ from oamlink import (
     mechanical_roll,
     oam_effective,
     optimize_roll,
+    roll_objective,
 )
 from oamlink.metrics import scaled_coupling_link
 
@@ -35,6 +36,9 @@ def test_outer_iteration_count():
     assert sa.outer_iterations == math.ceil(math.log(1e-5) / math.log(0.9))
     _, trace = optimize_roll(default_link(n_subcarriers=1), SaParams(inner_iters=1))
     assert len(trace) == SaParams().outer_iterations
+    # t_min / t_init underflows to 0 here; the level count must not
+    extreme = SaParams(t_init=1e308, t_min=1e-308, cooling=0.9)
+    assert extreme.outer_iterations == math.ceil((math.log(1e-308) - math.log(1e308)) / math.log(0.9))
 
 
 def test_capacity_objective_matches_closed_form_diag():
@@ -47,6 +51,44 @@ def test_capacity_objective_matches_closed_form_diag():
         for h in np.diag(oam_effective(H, cfg.modes).entries):
             total += math.log2(1.0 + cfg.snr_rho * abs(h) ** 2)
     assert capacity_objective(theta, cfg) == pytest.approx(total / cfg.n_subcarriers, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        default_link(),
+        default_link(n_subcarriers=1),
+        default_link(n_elements=16, modes=tuple(range(-7, 8))),
+        default_link(n_subcarriers=6),
+    ],
+    ids=["default", "P1", "N16", "P6"],
+)
+def test_roll_objective_bit_identical_to_profile(cfg):
+    # the annealer's objective against the batched roll-profile path: equal
+    # bits, so a rewrite of either cannot move an accept decision unnoticed
+    thetas = np.random.default_rng(cfg.n_elements + cfg.n_subcarriers).uniform(-math.pi, math.pi, 500)
+    objective = roll_objective(cfg)
+    assert np.array_equal([objective(t) for t in thetas], capacity_profile(thetas, cfg))
+    assert capacity_objective(float(thetas[0]), cfg) == capacity_profile(thetas[:1], cfg)[0]
+
+
+# optimize_roll(default_link(), SaParams(rng_seed=0)), recorded before the
+# objective was rebuilt from per-link constants: (best theta, levels) runs.
+SEED0_BEST_THETAS = [
+    (-0.19564783669009547, 1), (-0.14670700798445782, 3), (-0.14618457540891308, 5),
+    (-0.14571700953859007, 3), (-0.14569150253825391, 2), (-0.14540817503467485, 1),
+    (-0.1450424828611356, 2), (-0.14491517731129056, 3), (-0.14494625277553047, 26),
+    (-0.14494570935758713, 12), (-0.14494319438181208, 8), (-0.1449449225254749, 4),
+    (-0.14494444625455546, 3), (-0.14494409402047595, 23), (-0.14494421104943517, 2),
+    (-0.14494420652864362, 2), (-0.1449441554699882, 1), (-0.14494416610097324, 9),
+]
+
+
+def test_optimize_roll_seeded_trace_pinned():
+    theta_star, trace = optimize_roll(default_link(), SaParams(rng_seed=0))
+    assert trace.accepted_counts == [19] + [20] * 109
+    assert trace.best_thetas == [theta for theta, run in SEED0_BEST_THETAS for _ in range(run)]
+    assert theta_star == -0.14494416610097324
 
 
 def test_capacity_objective_symmetric_for_symmetric_modes():
