@@ -5,6 +5,16 @@ transmit-to-receive element distance; the far-field variant keeps the exact
 distance in the phase expansion but flattens the amplitude to beta/(2 k r).
 Mode multiplexing uses rows of a (partial) DFT matrix: row u spiralizes /
 despiralizes mode l_u, optionally weighted by per-element steering phases.
+
+``mode_channels`` is the one kernel: the (A, P, U, U) mode-domain channels
+((F * b) @ H) @ F^H of A receive attitudes, from a distance grid vectorized
+over the attitudes, the partial DFT F built once per call and (A, P, N)
+steering rows b, POSE_CHUNK attitudes at a time.  ``channel_matrix``,
+``channel_matrices`` and ``oam_effective`` are its one-pose views.  Its
+oracles in the tests: the exact distance and the rotation-matrix product; the
+aligned link is circulant, so the DFT diagonalizes it (Edfors & Johansson,
+IEEE TAP 2012); and a single-axis tilt steered by ``phases_eo`` (R. Chen et
+al., IEEE WCL 2018) gives N^2 eta_p times ``metrics.steered_entries``.
 """
 
 from __future__ import annotations
@@ -18,6 +28,11 @@ import numpy as np
 from . import geometry
 from .config import LinkConfig
 from .geometry import Pose
+
+# Poses evaluated together by mode_channels.  Its largest temporaries are
+# complex (POSE_CHUNK, P, N, N) arrays, 100 KB at P = 8, N = 10: below glibc's
+# 128 KB mmap threshold, so repeated calls reuse heap pages.
+POSE_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -35,21 +50,18 @@ class OamMatrix:
     entries: np.ndarray
 
 
-def _distance_grid(
-    pose: Pose | None,
-    residual: Pose | None,
-    stage: str,
-    cfg: LinkConfig,
-    method: str,
-) -> np.ndarray:
-    """All N x N element distances for one stage (vectorized twin of geometry.distance)."""
-    gamma, psi, roll = geometry._stage_angles(pose, residual, stage)
-    theta = cfg.rx.element_angles[:, None] + roll
+def _distance_grid(angles: np.ndarray, cfg: LinkConfig, method: str) -> np.ndarray:
+    """(A, N, N) element distances for A attitudes, rows (yaw, pitch, roll) of ``angles``.
+
+    The vectorized twin of geometry.distance, with its own trig expansion.
+    """
+    gamma, psi, roll = (angles[:, i, None, None] for i in range(3))
+    theta = cfg.rx.element_angles[:, None] + roll  # (A, N, 1)
     phi = cfg.tx.element_angles[None, :]
     st, ct = np.sin(theta), np.cos(theta)
     sf, cf = np.sin(phi), np.cos(phi)
-    sg, cg = math.sin(gamma), math.cos(gamma)
-    sp, cp = math.sin(psi), math.cos(psi)
+    sg, cg = np.sin(gamma), np.cos(gamma)
+    sp, cp = np.sin(psi), np.cos(psi)
     r = cfg.range_r
     if method == "farfield":
         rr_rt = cfg.rx.radius * cfg.tx.radius / r
@@ -70,6 +82,36 @@ def _distance_grid(
     )
 
 
+def _channel_tensor(angles: np.ndarray, cfg: LinkConfig, method: str) -> np.ndarray:
+    """(A, P, N, N) element-domain channels of A attitudes at every subcarrier."""
+    k = cfg.carriers.wavenumbers[:, None, None]
+    d = _distance_grid(angles, cfg, method)[:, None]
+    amplitude = cfg.beta / (2.0 * k * (d if method == "exact" else cfg.range_r))
+    return amplitude * np.exp(-1j * k * d)
+
+
+def mode_channels(angles, cfg: LinkConfig, rows=None) -> np.ndarray:
+    """(A, P, U, U) far-field mode-domain channels ((F * b) @ H) @ F^H of A receive attitudes.
+
+    ``angles`` has one (yaw, pitch, roll) row [rad] per attitude, those of the
+    stage at hand.  ``rows`` holds (A, P, N) unit-modulus steering weights b;
+    None stands for weights of exactly 1 + 0j, which zero phases also give.
+    """
+    angles = np.asarray(angles, dtype=float).reshape(-1, 3)
+    shape = (len(angles), cfg.n_subcarriers, cfg.n_elements)
+    if rows is not None and np.shape(rows) != shape:
+        raise ValueError(f"steering rows must have shape {shape}, got {np.shape(rows)}")
+    F = partial_dft(cfg.modes, cfg.n_elements)
+    F_h = F.conj().T
+    out = np.empty(shape[:2] + (cfg.n_modes, cfg.n_modes), dtype=complex)
+    for start in range(0, len(angles), POSE_CHUNK):
+        chunk = slice(start, start + POSE_CHUNK)
+        H = _channel_tensor(angles[chunk], cfg, "farfield")
+        b = np.ones(H.shape[:-1], dtype=complex) if rows is None else rows[chunk]
+        out[chunk] = (F * b[..., None, :]) @ H @ F_h
+    return out
+
+
 def channel_matrix(
     p: int,
     pose: Pose | None,
@@ -79,10 +121,7 @@ def channel_matrix(
     method: str = "farfield",
 ) -> ChannelMatrix:
     """Assemble the N x N channel at subcarrier ``p`` for the given stage."""
-    k = cfg.wavenumber(p)
-    d = _distance_grid(pose, residual, stage, cfg, method)
-    amplitude = cfg.beta / (2.0 * k * (d if method == "exact" else cfg.range_r))
-    return ChannelMatrix(p, amplitude * np.exp(-1j * k * d))
+    return channel_matrices(pose, residual, stage, cfg, method)[p]
 
 
 def channel_matrices(
@@ -93,15 +132,13 @@ def channel_matrices(
     method: str = "farfield",
 ) -> list[ChannelMatrix]:
     """Channel matrices for every subcarrier."""
-    return [channel_matrix(p, pose, residual, stage, cfg, method) for p in range(cfg.n_subcarriers)]
+    H = _channel_tensor(np.array([geometry._stage_angles(pose, residual, stage)]), cfg, method)[0]
+    return [ChannelMatrix(p, h) for p, h in enumerate(H)]
 
 
 def dft_vector(mode: int, n_elements: int) -> np.ndarray:
     """Unit-norm despiralization row for one mode: exp(-2i*pi*mode*j/N)/sqrt(N)."""
-    if n_elements < 1:
-        raise ValueError("n_elements must be >= 1")
-    j = np.arange(n_elements)
-    return np.exp(-2j * math.pi * mode * j / n_elements) / math.sqrt(n_elements)
+    return partial_dft([mode], n_elements)[0]
 
 
 def partial_dft(modes: Sequence[int], n_elements: int) -> np.ndarray:
@@ -114,7 +151,8 @@ def partial_dft(modes: Sequence[int], n_elements: int) -> np.ndarray:
         raise ValueError(f"at most {n_elements} modes supported, got {len(modes)}")
     if len({l % n_elements for l in modes}) != len(modes):
         raise ValueError("duplicate mode (modulo element count) in mode list")
-    return np.stack([dft_vector(l, n_elements) for l in modes])
+    j = np.arange(n_elements)
+    return np.exp(-2j * math.pi * np.array(modes)[:, None] * j / n_elements) / math.sqrt(n_elements)
 
 
 def _steering_row(steering, n_elements: int) -> np.ndarray:

@@ -22,14 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import channel_matrix, oam_effective
+from .channel import mode_channels
 from .config import LinkConfig, default_link
-from .geometry import Pose, STAGE_INITIAL
+from .geometry import Pose
 from .metrics import asymptotic_sir, capacity, steered_sirs
 from .optimizer import SaParams, capacity_profile, optimize_roll
 from .pipeline import hybrid_pipeline
 from .servo import ServoConfig
-from .steering import ResidualPose, mechanical_roll, phases_eo
+from .steering import eo_phases
 from .complexity import ComplexityParams, cost_electronic, cost_hybrid
 
 EXPERIMENT_NAMES = (
@@ -109,22 +109,10 @@ _EXPERIMENT_OVERRIDES = {
     "roll-profile": {"scenario.n_subcarriers": 6},
 }
 
-_POSITIVE_INT_KEYS = (
-    "scenario.n_elements",
-    "scenario.n_subcarriers",
-    "sweep.count",
-    "roll.count",
-    "sa.inner_iters",
-    "monotonicity.count",
-    "complexity.p_coarse",
-    "complexity.u_coarse",
-    "complexity.p_fine",
-    "complexity.u_fine",
-    "complexity.u_data",
-    "complexity.n_min",
-    "complexity.n_max",
-    "complexity.p_min",
-    "complexity.p_max",
+# Every integer key is a count, except the mode bounds and the seed.
+_POSITIVE_INT_KEYS = tuple(
+    key for key, (_, typ) in SCHEMA.items()
+    if typ is int and key not in ("scenario.mode_min", "scenario.mode_max", "sa.seed")
 )
 
 
@@ -265,20 +253,11 @@ class ExperimentSpec:
         except ValueError as exc:
             raise ConfigError(f"scenario: {exc}") from None
 
-    def pose(self) -> Pose:
-        return Pose(math.radians(self["pose.gamma_deg"]), math.radians(self["pose.psi_deg"]))
-
     def sa_params(self, seed: int | None = None) -> SaParams:
-        step = self["sa.step_scale_rad"]
+        fields = {field: self[key] for field, key in _SA_KEYS.items()}
+        fields["step_scale"] = fields["step_scale"] or None  # 0 = automatic
         with _cited_keys(_SA_KEYS):
-            sa = SaParams(
-                t_init=self["sa.t_init"],
-                t_min=self["sa.t_min"],
-                cooling=self["sa.cooling"],
-                inner_iters=self["sa.inner_iters"],
-                step_scale=None if step == 0.0 else step,
-                rng_seed=self["sa.seed"] if seed is None else seed,
-            )
+            sa = SaParams(**fields, rng_seed=self["sa.seed"] if seed is None else seed)
         evaluations = sa.outer_iterations * sa.inner_iters
         if evaluations > _MAX_SA_EVALUATIONS:
             raise ConfigError(
@@ -288,14 +267,10 @@ class ExperimentSpec:
         return sa
 
     def servo_config(self) -> ServoConfig:
+        fields = {field: self[key] for field, key in _SERVO_KEYS.items()}
+        fields["accuracy_nu"] = math.radians(fields["accuracy_nu"])
         with _cited_keys(_SERVO_KEYS):
-            return ServoConfig(
-                period_k=self["servo.period_s"],
-                pulse_min=self["servo.pulse_min_s"],
-                pulse_mid=self["servo.pulse_mid_s"],
-                pulse_max=self["servo.pulse_max_s"],
-                accuracy_nu=math.radians(self["servo.accuracy_deg"]),
-            )
+            return ServoConfig(**fields)
 
     def _check_servo_commands(self) -> None:
         """Every angle hybrid-compare commands must be reachable and leave |residual| < pi/2."""
@@ -394,42 +369,33 @@ def _fmt(x) -> str:
     return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
 
-def _electronic_capacities(pose_angles, cfg: LinkConfig, rhos) -> dict:
-    """Capacity of the electronically steered link per scheme at one pose.
+def _rhos(spec: ExperimentSpec) -> np.ndarray:
+    return np.array([10.0 ** (s / 10.0) for s in spec.snr_grid_db()])
 
-    Returns {'none': [...], 'electronic': [...]} with one value per rho.
-    """
-    gamma, psi = pose_angles
-    pose = Pose(gamma, psi)
-    misaligned = gamma != 0.0 or psi != 0.0
-    plain, steered = [], []
-    for p in range(cfg.n_subcarriers):
-        H = channel_matrix(p, pose, None, STAGE_INITIAL, cfg)
-        plain.append(oam_effective(H, cfg.modes))
-        steer = phases_eo(p, psi, gamma, cfg) if misaligned else None
-        steered.append(oam_effective(H, cfg.modes, steer))
-    return {
-        "none": [capacity(plain, rho) for rho in rhos],
-        "electronic": [capacity(steered, rho) for rho in rhos],
-    }
+
+def _scheme_rows(angles_deg, snrs_db, caps: dict):
+    """CSV rows (angle, SNR, scheme, capacity) from (angles, SNRs) capacity arrays per scheme."""
+    return ["angle_deg", "snr_db", "scheme", "capacity_bps_hz"], [
+        [_fmt(angle_deg), _fmt(snr_db), scheme, _fmt(c[i, j])]
+        for i, angle_deg in enumerate(angles_deg)
+        for j, snr_db in enumerate(snrs_db)
+        for scheme, c in caps.items()
+    ]
 
 
 def _run_angle_sweep(spec: ExperimentSpec, axis: str):
     cfg = spec.link()
     angles_deg = spec.sweep_grid_deg()
-    snrs_db = spec.snr_grid_db()
-    rhos = [10.0 ** (s / 10.0) for s in snrs_db]
-    aligned = _electronic_capacities((0.0, 0.0), cfg, rhos)["none"]
-    header = ["angle_deg", "snr_db", "scheme", "capacity_bps_hz"]
-    rows = []
-    for angle_deg in angles_deg:
-        angle = math.radians(angle_deg)
-        caps = _electronic_capacities((angle, 0.0) if axis == "yaw" else (0.0, angle), cfg, rhos)
-        for j, snr_db in enumerate(snrs_db):
-            rows.append([_fmt(angle_deg), _fmt(snr_db), "aligned", _fmt(aligned[j])])
-            rows.append([_fmt(angle_deg), _fmt(snr_db), "none", _fmt(caps["none"][j])])
-            rows.append([_fmt(angle_deg), _fmt(snr_db), "electronic", _fmt(caps["electronic"][j])])
-    return header, rows
+    rhos = _rhos(spec)
+    tilt, zero = np.radians(angles_deg), np.zeros(len(angles_deg))
+    gamma, psi = (tilt, zero) if axis == "yaw" else (zero, tilt)
+    poses = np.stack([gamma, psi, zero], axis=1)
+    aligned = capacity(mode_channels([(0.0, 0.0, 0.0)], cfg), rhos)
+    return _scheme_rows(angles_deg, spec.snr_grid_db(), {
+        "aligned": np.broadcast_to(aligned, (len(poses), len(rhos))),
+        "none": capacity(mode_channels(poses, cfg), rhos),
+        "electronic": capacity(mode_channels(poses, cfg, np.exp(1j * eo_phases(gamma, psi, cfg))), rhos),
+    })
 
 
 def _run_roll_profile(spec: ExperimentSpec):
@@ -447,29 +413,28 @@ def _run_hybrid_compare(spec: ExperimentSpec):
     servo = spec.servo_config()
     sa = spec.sa_params()
     angles_deg = spec.hybrid_grid_deg()
-    snrs_db = spec.snr_grid_db()
-    rhos = [10.0 ** (s / 10.0) for s in snrs_db]
+    rhos = _rhos(spec)
     # The roll objective does not depend on the pose: anneal once, reuse.
     theta_star, _ = optimize_roll(cfg, sa)
     aoa_error = (
         math.radians(spec["pose.aoa_error_gamma_deg"]),
         math.radians(spec["pose.aoa_error_psi_deg"]),
     )
-    header = ["angle_deg", "snr_db", "scheme", "capacity_bps_hz"]
-    rows = []
-    for angle_deg in angles_deg:
-        angle = math.radians(angle_deg)
-        result = hybrid_pipeline(Pose(angle, angle), cfg, sa, servo, aoa_error=aoa_error, theta_star=theta_star)
-        hybrid = [capacity(result.effective, rho) for rho in rhos]
-        electronic = _electronic_capacities((angle, angle), cfg, rhos)["electronic"]
-        rolled = mechanical_roll(ResidualPose(0.0, 0.0), result.theta_star, cfg)
-        perfect_eff = [oam_effective(H, cfg.modes) for H in rolled]
-        perfect = [capacity(perfect_eff, rho) for rho in rhos]
-        for j, snr_db in enumerate(snrs_db):
-            rows.append([_fmt(angle_deg), _fmt(snr_db), "perfect", _fmt(perfect[j])])
-            rows.append([_fmt(angle_deg), _fmt(snr_db), "hybrid", _fmt(hybrid[j])])
-            rows.append([_fmt(angle_deg), _fmt(snr_db), "electronic", _fmt(electronic[j])])
-    return header, rows
+    tilt = np.radians(angles_deg)
+    results = [
+        hybrid_pipeline(Pose(a, a), cfg, sa, servo, aoa_error=aoa_error, theta_star=theta_star) for a in tilt
+    ]
+    hybrid = capacity(np.array([[eff.entries for eff in r.effective] for r in results]), rhos)
+    poses = np.stack([tilt, tilt, np.zeros(len(tilt))], axis=1)
+    electronic = capacity(mode_channels(poses, cfg, np.exp(1j * eo_phases(tilt, tilt, cfg))), rhos)
+    # Perfect alignment rolled to the achieved angle; the same kernel as the
+    # hybrid rows, so a zero residual gives the same bits.
+    perfect = capacity(mode_channels([(0.0, 0.0, results[0].theta_star)], cfg), rhos)
+    return _scheme_rows(angles_deg, spec.snr_grid_db(), {
+        "perfect": np.broadcast_to(perfect, hybrid.shape),
+        "hybrid": hybrid,
+        "electronic": electronic,
+    })
 
 
 def _run_sa_trace(spec: ExperimentSpec):
@@ -508,16 +473,9 @@ def _run_monotonicity(spec: ExperimentSpec):
 def _run_complexity(spec: ExperimentSpec):
     params = ComplexityParams(
         p_data=spec["scenario.n_subcarriers"],
-        u_data=spec["complexity.u_data"],
-        p_coarse=spec["complexity.p_coarse"],
-        u_coarse=spec["complexity.u_coarse"],
-        p_fine=spec["complexity.p_fine"],
-        u_fine=spec["complexity.u_fine"],
         n_elements=spec["scenario.n_elements"],
-        inner_iters=spec["sa.inner_iters"],
-        cooling=spec["sa.cooling"],
-        t_init=spec["sa.t_init"],
-        t_min=spec["sa.t_min"],
+        **{f: spec[f"complexity.{f}"] for f in ("u_data", "p_coarse", "u_coarse", "p_fine", "u_fine")},
+        **{f: spec[f"sa.{f}"] for f in ("inner_iters", "cooling", "t_init", "t_min")},
         gamma_cmd=math.radians(spec["pose.gamma_deg"]),
         psi_cmd=math.radians(spec["pose.psi_deg"]),
         theta_star=math.radians(spec["complexity.theta_star_deg"]),

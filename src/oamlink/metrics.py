@@ -108,14 +108,26 @@ def sir(effective: OamMatrix, u: int) -> float:
     return signal / interference
 
 
-def capacity(effectives: Sequence[OamMatrix], rho: float) -> float:
-    """Mean-over-subcarriers, sum-over-modes capacity [bits/s/Hz]."""
+def capacity(effectives, rho):
+    """Mean-over-subcarriers, sum-over-modes capacity [bits/s/Hz].
+
+    ``effectives`` is one pose's sequence of per-subcarrier OamMatrix, or a
+    (..., P, U, U) stack such as the (A, P, U, U) of ``mode_channels``;
+    ``rho`` is one linear SNR or an array of them.  Returns the stack's
+    leading shape followed by rho's, as a float when that is empty.
+    """
     if len(effectives) < 1:
         raise ValueError("need at least one effective matrix")
-    if not rho > 0:
+    h = effectives if isinstance(effectives, np.ndarray) else np.stack([eff.entries for eff in effectives])
+    rho = np.asarray(rho, dtype=float)
+    if not np.all(rho > 0):
         raise ValueError("rho must be positive")
-    signal, interference = _signal_interference(np.stack([eff.entries for eff in effectives]))
-    return float(np.log2(1.0 + rho * signal / (rho * interference + 1.0)).sum() / len(effectives))
+    signal, interference = _signal_interference(h)  # (..., P, U)
+    pad = (slice(None),) * (h.ndim - 3) + (None,) * rho.ndim
+    r = rho[..., None, None]
+    per_mode = np.log2(1.0 + r * signal[pad] / (r * interference[pad] + 1.0))
+    total = per_mode.reshape(per_mode.shape[:-2] + (-1,)).sum(axis=-1) / h.shape[-3]
+    return float(total) if total.ndim == 0 else total
 
 
 def sir_asymptotic(
@@ -211,8 +223,8 @@ def steered_entries(
     Returns an (A, U, U) array: entry [k, u, v] belongs to ``angles[k]``.
     Both arrays' reference elements sit at angle zero.  Each sequence is
     built with one array ``jv`` call of shape (A, 2 q_max + 1); nothing
-    scales with angles times the (q, w) lattice.  See ``steered_mode_entry``
-    for the folded-residue form it evaluates.
+    scales with angles times the (q, w) lattice.  The module docstring gives
+    the folded-residue form it evaluates (sigma = -1 for yaw, +1 for pitch).
     """
     from scipy.special import jv  # imported here: scipy.special dominates ``import oamlink``
 
@@ -254,27 +266,13 @@ def steered_mode_entry(
     s_coupling: float,
     n_elements: int,
 ) -> complex:
-    """Steered mode-domain entry for a single-axis tilt, in units of eta * N^2.
+    """Steered mode-domain entry [u, v] for a single-axis tilt, in units of eta * N^2.
 
-    Covers the electronically steered link tilted in yaw only (zero pitch) or
-    pitch only (zero yaw) with both arrays' reference elements at angle zero.
-    The double phase sum is expanded with the Jacobi-Anger identity
-    e^{iS cos d} = sum_q i^q J_q(S) e^{iqd} (DLMF 10.12) into a lattice of
-    Bessel products, which stays accurate even when the entry is many orders
-    below the per-element magnitudes (the plain double sum loses those
-    entries to cancellation noise at small coupling).
-
-    With a = S (1+cos)/2 and b = S (1-cos)/2, let A_q = i^q J_q(a) and
-    B_w = (i sigma)^w J_w(b), sigma = -1 for yaw and +1 for pitch, and fold
-    each sequence by residue mod N: A^_r = sum_{q = r} A_q and
-    B^_s = sum_{w = s} B_w (orders truncated at |q|, |w| <= q_max).  Then
-
-    entry = sum over r with 2r = l_u + l_v (mod N) of A^_r * B^_{(l_u - r) mod N},
-
-    at most two terms.  It is the lattice sum over (q, w) with
-    q + w = l_u, q - w = l_v (mod N) of i^(q+w) sigma^w J_q(a) J_w(b),
-    grouped by the residue of q.  This is the one-angle view of
-    ``steered_entries``.
+    The one-angle view of ``steered_entries``: the electronically steered
+    link tilted in yaw only (zero pitch) or pitch only (zero yaw), both
+    arrays' reference elements at angle zero, from the residue-folded
+    Jacobi-Anger form of the module docstring.  It stays accurate where the
+    plain double sum loses the entry to cancellation at small coupling.
     """
     return complex(steered_entries(axis, modes, [angle], s_coupling, n_elements)[0, u, v])
 

@@ -27,6 +27,11 @@ import numpy as np
 
 from .config import LinkConfig
 
+# Roll angles capacity_profile evaluates together.  Its largest temporaries,
+# complex (ANGLE_CHUNK, U, N) arrays of 92 KB at U = 9, N = 10, stay below
+# glibc's 128 KB mmap threshold and so reuse heap pages instead of faulting.
+ANGLE_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class SaParams:
@@ -100,18 +105,22 @@ def capacity_profile(thetas, cfg: LinkConfig) -> np.ndarray:
 
     Mode l's diagonal entry is N eta(p) sum_delta exp(i l (delta - theta) + i S_p cos(delta - theta)),
     delta = 2 pi j / N, j = 1..N: periodic in theta with period 2 pi / N and equal in magnitude
-    to the double DFT sum of the aligned link rolled to theta.  Loops over subcarriers, so the
-    temporaries stay (angles, modes, N).
+    to the double DFT sum of the aligned link rolled to theta.  Walks the angles ANGLE_CHUNK at a
+    time and loops over subcarriers, so the temporaries stay (ANGLE_CHUNK, modes, N) however many
+    angles are asked for; every per-angle reduction is the same, and so are the bits.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     delta, modes, s, scale = _diag_constants(cfg)
-    ang = delta[None, :] - thetas[:, None]  # (T, N)
-    total = np.zeros(thetas.shape[0])
-    for p in range(cfg.n_subcarriers):
-        phase = ang[:, None, :] * modes + s[p] * np.cos(ang)[:, None, :]
-        h_abs = scale[p] * np.abs(np.exp(1j * phase).sum(axis=2))  # (T, U)
-        total += np.log2(1.0 + cfg.snr_rho * h_abs**2).sum(axis=1)
-    return total / cfg.n_subcarriers
+    caps = np.empty(thetas.shape[0])
+    for start in range(0, thetas.shape[0], ANGLE_CHUNK):
+        ang = delta[None, :] - thetas[start : start + ANGLE_CHUNK, None]  # (T, N)
+        total = np.zeros(ang.shape[0])
+        for p in range(cfg.n_subcarriers):
+            phase = ang[:, None, :] * modes + s[p] * np.cos(ang)[:, None, :]
+            h_abs = scale[p] * np.abs(np.exp(1j * phase).sum(axis=2))  # (T, U)
+            total += np.log2(1.0 + cfg.snr_rho * h_abs**2).sum(axis=1)
+        caps[start : start + ANGLE_CHUNK] = total / cfg.n_subcarriers
+    return caps
 
 
 def roll_objective(cfg: LinkConfig):

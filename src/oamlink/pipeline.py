@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .channel import OamMatrix, oam_effective
+import numpy as np
+
+from .channel import OamMatrix, mode_channels
 from .config import LinkConfig
 from .geometry import PITCH, ROLL, YAW, Pose
 from .optimizer import SaParams, SaTrace, optimize_roll
@@ -29,9 +31,8 @@ from .steering import (
     MechanicalCommand,
     ResidualPose,
     SteeringPhases,
+    eo_phases,
     mechanical_pitch_yaw,
-    mechanical_roll,
-    phases_e1,
     phases_e2,
 )
 
@@ -69,7 +70,7 @@ def hybrid_pipeline(
     # F1: coarse mechanical alignment at servo accuracy.
     gamma_hat, steps_yaw = execute_rotation(YAW, pose.gamma + aoa_error[0], servo_cfg)
     psi_hat, steps_pitch = execute_rotation(PITCH, pose.psi + aoa_error[1], servo_cfg)
-    residual, _ = mechanical_pitch_yaw(
+    residual = mechanical_pitch_yaw(
         pose, MechanicalCommand(gamma_hat, psi_hat), cfg, servo=servo_cfg
     )
 
@@ -79,16 +80,16 @@ def hybrid_pipeline(
     else:
         trace = SaTrace()
     theta_achieved, steps_roll = execute_rotation(ROLL, theta_star, servo_cfg)
-    channels = mechanical_roll(residual, theta_achieved, cfg)
 
+    # F2 rebuilds the channel at the rolled residual; E1 + E2 steer it.
     command = MechanicalCommand(gamma_hat, psi_hat, theta_achieved)
-    effective: list[OamMatrix] = []
-    phase_schedules: list[SteeringPhases] = []
-    for p, H in enumerate(channels):
-        e1 = phases_e1(p, residual, cfg)
-        e2 = phases_e2(p, residual, theta_achieved, cfg)
-        effective.append(oam_effective(H, cfg.modes, [e1, e2]))
-        phase_schedules.append(SteeringPhases(p, e1.phases + e2.phases))
+    subcarriers = range(cfg.n_subcarriers)
+    e1 = eo_phases([residual.gamma_bar], [residual.psi_bar], cfg)[0]  # phases_e1 per subcarrier
+    e2 = np.array([phases_e2(p, residual, theta_achieved, cfg).phases for p in subcarriers])
+    phase_schedules = [SteeringPhases(p, e1[p] + e2[p]) for p in subcarriers]
+    rows = (np.exp(1j * e1) * np.exp(1j * e2))[None]  # the two stages' weights in turn
+    angles = [(residual.gamma_bar, residual.psi_bar, theta_achieved)]
+    effective = [OamMatrix(h) for h in mode_channels(angles, cfg, rows)[0]]
     return HybridResult(
         effective=effective,
         command=command,

@@ -11,7 +11,8 @@ weights; each stage has a closed-form schedule:
 
 Mechanical rotation is a non-linear operation on the channel: it moves the
 element positions, so the channel matrices are rebuilt at the appropriate
-stage rather than multiplied by anything.
+stage rather than multiplied by anything.  ``eo_phases`` gives the
+electronic-only schedules of many poses at once.
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ import numpy as np
 
 from .channel import ChannelMatrix, channel_matrices
 from .config import LinkConfig
-from .geometry import (
-    Pose,
-    STAGE_AFTER_PITCH_YAW,
-    STAGE_AFTER_ROLL,
-)
+from .geometry import Pose, STAGE_AFTER_ROLL
 
 
 @dataclass(frozen=True)
@@ -62,12 +59,17 @@ class ResidualPose:
         return Pose(self.gamma_bar, self.psi_bar, roll)
 
 
+def eo_phases(gamma, psi, cfg: LinkConfig) -> np.ndarray:
+    """(A, P, N) phases_eo of A poses (gamma[a], psi[a]) at every subcarrier."""
+    gamma, psi = (np.asarray(x, dtype=float)[:, None, None] for x in (gamma, psi))
+    k_rr = cfg.carriers.wavenumbers[:, None] * cfg.rx.radius
+    theta = cfg.rx.element_angles
+    return k_rr * (np.sin(theta) * np.sin(psi) * np.cos(gamma) - np.cos(theta) * np.sin(gamma))
+
+
 def phases_eo(p: int, psi: float, gamma: float, cfg: LinkConfig) -> SteeringPhases:
     """Electronic-only schedule: k_p R_r (sin(theta_m) sin(psi) cos(gamma) - cos(theta_m) sin(gamma))."""
-    k_rr = cfg.wavenumber(p) * cfg.rx.radius
-    theta = cfg.rx.element_angles
-    w = k_rr * (np.sin(theta) * math.sin(psi) * math.cos(gamma) - np.cos(theta) * math.sin(gamma))
-    return SteeringPhases(p, w)
+    return SteeringPhases(p, eo_phases([gamma], [psi], cfg)[0, p])
 
 
 def phases_e1(p: int, residual: ResidualPose, cfg: LinkConfig) -> SteeringPhases:
@@ -100,8 +102,8 @@ def mechanical_pitch_yaw(
     command: MechanicalCommand,
     cfg: LinkConfig,
     servo=None,
-) -> tuple[ResidualPose, list[ChannelMatrix]]:
-    """Rotate the array in yaw and pitch; rebuild the channel at the residual pose."""
+) -> ResidualPose:
+    """Rotate the array in yaw and pitch; return the residual pose (``channel_matrices`` builds its channel)."""
     if servo is not None:
         lo, hi = servo.reachable_range
         for cmd in (command.yaw_cmd, command.pitch_cmd):
@@ -110,8 +112,7 @@ def mechanical_pitch_yaw(
     residual = ResidualPose(pose.gamma - command.yaw_cmd, pose.psi - command.pitch_cmd)
     if not (abs(residual.gamma_bar) < math.pi / 2 and abs(residual.psi_bar) < math.pi / 2):
         raise ValueError("residual misalignment must stay below pi/2 per axis")
-    channels = channel_matrices(None, residual.as_pose(), STAGE_AFTER_PITCH_YAW, cfg)
-    return residual, channels
+    return residual
 
 
 def mechanical_roll(

@@ -1,6 +1,7 @@
 """Channel matrices, DFT spiralization and the noisy receive chain."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from oamlink import (
     Pose,
     STAGE_AFTER_PITCH_YAW,
+    STAGE_AFTER_ROLL,
     STAGE_INITIAL,
     channel_matrix,
     default_link,
@@ -16,11 +18,16 @@ from oamlink import (
     distance,
     oam_effective,
     partial_dft,
+    phases_eo,
     simulate_reception,
     sinr,
 )
+from oamlink.channel import POSE_CHUNK, mode_channels
 from oamlink.geometry import PITCH, YAW, rotation_matrix
-from oamlink.steering import SteeringPhases
+from oamlink.metrics import steered_entries
+from oamlink.steering import SteeringPhases, eo_phases
+
+EPS = np.finfo(float).eps
 
 
 def brute_force_channel(p, pose, cfg):
@@ -238,3 +245,95 @@ def test_simulate_reception_dimension_mismatch():
     H = channel_matrix(0, Pose(0.0, 0.0), None, STAGE_INITIAL, cfg)
     with pytest.raises(ValueError):
         simulate_reception(np.ones(4), H, cfg.modes)
+
+
+@pytest.mark.parametrize("steered", [False, True])
+def test_mode_channels_slices_equal_one_pose_views(steered):
+    # every slice, at any batch position and chunk, has the bits of the one-pose path
+    cfg = default_link()
+    rng = np.random.default_rng(1)
+    count = 2 * POSE_CHUNK + 3
+    angles = np.column_stack([rng.uniform(-1, 1, count), rng.uniform(-1, 1, count), rng.uniform(-3, 3, count)])
+    rows = np.exp(1j * eo_phases(angles[:, 0], angles[:, 1], cfg)) if steered else None
+    batch = mode_channels(angles, cfg, rows)
+    assert batch.shape == (count, cfg.n_subcarriers, cfg.n_modes, cfg.n_modes)
+    for a in (0, POSE_CHUNK - 1, POSE_CHUNK, count - 1):
+        pose = Pose(*angles[a])
+        single = mode_channels(angles[a : a + 1], cfg, None if rows is None else rows[a : a + 1])[0]
+        assert np.array_equal(single, batch[a])
+        for p in range(cfg.n_subcarriers):
+            H = channel_matrix(p, None, pose, STAGE_AFTER_ROLL, cfg)
+            steering = phases_eo(p, pose.psi, pose.gamma, cfg) if steered else None
+            assert np.array_equal(oam_effective(H, cfg.modes, steering).entries, batch[a, p])
+
+
+def test_mode_channels_rejects_misshaped_rows():
+    cfg = default_link()
+    with pytest.raises(ValueError, match="steering rows"):
+        mode_channels(np.zeros((3, 3)), cfg, np.ones((1, cfg.n_subcarriers, cfg.n_elements)))
+
+
+def test_mode_channels_working_memory_independent_of_pose_count():
+    # Beyond its (A, P, U, U) result the kernel holds one chunk's temporaries:
+    # the distance grids plus at most six complex (P, N, N) arrays per pose.
+    cfg = default_link()
+    P, N = cfg.n_subcarriers, cfg.n_elements
+    bound = 6 * POSE_CHUNK * P * N * N * 16
+    mode_channels(np.zeros((1, 3)), cfg)  # first-call allocations
+    extra = []
+    tracemalloc.start()
+    try:
+        for count in (2 * POSE_CHUNK, 40 * POSE_CHUNK):
+            angles = np.zeros((count, 3))
+            angles[:, 0] = np.linspace(0.0, 1.4, count)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = mode_channels(angles, cfg)
+            extra.append(tracemalloc.get_traced_memory()[1] - before - out.nbytes)
+            del out
+    finally:
+        tracemalloc.stop()
+    assert max(extra) <= bound
+    assert abs(extra[0] - extra[1]) <= 4096  # interpreter noise, not arrays
+
+
+@pytest.mark.parametrize("n, modes", [(10, tuple(range(-4, 5))), (16, tuple(range(-7, 8))), (7, (-3, -1, 0, 2, 3))])
+def test_dft_diagonalizes_aligned_circulant_link(n, modes):
+    # The aligned link is circulant, H[m, k] = h[(k - m) mod N], so the DFT
+    # diagonalizes it (the UCA-OAM view of Edfors & Johansson, IEEE TAP 2012):
+    # entry (u, u) is N ifft(h)[l_u mod N], every other entry 0.  Each entry
+    # sums N^2 terms of magnitude |eta|; the DFT phases (up to 2 pi |l|) and
+    # the two N-term sums bound the rounding by eps N^2 |eta| (2N + 2 pi max|l|)
+    # plus the FFT's log2 N.
+    cfg = default_link(n_elements=n, modes=modes)
+    batch = mode_channels([(0.0, 0.0, 0.0)], cfg)[0]
+    for p in range(cfg.n_subcarriers):
+        h = channel_matrix(p, Pose(0.0, 0.0), None, STAGE_INITIAL, cfg).entries[0]
+        eigen = n * np.fft.ifft(h)[np.mod(modes, n)]
+        tol = EPS * n * n * abs(cfg.eta(p)) * (2 * n + 2 * math.pi * max(map(abs, modes)) + math.log2(n))
+        assert np.abs(np.diag(batch[p]) - eigen).max() <= tol
+        assert np.abs(batch[p] - np.diag(np.diag(batch[p]))).max() <= tol
+
+
+@pytest.mark.parametrize("axis", ["yaw", "pitch"])
+@pytest.mark.parametrize("degrees", [10.0, 30.0, 60.0])
+def test_steered_single_axis_matches_bessel_lattice(axis, degrees):
+    # Cross-layer oracle: the far-field channel tilted about one axis, steered
+    # by phases_eo (R. Chen et al., IEEE WCL 2018) and despiralized equals the
+    # Jacobi-Anger lattice entries of metrics.steered_entries times N^2 eta_p.
+    # Each entry sums N^2 terms of magnitude |eta|; their phases k_p d and
+    # eta's k_p r are about k_p r (3e3 rad here), each rounded to a few ulps,
+    # and the steering phases, DFT phases and 2N-term sums add O(N eps).  So
+    # the DFT path is exact to about 4 eps N^2 |eta| (k_p r + N) absolute; the
+    # lattice side is good to about 1e-14 relative.
+    cfg = default_link()
+    n = cfg.n_elements
+    angle = math.radians(degrees)
+    gamma, psi = (angle, 0.0) if axis == "yaw" else (0.0, angle)
+    batch = mode_channels([(gamma, psi, 0.0)], cfg, np.exp(1j * eo_phases([gamma], [psi], cfg)))[0]
+    for p in range(cfg.n_subcarriers):
+        lattice = steered_entries(axis, cfg.modes, [angle], cfg.coupling(p), n)[0]
+        expected = n * n * cfg.eta(p) * lattice
+        k_r = cfg.wavenumber(p) * cfg.range_r
+        tol = 4 * EPS * n * n * abs(cfg.eta(p)) * (k_r + n) + 1e-14 * np.abs(expected).max()
+        assert np.abs(batch[p] - expected).max() <= tol

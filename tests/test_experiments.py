@@ -163,6 +163,28 @@ def test_hybrid_compare_ordering(tmp_path):
         assert caps[(0.0, s, "hybrid")] > caps[(0.0, s, "electronic")]
 
 
+@pytest.mark.parametrize("pose_deg", [60.0, 36.0])
+def test_hybrid_compare_zero_residual_ties_exactly(tmp_path, pose_deg):
+    # Where the servo grid holds the pose exactly (angle 0, and the multiples
+    # of its 0.3 degree step such as 30 and 60), the residual is 0, the E1/E2
+    # weights are exactly 1 + 0j and hybrid must equal perfect bit for bit:
+    # the benchmark asserts hybrid <= perfect with no tolerance.
+    from oamlink.servo import ServoConfig, execute_rotation
+
+    overrides = {"pose.gamma_deg": pose_deg, "pose.psi_deg": pose_deg, "snr.step_db": 5.0}
+    path, _ = run(ExperimentSpec.resolve("hybrid-compare", overrides), tmp_path)
+    caps = {(angle, snr, scheme): cap for angle, snr, scheme, cap in read_rows(path)[1]}
+    ties = 0
+    for angle, snr, scheme in list(caps):
+        if scheme != "hybrid":
+            continue
+        target = math.radians(float(angle))
+        if target - execute_rotation("yaw", target, ServoConfig())[0] == 0.0:
+            ties += 1
+            assert caps[(angle, snr, "hybrid")] == caps[(angle, snr, "perfect")]
+    assert ties >= 3 * 7  # at least three angles, every SNR
+
+
 def test_sweep_capacity_declines_with_angle(tmp_path):
     # pinned regression: electronic-only capacity is nonincreasing in the
     # tilt up to 80 degrees within 0.01 bits (small low-SNR ripple near

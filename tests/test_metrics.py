@@ -122,6 +122,27 @@ def test_capacity_invariant_under_row_phase_rotation(seed):
     assert capacity([OamMatrix(eff)], 50.0) == pytest.approx(capacity([rotated], 50.0), rel=1e-12)
 
 
+def test_capacity_of_stack_equals_per_pose_calls():
+    # the batched (A, S) form has the bits of one call per pose and SNR
+    from oamlink.channel import mode_channels
+
+    cfg = default_link(n_subcarriers=3)
+    angles = [(0.0, 0.0, 0.0), (0.3, -0.2, 0.1), (1.2, 0.0, 0.0)]
+    stack = mode_channels(angles, cfg)
+    rhos = 10.0 ** (np.arange(-10.0, 31.0, 8.0) / 10.0)
+    caps = capacity(stack, rhos)
+    assert caps.shape == (3, len(rhos))
+    for a in range(3):
+        per_pose = [OamMatrix(h) for h in stack[a]]
+        for j, rho in enumerate(rhos):
+            assert caps[a, j] == capacity(per_pose, float(rho))
+    assert isinstance(capacity(stack[0], 2.0), float)
+    with pytest.raises(ValueError):
+        capacity(stack, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        capacity([], 1.0)
+
+
 def test_aligned_reference_capacity_regression():
     # the perfect-alignment reference curve shared by the angle-sweep and
     # hybrid-compare experiments, frozen from the first oracle run

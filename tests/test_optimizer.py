@@ -134,6 +134,27 @@ def test_grid_search_validation_and_consistency():
     assert abs(t1) <= math.pi / 10 and abs(t2) <= math.pi / 10
 
 
+def test_grid_search_peak_memory_bounded_by_chunk():
+    # The profile walks ANGLE_CHUNK angles at a time: besides the grid and its
+    # capacities (8 bytes per angle each, one spare) it holds about five
+    # (ANGLE_CHUNK, U, N) arrays, the largest complex.  Unchunked, 10^5 angles
+    # peaked at 411 MB.
+    import tracemalloc
+
+    from oamlink.optimizer import ANGLE_CHUNK
+
+    cfg = default_link()
+    resolution = 100_000
+    bound = 3 * 8 * resolution + 5 * 16 * ANGLE_CHUNK * cfg.n_modes * cfg.n_elements
+    tracemalloc.start()
+    try:
+        grid_search_roll(cfg, resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
 def test_grid_search_constant_objective():
     cfg = scaled_coupling_link(default_link(modes=(0,)), 0.2)
     theta, cap = grid_search_roll(cfg, 101)

@@ -120,7 +120,8 @@ def test_phases_e2_equals_element_angle_difference_form():
 def test_mechanical_pitch_yaw_perfect_command():
     cfg = default_link()
     pose = Pose(math.radians(40), math.radians(30))
-    residual, channels = mechanical_pitch_yaw(pose, MechanicalCommand(pose.gamma, pose.psi), cfg)
+    residual = mechanical_pitch_yaw(pose, MechanicalCommand(pose.gamma, pose.psi), cfg)
+    channels = channel_matrices(None, residual.as_pose(), STAGE_AFTER_PITCH_YAW, cfg)
     assert residual.gamma_bar == 0.0 and residual.psi_bar == 0.0
     aligned = channel_matrix(0, Pose(0.0, 0.0), None, STAGE_INITIAL, cfg).entries
     assert np.abs(channels[0].entries - aligned).max() == 0.0
@@ -130,7 +131,8 @@ def test_mechanical_pitch_yaw_perfect_command():
 def test_mechanical_pitch_yaw_null_command():
     cfg = default_link()
     pose = Pose(math.radians(40), math.radians(30))
-    _, channels = mechanical_pitch_yaw(pose, MechanicalCommand(0.0, 0.0), cfg)
+    residual = mechanical_pitch_yaw(pose, MechanicalCommand(0.0, 0.0), cfg)
+    channels = channel_matrices(None, residual.as_pose(), STAGE_AFTER_PITCH_YAW, cfg)
     original = channel_matrix(0, pose, None, STAGE_INITIAL, cfg).entries
     assert np.abs(channels[0].entries - original).max() == 0.0
 
