@@ -6,7 +6,6 @@ from .channel import (
     OamMatrix,
     channel_matrices,
     channel_matrix,
-    dft_vector,
     oam_effective,
     partial_dft,
     simulate_reception,

@@ -136,13 +136,8 @@ def channel_matrices(
     return [ChannelMatrix(p, h) for p, h in enumerate(H)]
 
 
-def dft_vector(mode: int, n_elements: int) -> np.ndarray:
-    """Unit-norm despiralization row for one mode: exp(-2i*pi*mode*j/N)/sqrt(N)."""
-    return partial_dft([mode], n_elements)[0]
-
-
 def partial_dft(modes: Sequence[int], n_elements: int) -> np.ndarray:
-    """U x N matrix whose row u is dft_vector(modes[u]); satisfies F F^H = I_U.
+    """U x N despiralization rows exp(-2i*pi*l_u*j/N)/sqrt(N), unit norm; F F^H = I_U.
 
     Modes that coincide modulo N produce identical rows, so they are rejected.
     """

@@ -14,7 +14,6 @@ from oamlink import (
     STAGE_INITIAL,
     channel_matrix,
     default_link,
-    dft_vector,
     distance,
     oam_effective,
     partial_dft,
@@ -126,6 +125,9 @@ def test_relabeling_invariance():
 
 
 def test_dft_vector_basics():
+    def dft_vector(mode, n):
+        return partial_dft([mode], n)[0]
+
     v = dft_vector(0, 7)
     assert np.allclose(v, np.full(7, 1 / math.sqrt(7)))
     assert np.allclose(dft_vector(8, 7), dft_vector(1, 7))
