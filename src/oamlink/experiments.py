@@ -127,6 +127,11 @@ _MAX_SA_EVALUATIONS = 100_000
 # SNR points per run; the sweeps and hybrid-compare evaluate the capacity
 # once per SNR, angle and scheme (16 points by default).
 _MAX_SNR_POINTS = 10_000
+# Grid points per run.  The largest arrays: the sweeps' (A, P, U, U) complex
+# channels (7.8 KB per angle at 6 subcarriers, 9 modes: 78 MB at the bound),
+# the roll profile's grid, capacities and CSV rows (about 1 s per 10^5 angles)
+# and the Bessel lattice's (A, 2 (S + 2 N + 25) + 1) jv arrays (4 ms per angle at S = 100).
+_MAX_COUNTS = {"sweep.count": 10_000, "roll.count": 100_000, "monotonicity.count": 1_000}
 
 
 def parse_config(text: str) -> dict:
@@ -163,6 +168,8 @@ def _validate_domains(overrides: dict) -> None:
     for key in _POSITIVE_INT_KEYS:
         if key in overrides and overrides[key] < 1:
             raise ConfigError(f"key {key!r} must be >= 1, got {overrides[key]}")
+        if overrides.get(key, 0) > _MAX_COUNTS.get(key, math.inf):
+            raise ConfigError(f"key {key!r} must be at most {_MAX_COUNTS[key]}, got {overrides[key]}")
     for key in (
         "scenario.freq_start_hz",
         "scenario.freq_stop_hz",

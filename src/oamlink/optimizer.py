@@ -5,14 +5,15 @@ link: every mode sees SINR = rho * |h_diag|^2, so the capacity depends on the
 roll angle only through the per-mode diagonal magnitudes.  The objective is
 periodic with period 2*pi/N, hence the search interval [-pi/N, pi/N].
 
-The per-link constants (delta, the modes, the couplings S_p and the scales
-N |eta_p|) are built once per annealing run by ``roll_objective``; each
-candidate angle is then one broadcast (subcarriers, modes, N) expression with
-the same floating-point operations as the batched ``capacity_profile``, so
-both give the same bits and the seeded trace makes the same accept
-decisions.  A Jacobi-Anger (Bessel-series) form of the diagonal would be
-cheaper still but changes the last bits of the objective, and with them
-possibly the accept decisions.
+Mode l's diagonal factor exp(-i l theta) has modulus one, so |h_l| =
+N |eta_p| |sum_j W_lj exp(i S_p cos(delta_j - theta))| with the constant (U, N)
+matrix W = exp(i l delta): theta enters one mode-independent (N,) factor.
+``roll_objective`` builds delta, W, the couplings S_p and the scales N |eta_p|
+once per annealing run; each candidate angle is then one (subcarriers, 1, N)
+complex exp and a broadcast product-sum with W, the operations of the batched
+``capacity_profile``, so both give the same bits and the seeded trace the same
+accept decisions.  Neither BLAS (``e @ W.T``, whose rows change in the last bit
+with the number of rows) nor a Jacobi-Anger series would keep those bits.
 
 A brute-force grid search over the same interval serves as the optimizer's
 reference; annealing runs are deterministic for a given seed.
@@ -27,9 +28,9 @@ import numpy as np
 
 from .config import LinkConfig
 
-# Roll angles capacity_profile evaluates together.  Its largest temporaries,
-# complex (ANGLE_CHUNK, U, N) arrays of 92 KB at U = 9, N = 10, stay below
-# glibc's 128 KB mmap threshold and so reuse heap pages instead of faulting.
+# Roll angles capacity_profile evaluates together.  Its largest temporary,
+# the complex (ANGLE_CHUNK, U, N) product with W of 92 KB at U = 9, N = 10,
+# stays below glibc's 128 KB mmap threshold and so reuses heap pages.
 ANGLE_CHUNK = 64
 
 
@@ -88,16 +89,16 @@ class SaTrace:
 def _diag_constants(cfg: LinkConfig):
     """Per-link constants of the diagonal model.
 
-    Returns delta = 2 pi j / N, j = 1..N (N,), the modes as a (U, 1) column,
+    Returns delta = 2 pi j / N, j = 1..N (N,), W = exp(i l delta) as (U, N),
     the couplings S_p as (P, 1, 1) and the scales N |eta_p| as (P, 1).
     """
     n = cfg.n_elements
     delta = 2.0 * math.pi * np.arange(1, n + 1) / n
-    modes = np.asarray(cfg.modes, dtype=float)[:, None]
+    w = np.exp(1j * np.outer(cfg.modes, delta))
     subcarriers = range(cfg.n_subcarriers)
     s = np.array([cfg.coupling(p) for p in subcarriers])[:, None, None]
     scale = np.array([n * abs(cfg.eta(p)) for p in subcarriers])[:, None]
-    return delta, modes, s, scale
+    return delta, w, s, scale
 
 
 def capacity_profile(thetas, cfg: LinkConfig) -> np.ndarray:
@@ -105,19 +106,20 @@ def capacity_profile(thetas, cfg: LinkConfig) -> np.ndarray:
 
     Mode l's diagonal entry is N eta(p) sum_delta exp(i l (delta - theta) + i S_p cos(delta - theta)),
     delta = 2 pi j / N, j = 1..N: periodic in theta with period 2 pi / N and equal in magnitude
-    to the double DFT sum of the aligned link rolled to theta.  Walks the angles ANGLE_CHUNK at a
+    to the double DFT sum of the aligned link rolled to theta; per subcarrier it is one (angles, N)
+    complex exp and the product-sum with W (module docstring).  Walks the angles ANGLE_CHUNK at a
     time and loops over subcarriers, so the temporaries stay (ANGLE_CHUNK, modes, N) however many
     angles are asked for; every per-angle reduction is the same, and so are the bits.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    delta, modes, s, scale = _diag_constants(cfg)
+    delta, w, s, scale = _diag_constants(cfg)
     caps = np.empty(thetas.shape[0])
     for start in range(0, thetas.shape[0], ANGLE_CHUNK):
-        ang = delta[None, :] - thetas[start : start + ANGLE_CHUNK, None]  # (T, N)
-        total = np.zeros(ang.shape[0])
+        cos = np.cos(delta[None, :] - thetas[start : start + ANGLE_CHUNK, None])  # (T, N)
+        total = np.zeros(cos.shape[0])
         for p in range(cfg.n_subcarriers):
-            phase = ang[:, None, :] * modes + s[p] * np.cos(ang)[:, None, :]
-            h_abs = scale[p] * np.abs(np.exp(1j * phase).sum(axis=2))  # (T, U)
+            e = np.exp(1j * (s[p] * cos))  # (T, N)
+            h_abs = scale[p] * np.abs((e[:, None, :] * w).sum(axis=2))  # (T, U)
             total += np.log2(1.0 + cfg.snr_rho * h_abs**2).sum(axis=1)
         caps[start : start + ANGLE_CHUNK] = total / cfg.n_subcarriers
     return caps
@@ -126,18 +128,17 @@ def capacity_profile(thetas, cfg: LinkConfig) -> np.ndarray:
 def roll_objective(cfg: LinkConfig):
     """The annealer's objective: theta -> ``capacity_profile([theta], cfg)[0]``, bit for bit.
 
-    The link constants are built once; each call is one (P, U, N) expression
-    with the profile's operations, whose per-subcarrier sums are added in
-    subcarrier order as the profile does (``np.sum`` would add eight or more
-    of them pairwise).
+    The link constants are built once; each call is one (P, 1, N) complex exp
+    and its product-sum with W, the profile's operations, whose per-subcarrier
+    sums are added in subcarrier order as the profile does (``np.sum`` would
+    add eight or more of them pairwise).
     """
-    delta, modes, s, scale = _diag_constants(cfg)
+    delta, w, s, scale = _diag_constants(cfg)
     rho, n_sub = cfg.snr_rho, cfg.n_subcarriers
 
     def objective(theta: float) -> float:
-        ang = delta - theta
-        phase = ang * modes + s * np.cos(ang)  # (P, U, N)
-        h_abs = scale * np.abs(np.exp(1j * phase).sum(axis=2))  # (P, U)
+        e = np.exp(1j * (s * np.cos(delta - theta)))  # (P, 1, N)
+        h_abs = scale * np.abs((e * w).sum(axis=2))  # (P, U)
         per_subcarrier = np.log2(1.0 + rho * h_abs**2).sum(axis=1)
         return float(np.add.accumulate(per_subcarrier)[-1] / n_sub)
 

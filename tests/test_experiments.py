@@ -297,6 +297,12 @@ def test_all_experiment_names_have_runners():
         ("monotonicity", "monotonicity.stop_deg", "inf"),
         ("complexity", "complexity.p_coarse", "10"),
         ("complexity", "complexity.n_min", "40"),
+        ("sweep-yaw", "sweep.count", "10000000"),  # (A, P, U, U) channels: 72 GiB
+        ("sweep-pitch", "sweep.count", "10001"),
+        ("roll-profile", "roll.count", "100000000"),  # minutes in bounded memory
+        ("roll-profile", "roll.count", "100001"),
+        ("monotonicity", "monotonicity.count", "10000000"),  # (A, 93) jv arrays: 6.9 GiB
+        ("monotonicity", "monotonicity.count", "1001"),
     ],
 )
 def test_cli_out_of_domain_value_exits_1_naming_key(tmp_path, capsys, experiment, key, value):

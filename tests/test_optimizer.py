@@ -41,11 +41,30 @@ def test_outer_iteration_count():
     assert extreme.outer_iterations == math.ceil((math.log(1e-308) - math.log(1e308)) / math.log(0.9))
 
 
-def test_capacity_objective_matches_closed_form_diag():
+# Roll angles of the oracle check, as functions of N: the interval ends, zero,
+# an interior angle and two angles anywhere on the circle.
+ORACLE_THETAS = {
+    "-pi/N": lambda n: -math.pi / n,
+    "0": lambda n: 0.0,
+    "0.07": lambda n: 0.07,
+    "pi/N": lambda n: math.pi / n,
+    **{
+        f"random{i}": (lambda n, t=float(t): t)
+        for i, t in enumerate(np.random.default_rng(8).uniform(-math.pi, math.pi, 2))
+    },
+}
+
+
+@pytest.mark.parametrize("theta_of", ORACLE_THETAS.values(), ids=ORACLE_THETAS.keys())
+@pytest.mark.parametrize(
+    "cfg",
+    [default_link(), default_link(n_subcarriers=1), default_link(n_elements=16, modes=tuple(range(-7, 8)))],
+    ids=["default", "P1", "N16"],
+)
+def test_capacity_objective_matches_closed_form_diag(cfg, theta_of):
     # the objective's closed-form diagonal against the explicit double DFT sum
     # of the aligned link rolled to theta
-    cfg = default_link()
-    theta = 0.07
+    theta = theta_of(cfg.n_elements)
     total = 0.0
     for H in mechanical_roll(ResidualPose(0.0, 0.0), theta, cfg):
         for h in np.diag(oam_effective(H, cfg.modes).entries):
