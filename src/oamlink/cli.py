@@ -37,12 +37,14 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from None
             overrides = parse_config(text)
+        if args.seed is not None:
+            overrides["sa.seed"] = args.seed
         spec = ExperimentSpec.resolve(args.experiment, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        csv_path, manifest_path = run(spec, args.out, seed=args.seed)
+        csv_path, manifest_path = run(spec, args.out)
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit code 2
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

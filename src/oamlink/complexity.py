@@ -14,13 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .optimizer import SaParams
+
 
 @dataclass(frozen=True)
 class ComplexityParams:
     """Everything the cost terms depend on.
 
     Angles are radians (only ratios to ``nu`` enter, so units cancel);
-    the annealing fields mirror SaParams.
+    ``sa`` is the annealing schedule whose evaluations the roll term counts.
     """
 
     p_data: int = 8
@@ -30,25 +32,18 @@ class ComplexityParams:
     p_fine: int = 8
     u_fine: int = 8
     n_elements: int = 10
-    inner_iters: int = 20
-    cooling: float = 0.9
-    t_init: float = 100.0
-    t_min: float = 1e-3
+    sa: SaParams = SaParams()
     gamma_cmd: float = math.radians(60.0)
     psi_cmd: float = math.radians(60.0)
     theta_star: float = math.radians(10.0)
     nu: float = math.radians(0.3)
 
     def __post_init__(self):
-        for name in ("p_data", "u_data", "p_coarse", "u_coarse", "p_fine", "u_fine", "n_elements", "inner_iters"):
+        for name in ("p_data", "u_data", "p_coarse", "u_coarse", "p_fine", "u_fine", "n_elements"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if not (self.p_coarse <= self.p_fine and self.u_coarse <= self.u_fine):
             raise ValueError("coarse estimation grid must not exceed the fine grid")
-        if not 0 < self.cooling < 1:
-            raise ValueError("cooling must be in (0, 1)")
-        if not 0 < self.t_min < self.t_init:
-            raise ValueError("need 0 < t_min < t_init")
         if not self.nu > 0:
             raise ValueError("nu must be positive")
 
@@ -66,7 +61,8 @@ class CostBreakdown:
 
 def _annealer_evals(params: ComplexityParams) -> float:
     """inner_iters * log_cooling(t_min / t_init): total candidate evaluations."""
-    return params.inner_iters * (math.log(params.t_min) - math.log(params.t_init)) / math.log(params.cooling)
+    sa = params.sa
+    return sa.inner_iters * (math.log(sa.t_min) - math.log(sa.t_init)) / math.log(sa.cooling)
 
 
 def cost_electronic(params: ComplexityParams) -> CostBreakdown:

@@ -136,7 +136,8 @@ def default_link(
     n_elements: int = DEFAULT_N_ELEMENTS,
     n_subcarriers: int = DEFAULT_N_SUBCARRIERS,
     modes: tuple[int, ...] = DEFAULT_MODES,
-    radius_wavelengths: float = DEFAULT_RADIUS_WAVELENGTHS,
+    radius_rx_wavelengths: float = DEFAULT_RADIUS_WAVELENGTHS,
+    radius_tx_wavelengths: float = DEFAULT_RADIUS_WAVELENGTHS,
     range_wavelengths: float = DEFAULT_RANGE_WAVELENGTHS,
     snr_db: float = DEFAULT_SNR_DB,
     rx_initial_angle: float = 0.0,
@@ -146,11 +147,10 @@ def default_link(
 ) -> LinkConfig:
     """Reference link with radii/range given in first-carrier wavelengths."""
     lambda1 = SPEED_OF_LIGHT / freq_start_hz
-    radius = radius_wavelengths * lambda1
     return LinkConfig(
         range_r=range_wavelengths * lambda1,
-        tx=ArrayGeometry(n_elements, radius, tx_initial_angle),
-        rx=ArrayGeometry(n_elements, radius, rx_initial_angle),
+        tx=ArrayGeometry(n_elements, radius_tx_wavelengths * lambda1, tx_initial_angle),
+        rx=ArrayGeometry(n_elements, radius_rx_wavelengths * lambda1, rx_initial_angle),
         carriers=CarrierGrid.linspace(freq_start_hz, freq_stop_hz, n_subcarriers),
         modes=modes,
         snr_rho=10.0 ** (snr_db / 10.0),

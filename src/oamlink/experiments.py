@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,11 +25,11 @@ import numpy as np
 from . import __version__
 from .channel import mode_channels
 from .config import LinkConfig, default_link
-from .geometry import Pose
+from .geometry import PITCH, ROLL, YAW, Pose
 from .metrics import asymptotic_sir, capacity, steered_sirs
 from .optimizer import SaParams, capacity_profile, optimize_roll
 from .pipeline import hybrid_pipeline
-from .servo import ServoConfig
+from .servo import ServoConfig, execute_rotation
 from .steering import eo_phases
 from .complexity import ComplexityParams, cost_electronic, cost_hybrid
 
@@ -47,91 +48,126 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (parse failure or out-of-domain value)."""
 
 
-# key -> (default, type); order fixes the serialization layout.
+# The values a key accepts: test(value) holds; description completes "must be ...".
+_Domain = namedtuple("_Domain", "test description")
+
+
+def _count(most: int) -> _Domain:
+    return _Domain(lambda v: 1 <= v <= most, f"an integer in [1, {most}]")
+
+
+# Every numeric domain is finite; the comparisons below also hold for Python ints
+# too large for a float, where math.isfinite would raise.
+_ANY = _Domain(lambda v: -math.inf < v < math.inf, "finite")
+_POSITIVE = _Domain(lambda v: 0 < v < math.inf, "positive and finite")
+_TILT = _Domain(lambda v: abs(v) < 90.0, "an angle with |angle| < 90 degrees")
+# Keeps 10^(dB/10) and the capacity arithmetic finite and non-zero.
+_SNR = _Domain(lambda v: abs(v) <= 1000.0, "a level with |dB| <= 1000")
+# The steered-SIR Bessel lattice has about 2 S orders per angle; the
+# experiment studies small coupling (the reference link's is 5.6).
+_COUPLING = _Domain(lambda v: 0 < v <= 100.0, "a coupling in (0, 100]")
+# Elements N and subcarriers P: mode_channels holds POSE_CHUNK = 8 poses of P N^2
+# complex entries per temporary, 34 MB at 64 and 64.  The paper has N <= 32, P = 8.
+_LINK_SIZE = _count(64)
+# Modes fold modulo N, so larger indices add nothing; the bound keeps
+# range(mode_min, mode_max + 1) small before LinkConfig counts its modes.
+_MODE = _Domain(lambda v: abs(v) <= 64, "a mode index with |mode| <= 64")
+# Grid points per run.  The largest arrays: the sweeps' (A, P, U, U) complex
+# channels (7.8 KB per angle at 6 subcarriers, 9 modes: 78 MB at the bound),
+# the roll profile's grid, capacities and CSV rows (about 1 s per 10^5 angles)
+# and the Bessel lattice's (A, 2 (S + 2 N + 25) + 1) jv arrays (4 ms per angle at S = 100).
+_SWEEP_COUNT, _ROLL_COUNT, _MONOTONICITY_COUNT = _count(10_000), _count(100_000), _count(1_000)
+# numpy's default_rng takes non-negative seeds only.
+_SEED = _Domain(lambda v: v >= 0, "a non-negative integer")
+# Servo steps and the complexity terms divide angles below 2 pi rad by nu; nu >=
+# 1e-300 degrees (1.7e-302 rad) keeps angle / nu below 4e302, a finite double.
+_ACCURACY = _Domain(lambda v: 1e-300 <= v < math.inf, "an accuracy in [1e-300, inf) degrees")
+# Every roll equals one within a half turn (the optimum lies within 180/N).
+_HALF_TURN = _Domain(lambda v: abs(v) <= 180.0, "an angle with |angle| <= 180 degrees")
+_NAME = _Domain(lambda v: v in EXPERIMENT_NAMES, f"one of {', '.join(EXPERIMENT_NAMES)}")
+
+# key -> (default, type, domain); order fixes the serialization layout.
 SCHEMA: dict[str, tuple] = {
-    "experiment.name": ("", str),
-    "scenario.n_elements": (10, int),
-    "scenario.n_subcarriers": (8, int),
-    "scenario.freq_start_hz": (3.9982e9, float),
-    "scenario.freq_stop_hz": (4.2387e9, float),
-    "scenario.mode_min": (-4, int),
-    "scenario.mode_max": (4, int),
-    "scenario.radius_rx_wavelengths": (20.0, float),
-    "scenario.radius_tx_wavelengths": (20.0, float),
-    "scenario.range_wavelengths": (450.0, float),
-    "scenario.rx_initial_angle_deg": (0.0, float),
-    "scenario.tx_initial_angle_deg": (0.0, float),
-    "scenario.snr_db": (20.0, float),
-    "pose.gamma_deg": (60.0, float),
-    "pose.psi_deg": (60.0, float),
-    "pose.aoa_error_gamma_deg": (0.0, float),
-    "pose.aoa_error_psi_deg": (0.0, float),
-    "snr.start_db": (0.0, float),
-    "snr.stop_db": (30.0, float),
-    "snr.step_db": (2.0, float),
-    "sweep.start_deg": (0.0, float),
-    "sweep.stop_deg": (85.0, float),
-    "sweep.count": (18, int),
-    "roll.start_deg": (-180.0, float),
-    "roll.stop_deg": (180.0, float),
-    "roll.count": (1441, int),
-    "sa.t_init": (100.0, float),
-    "sa.t_min": (1e-3, float),
-    "sa.cooling": (0.9, float),
-    "sa.inner_iters": (20, int),
-    "sa.step_scale_rad": (0.0, float),  # 0 = automatic (pi/N)/10
-    "sa.seed": (0, int),
-    "servo.period_s": (0.020, float),
-    "servo.pulse_min_s": (0.001, float),
-    "servo.pulse_mid_s": (0.0015, float),
-    "servo.pulse_max_s": (0.002, float),
-    "servo.accuracy_deg": (0.3, float),
-    "monotonicity.s_coupling": (0.01, float),
-    "monotonicity.start_deg": (1.0, float),
-    "monotonicity.stop_deg": (89.0, float),
-    "monotonicity.count": (50, int),
-    "complexity.p_coarse": (4, int),
-    "complexity.u_coarse": (4, int),
-    "complexity.p_fine": (8, int),
-    "complexity.u_fine": (8, int),
-    "complexity.u_data": (9, int),
-    "complexity.theta_star_deg": (10.0, float),
-    "complexity.n_min": (8, int),
-    "complexity.n_max": (32, int),
-    "complexity.p_min": (4, int),
-    "complexity.p_max": (16, int),
+    "experiment.name": ("", str, _NAME),
+    "scenario.n_elements": (10, int, _LINK_SIZE),
+    "scenario.n_subcarriers": (8, int, _LINK_SIZE),
+    "scenario.freq_start_hz": (3.9982e9, float, _POSITIVE),
+    "scenario.freq_stop_hz": (4.2387e9, float, _POSITIVE),
+    "scenario.mode_min": (-4, int, _MODE),
+    "scenario.mode_max": (4, int, _MODE),
+    "scenario.radius_rx_wavelengths": (20.0, float, _POSITIVE),
+    "scenario.radius_tx_wavelengths": (20.0, float, _POSITIVE),
+    "scenario.range_wavelengths": (450.0, float, _POSITIVE),
+    "scenario.rx_initial_angle_deg": (0.0, float, _ANY),
+    "scenario.tx_initial_angle_deg": (0.0, float, _ANY),
+    "scenario.snr_db": (20.0, float, _SNR),
+    "pose.gamma_deg": (60.0, float, _TILT),
+    "pose.psi_deg": (60.0, float, _TILT),
+    "pose.aoa_error_gamma_deg": (0.0, float, _ANY),
+    "pose.aoa_error_psi_deg": (0.0, float, _ANY),
+    "snr.start_db": (0.0, float, _SNR),
+    "snr.stop_db": (30.0, float, _SNR),
+    "snr.step_db": (2.0, float, _POSITIVE),
+    "sweep.start_deg": (0.0, float, _TILT),
+    "sweep.stop_deg": (85.0, float, _TILT),
+    "sweep.count": (18, int, _SWEEP_COUNT),
+    "roll.start_deg": (-180.0, float, _ANY),
+    "roll.stop_deg": (180.0, float, _ANY),
+    "roll.count": (1441, int, _ROLL_COUNT),
+    "sa.t_init": (100.0, float, _ANY),
+    "sa.t_min": (1e-3, float, _ANY),
+    "sa.cooling": (0.9, float, _ANY),
+    "sa.inner_iters": (20, int, _POSITIVE),
+    "sa.step_scale_rad": (0.0, float, _ANY),  # 0 = automatic (pi/N)/10
+    "sa.seed": (0, int, _SEED),
+    "servo.period_s": (0.020, float, _ANY),
+    "servo.pulse_min_s": (0.001, float, _ANY),
+    "servo.pulse_mid_s": (0.0015, float, _ANY),
+    "servo.pulse_max_s": (0.002, float, _ANY),
+    "servo.accuracy_deg": (0.3, float, _ACCURACY),
+    "monotonicity.s_coupling": (0.01, float, _COUPLING),
+    "monotonicity.start_deg": (1.0, float, _TILT),
+    "monotonicity.stop_deg": (89.0, float, _TILT),
+    "monotonicity.count": (50, int, _MONOTONICITY_COUNT),
+    "complexity.p_coarse": (4, int, _POSITIVE),
+    "complexity.u_coarse": (4, int, _POSITIVE),
+    "complexity.p_fine": (8, int, _POSITIVE),
+    "complexity.u_fine": (8, int, _POSITIVE),
+    "complexity.u_data": (9, int, _POSITIVE),
+    "complexity.theta_star_deg": (10.0, float, _HALF_TURN),
+    "complexity.n_min": (8, int, _POSITIVE),
+    "complexity.n_max": (32, int, _POSITIVE),
+    "complexity.p_min": (4, int, _POSITIVE),
+    "complexity.p_max": (16, int, _POSITIVE),
 }
+_ORDERED_PAIRS = (
+    ("scenario.mode_min", "scenario.mode_max"),
+    ("snr.start_db", "snr.stop_db"),
+    ("sweep.start_deg", "sweep.stop_deg"),
+    ("monotonicity.start_deg", "monotonicity.stop_deg"),
+    ("complexity.p_coarse", "complexity.p_fine"),
+    ("complexity.u_coarse", "complexity.u_fine"),
+    ("complexity.n_min", "complexity.n_max"),
+    ("complexity.p_min", "complexity.p_max"),
+)
 
 # Subcarrier counts for the plots that use the narrower grid.
 _EXPERIMENT_OVERRIDES = {
-    "sweep-yaw": {"scenario.n_subcarriers": 6},
-    "sweep-pitch": {"scenario.n_subcarriers": 6},
-    "roll-profile": {"scenario.n_subcarriers": 6},
+    name: {"scenario.n_subcarriers": 6} for name in ("sweep-yaw", "sweep-pitch", "roll-profile")
 }
 
-# Every integer key is a count, except the mode bounds and the seed.
-_POSITIVE_INT_KEYS = tuple(
-    key for key, (_, typ) in SCHEMA.items()
-    if typ is int and key not in ("scenario.mode_min", "scenario.mode_max", "sa.seed")
-)
-
-
-# The steered-SIR Bessel lattice has about 2 S orders per angle; the
-# experiment studies small coupling (the reference link's is 5.6).
-_MAX_S_COUPLING = 100.0
-# Keeps 10^(dB/10) and the capacity arithmetic finite and non-zero.
-_MAX_ABS_SNR_DB = 1000.0
 # Annealer candidate evaluations per run (outer levels x inner iterations);
 # the default schedule makes 2 200, at tens of microseconds each.
 _MAX_SA_EVALUATIONS = 100_000
 # SNR points per run; the sweeps and hybrid-compare evaluate the capacity
 # once per SNR, angle and scheme (16 points by default).
 _MAX_SNR_POINTS = 10_000
-# Grid points per run.  The largest arrays: the sweeps' (A, P, U, U) complex
-# channels (7.8 KB per angle at 6 subcarriers, 9 modes: 78 MB at the bound),
-# the roll profile's grid, capacities and CSV rows (about 1 s per 10^5 angles)
-# and the Bessel lattice's (A, 2 (S + 2 N + 25) + 1) jv arrays (4 ms per angle at S = 100).
-_MAX_COUNTS = {"sweep.count": 10_000, "roll.count": 100_000, "monotonicity.count": 1_000}
+# Sweep sizes: its CSV has 3 rows per (angle, SNR) point, built as lists of
+# strings before writing (10^4 angles at the default 16 SNR points took 5 s
+# and 280 MB); its channels are one complex (A, P, U, U) array (10^4 angles at
+# 8 subcarriers and 9 modes: 6.5e6 entries, 104 MB).
+_MAX_SWEEP_POINTS = 10_000 * 16
+_MAX_SWEEP_ENTRIES = 10_000 * 8 * 9 * 9
 
 
 def parse_config(text: str) -> dict:
@@ -151,7 +187,7 @@ def parse_config(text: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        _, typ = SCHEMA[key]
+        _, typ, _ = SCHEMA[key]
         try:
             parsed = typ(value)
         except ValueError as exc:
@@ -161,47 +197,13 @@ def parse_config(text: str) -> dict:
     return overrides
 
 
-def _validate_domains(overrides: dict) -> None:
-    for key, value in overrides.items():
-        if SCHEMA[key][1] is float and not math.isfinite(value):
-            raise ConfigError(f"key {key!r} must be finite, got {value}")
-    for key in _POSITIVE_INT_KEYS:
-        if key in overrides and overrides[key] < 1:
-            raise ConfigError(f"key {key!r} must be >= 1, got {overrides[key]}")
-        if overrides.get(key, 0) > _MAX_COUNTS.get(key, math.inf):
-            raise ConfigError(f"key {key!r} must be at most {_MAX_COUNTS[key]}, got {overrides[key]}")
-    for key in (
-        "scenario.freq_start_hz",
-        "scenario.freq_stop_hz",
-        "scenario.radius_rx_wavelengths",
-        "scenario.radius_tx_wavelengths",
-        "scenario.range_wavelengths",
-        "snr.step_db",
-        "monotonicity.s_coupling",
-    ):
-        if key in overrides and not overrides[key] > 0:
-            raise ConfigError(f"key {key!r} must be positive, got {overrides[key]}")
-    for lo, hi in (
-        ("scenario.mode_min", "scenario.mode_max"),
-        ("snr.start_db", "snr.stop_db"),
-        ("complexity.p_coarse", "complexity.p_fine"),
-        ("complexity.u_coarse", "complexity.u_fine"),
-        ("complexity.n_min", "complexity.n_max"),
-        ("complexity.p_min", "complexity.p_max"),
-    ):
-        if lo in overrides and hi in overrides and overrides[lo] > overrides[hi]:
+def _validate_domains(values: dict) -> None:
+    for key, (_, _, domain) in SCHEMA.items():
+        if key in values and not domain.test(values[key]):
+            raise ConfigError(f"key {key!r} must be {domain.description}, got {values[key]!r}")
+    for lo, hi in _ORDERED_PAIRS:
+        if lo in values and hi in values and values[lo] > values[hi]:
             raise ConfigError(f"keys {lo!r}, {hi!r} must satisfy {lo} <= {hi}")
-    if overrides.get("monotonicity.s_coupling", 0.0) > _MAX_S_COUPLING:
-        raise ConfigError(f"key 'monotonicity.s_coupling' must be at most {_MAX_S_COUPLING:g}")
-    for key in ("scenario.snr_db", "snr.start_db", "snr.stop_db"):
-        if key in overrides and not abs(overrides[key]) <= _MAX_ABS_SNR_DB:
-            raise ConfigError(f"key {key!r} must satisfy |value| <= {_MAX_ABS_SNR_DB:g} dB, got {overrides[key]}")
-    for key in ("pose.gamma_deg", "pose.psi_deg"):
-        if key in overrides and not abs(overrides[key]) < 90.0:
-            raise ConfigError(f"key {key!r} must satisfy |angle| < 90 degrees, got {overrides[key]}")
-    name = overrides.get("experiment.name", "")
-    if name and name not in EXPERIMENT_NAMES:
-        raise ConfigError(f"key 'experiment.name': unknown experiment {name!r}")
 
 
 @dataclass(frozen=True)
@@ -213,15 +215,13 @@ class ExperimentSpec:
 
     @classmethod
     def resolve(cls, name: str, overrides: dict | None = None) -> "ExperimentSpec":
-        if name not in EXPERIMENT_NAMES:
-            raise ConfigError(f"unknown experiment {name!r}")
         overrides = dict(overrides or {})
         cfg_name = overrides.pop("experiment.name", "")
         if cfg_name and cfg_name != name:
             raise ConfigError(
                 f"config names experiment {cfg_name!r} but {name!r} was requested"
             )
-        values = {key: default for key, (default, _) in SCHEMA.items()}
+        values = {key: default for key, (default, _, _) in SCHEMA.items()}
         values.update(_EXPERIMENT_OVERRIDES.get(name, {}))
         values.update(overrides)
         values["experiment.name"] = name
@@ -230,8 +230,7 @@ class ExperimentSpec:
         # Build every derived object now, so an out-of-domain value exits as
         # a config error naming its key instead of failing inside the run.
         spec.link()
-        spec.snr_grid_db()
-        spec.sweep_grid_deg()
+        spec.sweep_grid_deg()  # and the SNR grid
         spec.roll_grid_deg()
         spec.monotonicity_grid_deg()
         spec.sa_params()
@@ -249,7 +248,8 @@ class ExperimentSpec:
                 n_elements=self["scenario.n_elements"],
                 n_subcarriers=self["scenario.n_subcarriers"],
                 modes=tuple(range(self["scenario.mode_min"], self["scenario.mode_max"] + 1)),
-                radius_wavelengths=self["scenario.radius_rx_wavelengths"],
+                radius_rx_wavelengths=self["scenario.radius_rx_wavelengths"],
+                radius_tx_wavelengths=self["scenario.radius_tx_wavelengths"],
                 range_wavelengths=self["scenario.range_wavelengths"],
                 snr_db=self["scenario.snr_db"],
                 rx_initial_angle=math.radians(self["scenario.rx_initial_angle_deg"]),
@@ -260,11 +260,11 @@ class ExperimentSpec:
         except ValueError as exc:
             raise ConfigError(f"scenario: {exc}") from None
 
-    def sa_params(self, seed: int | None = None) -> SaParams:
+    def sa_params(self) -> SaParams:
         fields = {field: self[key] for field, key in _SA_KEYS.items()}
         fields["step_scale"] = fields["step_scale"] or None  # 0 = automatic
         with _cited_keys(_SA_KEYS):
-            sa = SaParams(**fields, rng_seed=self["sa.seed"] if seed is None else seed)
+            sa = SaParams(**fields, rng_seed=self["sa.seed"])
         evaluations = sa.outer_iterations * sa.inner_iters
         if evaluations > _MAX_SA_EVALUATIONS:
             raise ConfigError(
@@ -284,9 +284,9 @@ class ExperimentSpec:
         servo = self.servo_config()
         lo, hi = servo.reachable_range
 
-        def reachable(target: float) -> float:
-            achieved = round(target / servo.accuracy_nu) * servo.accuracy_nu  # as execute_rotation
-            if not (lo <= target <= hi and lo <= achieved <= hi):
+        def reachable(axis: str, target: float) -> float:
+            achieved = execute_rotation(axis, target, servo)[0] if lo <= target <= hi else math.nan
+            if not lo <= achieved <= hi:
                 raise ConfigError(
                     "keys 'servo.pulse_min_s', 'servo.pulse_mid_s', 'servo.pulse_max_s': commanded"
                     f" angle {target:.6g} rad outside the reachable range [{lo:.6g}, {hi:.6g}] rad"
@@ -294,11 +294,11 @@ class ExperimentSpec:
             return achieved
 
         half = math.pi / self["scenario.n_elements"]
-        reachable(-half)  # the roll search interval
-        reachable(half)
+        reachable(ROLL, -half)  # the roll search interval
+        reachable(ROLL, half)
         for angle in np.radians(self.hybrid_grid_deg()):
-            for key in ("pose.aoa_error_gamma_deg", "pose.aoa_error_psi_deg"):
-                if not abs(angle - reachable(angle + math.radians(self[key]))) < math.pi / 2:
+            for axis, key in ((YAW, "pose.aoa_error_gamma_deg"), (PITCH, "pose.aoa_error_psi_deg")):
+                if not abs(angle - reachable(axis, angle + math.radians(self[key]))) < math.pi / 2:
                     raise ConfigError(f"key {key!r}: residual misalignment must stay below 90 degrees")
 
     def hybrid_grid_deg(self) -> np.ndarray:
@@ -316,7 +316,15 @@ class ExperimentSpec:
         return np.arange(start, stop, step)
 
     def sweep_grid_deg(self) -> np.ndarray:
-        return self._tilt_grid_deg("sweep")
+        count, modes = self["sweep.count"], self["scenario.mode_max"] - self["scenario.mode_min"] + 1
+        if count * len(self.snr_grid_db()) > _MAX_SWEEP_POINTS:
+            raise ConfigError(f"keys 'sweep.count', 'snr.step_db': more than {_MAX_SWEEP_POINTS} (angle, SNR) points")
+        if count * self["scenario.n_subcarriers"] * modes**2 > _MAX_SWEEP_ENTRIES:
+            raise ConfigError(
+                f"keys 'sweep.count', 'scenario.n_subcarriers', 'scenario.mode_min', 'scenario.mode_max':"
+                f" the sweep's channels have more than {_MAX_SWEEP_ENTRIES} entries"
+            )
+        return np.linspace(self["sweep.start_deg"], self["sweep.stop_deg"], count)
 
     def roll_grid_deg(self) -> np.ndarray:
         if not math.isfinite(self["roll.stop_deg"] - self["roll.start_deg"]):
@@ -324,16 +332,7 @@ class ExperimentSpec:
         return np.linspace(self["roll.start_deg"], self["roll.stop_deg"], self["roll.count"])
 
     def monotonicity_grid_deg(self) -> np.ndarray:
-        return self._tilt_grid_deg("monotonicity")
-
-    def _tilt_grid_deg(self, section: str) -> np.ndarray:
-        start, stop = self[f"{section}.start_deg"], self[f"{section}.stop_deg"]
-        if not (-90.0 < start < 90.0 and -90.0 < stop < 90.0 and start < stop):
-            raise ConfigError(
-                f"keys '{section}.start_deg', '{section}.stop_deg' must satisfy"
-                " -90 < start < stop < 90 degrees"
-            )
-        return np.linspace(start, stop, self[f"{section}.count"])
+        return np.linspace(self["monotonicity.start_deg"], self["monotonicity.stop_deg"], self["monotonicity.count"])
 
 
 # Field of SaParams / ServoConfig -> the config key that sets it.
@@ -482,7 +481,7 @@ def _run_complexity(spec: ExperimentSpec):
         p_data=spec["scenario.n_subcarriers"],
         n_elements=spec["scenario.n_elements"],
         **{f: spec[f"complexity.{f}"] for f in ("u_data", "p_coarse", "u_coarse", "p_fine", "u_fine")},
-        **{f: spec[f"sa.{f}"] for f in ("inner_iters", "cooling", "t_init", "t_min")},
+        sa=spec.sa_params(),
         gamma_cmd=math.radians(spec["pose.gamma_deg"]),
         psi_cmd=math.radians(spec["pose.psi_deg"]),
         theta_star=math.radians(spec["complexity.theta_star_deg"]),
@@ -516,7 +515,7 @@ def run(spec: ExperimentSpec, out_dir, seed: int | None = None) -> tuple[Path, P
     manifest_path).  Outputs are deterministic for a given resolved spec.
     """
     if seed is not None:
-        spec = ExperimentSpec(spec.name, {**spec.values, "sa.seed": int(seed)})
+        spec = ExperimentSpec.resolve(spec.name, {**spec.values, "sa.seed": int(seed)})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()

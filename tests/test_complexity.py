@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from oamlink import ComplexityParams, cost_electronic, cost_hybrid, relative_cost
+from oamlink import ComplexityParams, SaParams, cost_electronic, cost_hybrid, relative_cost
 
 
 def test_params_validation():
@@ -14,7 +14,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ComplexityParams(n_elements=0)
     with pytest.raises(ValueError):
-        ComplexityParams(cooling=1.5)
+        ComplexityParams(sa=SaParams(cooling=1.5))
     with pytest.raises(ValueError):
         ComplexityParams(nu=0.0)
 
@@ -28,8 +28,8 @@ def test_degenerate_hybrid_collapse():
     # coarse grid equal to the fine grid, zero rotation angles, minimal annealer
     params = ComplexityParams(
         p_coarse=8, u_coarse=8, p_fine=8, u_fine=8,
-        gamma_cmd=0.0, psi_cmd=0.0, theta_star=0.0, inner_iters=1,
-        t_init=1.0, t_min=0.999, cooling=0.5,
+        gamma_cmd=0.0, psi_cmd=0.0, theta_star=0.0,
+        sa=SaParams(inner_iters=1, t_init=1.0, t_min=0.999, cooling=0.5),
     )
     fine = 8**3 * 8**3
     electronic = params.p_data * params.u_data * params.n_elements**2
@@ -74,8 +74,8 @@ def test_hybrid_dominates_whenever_coarse_estimation_costs():
 def test_dominant_ratio_structure():
     # the leading excess is the coarse-estimation block over the fine one
     params = ComplexityParams(
-        gamma_cmd=0.0, psi_cmd=0.0, theta_star=0.0, inner_iters=1,
-        t_init=1.0, t_min=0.999, cooling=0.5,
+        gamma_cmd=0.0, psi_cmd=0.0, theta_star=0.0,
+        sa=SaParams(inner_iters=1, t_init=1.0, t_min=0.999, cooling=0.5),
     )
     predicted = 1.0 + params.p_coarse**3 * params.u_coarse**3 / (
         params.p_fine**3 * params.u_fine**3 + params.p_data * params.u_data * params.n_elements**2

@@ -262,10 +262,19 @@ def test_cli_success_and_exit_codes(tmp_path, capsys):
     bad.write_text("scenario.n_elements = 0\n")
     assert main(["complexity", "--config", str(bad), "--out", str(out)]) == 1
     assert main(["complexity", "--config", str(tmp_path / "missing.cfg"), "--out", str(out)]) == 1
+    assert main(["complexity", "--out", str(out), "--seed", "-1"]) == 1
 
     ro = tmp_path / "blocked"
     ro.write_text("not a directory")
     assert main(["complexity", "--out", str(ro)]) == 2
+
+
+@pytest.mark.parametrize("key", [key for key in SCHEMA if key.startswith("scenario.")])
+def test_every_scenario_key_changes_the_link(key):
+    base = ExperimentSpec.resolve("sa-trace")
+    value = base[key]
+    moved = value + 1 if isinstance(value, int) else 1.01 * value + 0.5
+    assert ExperimentSpec.resolve("sa-trace", {key: moved}).link() != base.link()
 
 
 def test_all_experiment_names_have_runners():
@@ -303,6 +312,14 @@ def test_all_experiment_names_have_runners():
         ("roll-profile", "roll.count", "100001"),
         ("monotonicity", "monotonicity.count", "10000000"),  # (A, 93) jv arrays: 6.9 GiB
         ("monotonicity", "monotonicity.count", "1001"),
+        ("sa-trace", "sa.seed", "-1"),  # numpy's default_rng exited 2
+        ("complexity", "complexity.theta_star_deg", "1e308"),  # inf costs
+        ("complexity", "servo.accuracy_deg", "1e-320"),  # inf costs
+        ("hybrid-compare", "servo.accuracy_deg", "1e-320"),  # OverflowError in the servo dry run
+        ("sweep-yaw", "sweep.count", "10000\nsnr.step_db = 0.004"),  # 7 501 SNR points: 2.25e8 rows
+        ("sweep-yaw", "sweep.count", "10000\nscenario.n_subcarriers = 64"),  # 5.2e7 channel entries
+        ("sweep-yaw", "scenario.n_subcarriers", "1000000\nsweep.count = 10"),  # 1.49 GiB channel tensor
+        ("sweep-yaw", "scenario.n_elements", "1001\nscenario.mode_min = -500\nscenario.mode_max = 500"),
     ],
 )
 def test_cli_out_of_domain_value_exits_1_naming_key(tmp_path, capsys, experiment, key, value):
@@ -342,7 +359,7 @@ FUZZ_INT_RANGES = {
 
 
 def _fuzz_value(key):
-    default, typ = SCHEMA[key]
+    default, typ, _ = SCHEMA[key]
     if typ is int:
         return st.integers(*FUZZ_INT_RANGES.get(key, (-2, 40)))
     near = 2.0 * abs(default) + 1.0
@@ -353,7 +370,7 @@ def _fuzz_value(key):
 @given(st.data())
 def test_config_fuzz_exits_0_or_1_without_nan(tmp_path_factory, data):
     experiment = data.draw(st.sampled_from(sorted(FUZZ_PREFIXES)))
-    keys = [k for k, (_, typ) in SCHEMA.items() if typ is not str and k.startswith(FUZZ_PREFIXES[experiment])]
+    keys = [k for k, (_, typ, _) in SCHEMA.items() if typ is not str and k.startswith(FUZZ_PREFIXES[experiment])]
     chosen = data.draw(st.lists(st.sampled_from(keys), unique=True, min_size=1, max_size=6))
     values = {key: data.draw(_fuzz_value(key), label=key) for key in chosen}
     tmp = tmp_path_factory.mktemp("fuzz")
