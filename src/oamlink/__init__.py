@@ -14,15 +14,11 @@ from .config import CarrierGrid, LinkConfig, default_link
 from .geometry import (
     ArrayGeometry,
     Pose,
-    STAGE_AFTER_PITCH_YAW,
-    STAGE_AFTER_ROLL,
-    STAGE_INITIAL,
     alpha_from,
-    distance,
+    distances,
     phi_azimuth,
     psi_from,
     rotation_matrix,
-    rx_element_position,
 )
 from .metrics import ModePair, asymptotic_sir, capacity, check_monotonicity, sinr, sir, sir_asymptotic
 from .optimizer import (
@@ -38,7 +34,6 @@ from .pipeline import HybridResult, hybrid_pipeline
 from .servo import ServoConfig, angle_from_duty, duty_from_angle, execute_rotation
 from .steering import (
     MechanicalCommand,
-    ResidualPose,
     SteeringPhases,
     mechanical_pitch_yaw,
     mechanical_roll,

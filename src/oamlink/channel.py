@@ -7,11 +7,12 @@ Mode multiplexing uses rows of a (partial) DFT matrix: row u spiralizes /
 despiralizes mode l_u, optionally weighted by per-element steering phases.
 
 ``mode_channels`` is the one kernel: the (A, P, U, U) mode-domain channels
-((F * b) @ H) @ F^H of A receive attitudes, from a distance grid vectorized
-over the attitudes, the partial DFT F built once per call and (A, P, N)
-steering rows b, POSE_CHUNK attitudes at a time.  ``channel_matrix``,
-``channel_matrices`` and ``oam_effective`` are its one-pose views.  Its
-oracles in the tests: the exact distance and the rotation-matrix product; the
+((F * b) @ H) @ F^H of A receive attitudes, from ``geometry.distances``
+vectorized over the attitudes, the partial DFT F built once per call and
+(A, P, N) steering rows b, POSE_CHUNK attitudes at a time.  ``channel_matrix``
+and ``channel_matrices`` take one ``Pose``, roll included; with
+``oam_effective`` they are the kernel's one-pose views.  Its oracles in the
+tests: the rotation-matrix product with the exact Euclidean distance; the
 aligned link is circulant, so the DFT diagonalizes it (Edfors & Johansson,
 IEEE TAP 2012); and a single-axis tilt steered by ``phases_eo`` (R. Chen et
 al., IEEE WCL 2018) gives N^2 eta_p times ``metrics.steered_entries``.
@@ -25,9 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import geometry
 from .config import LinkConfig
-from .geometry import Pose
+from .geometry import Pose, distances
 
 # Poses evaluated together by mode_channels.  Its largest temporaries are
 # complex (POSE_CHUNK, P, N, N) arrays, 100 KB at P = 8, N = 10: below glibc's
@@ -50,42 +50,10 @@ class OamMatrix:
     entries: np.ndarray
 
 
-def _distance_grid(angles: np.ndarray, cfg: LinkConfig, method: str) -> np.ndarray:
-    """(A, N, N) element distances for A attitudes, rows (yaw, pitch, roll) of ``angles``.
-
-    The vectorized twin of geometry.distance, with its own trig expansion.
-    """
-    gamma, psi, roll = (angles[:, i, None, None] for i in range(3))
-    theta = cfg.rx.element_angles[:, None] + roll  # (A, N, 1)
-    phi = cfg.tx.element_angles[None, :]
-    st, ct = np.sin(theta), np.cos(theta)
-    sf, cf = np.sin(phi), np.cos(phi)
-    sg, cg = np.sin(gamma), np.cos(gamma)
-    sp, cp = np.sin(psi), np.cos(psi)
-    r = cfg.range_r
-    if method == "farfield":
-        rr_rt = cfg.rx.radius * cfg.tx.radius / r
-        return (
-            r
-            - rr_rt * st * cf * sp * sg
-            - rr_rt * (ct * cf * cg + st * sf * cp)
-            + cfg.rx.radius * (st * sp * cg - ct * sg)
-        )
-    if method != "exact":
-        raise ValueError(f"unknown distance method {method!r}")
-    # Receive element positions in the transmit-parallel frame, shifted to range r.
-    qx = cfg.rx.radius * (ct * cg + st * sp * sg)
-    qy = cfg.rx.radius * (st * cp)
-    qz = cfg.rx.radius * (st * sp * cg - ct * sg) + r
-    return np.sqrt(
-        (qx - cfg.tx.radius * cf) ** 2 + (qy - cfg.tx.radius * sf) ** 2 + qz**2
-    )
-
-
 def _channel_tensor(angles: np.ndarray, cfg: LinkConfig, method: str) -> np.ndarray:
     """(A, P, N, N) element-domain channels of A attitudes at every subcarrier."""
     k = cfg.carriers.wavenumbers[:, None, None]
-    d = _distance_grid(angles, cfg, method)[:, None]
+    d = distances(angles, cfg, method)[:, None]
     amplitude = cfg.beta / (2.0 * k * (d if method == "exact" else cfg.range_r))
     return amplitude * np.exp(-1j * k * d)
 
@@ -93,8 +61,8 @@ def _channel_tensor(angles: np.ndarray, cfg: LinkConfig, method: str) -> np.ndar
 def mode_channels(angles, cfg: LinkConfig, rows=None) -> np.ndarray:
     """(A, P, U, U) far-field mode-domain channels ((F * b) @ H) @ F^H of A receive attitudes.
 
-    ``angles`` has one (yaw, pitch, roll) row [rad] per attitude, those of the
-    stage at hand.  ``rows`` holds (A, P, N) unit-modulus steering weights b;
+    ``angles`` has one (yaw, pitch, roll) row [rad] per attitude, the fields
+    of a ``Pose``.  ``rows`` holds (A, P, N) unit-modulus steering weights b;
     None stands for weights of exactly 1 + 0j, which zero phases also give.
     """
     angles = np.asarray(angles, dtype=float).reshape(-1, 3)
@@ -112,27 +80,14 @@ def mode_channels(angles, cfg: LinkConfig, rows=None) -> np.ndarray:
     return out
 
 
-def channel_matrix(
-    p: int,
-    pose: Pose | None,
-    residual: Pose | None,
-    stage: str,
-    cfg: LinkConfig,
-    method: str = "farfield",
-) -> ChannelMatrix:
-    """Assemble the N x N channel at subcarrier ``p`` for the given stage."""
-    return channel_matrices(pose, residual, stage, cfg, method)[p]
+def channel_matrix(p: int, pose: Pose, cfg: LinkConfig, method: str = "farfield") -> ChannelMatrix:
+    """Assemble the N x N channel at subcarrier ``p`` for the receive attitude ``pose``."""
+    return channel_matrices(pose, cfg, method)[p]
 
 
-def channel_matrices(
-    pose: Pose | None,
-    residual: Pose | None,
-    stage: str,
-    cfg: LinkConfig,
-    method: str = "farfield",
-) -> list[ChannelMatrix]:
-    """Channel matrices for every subcarrier."""
-    H = _channel_tensor(np.array([geometry._stage_angles(pose, residual, stage)]), cfg, method)[0]
+def channel_matrices(pose: Pose, cfg: LinkConfig, method: str = "farfield") -> list[ChannelMatrix]:
+    """Channel matrices for every subcarrier at the receive attitude ``pose``, roll included."""
+    H = _channel_tensor(np.array([(pose.gamma, pose.psi, pose.roll)]), cfg, method)[0]
     return [ChannelMatrix(p, h) for p, h in enumerate(H)]
 
 

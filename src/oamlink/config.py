@@ -99,8 +99,10 @@ class LinkConfig:
         if self.beta is None:
             object.__setattr__(self, "beta", 2.0 * self.wavenumber(0) * self.range_r)
         k = self.carriers.wavenumbers
-        coupling = k * self.rx.radius * self.tx.radius / self.range_r
-        if not (math.isfinite(self.beta) and np.all(np.isfinite(k * self.range_r)) and np.all(np.isfinite(coupling))):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan is what the check looks for
+            coupling = k * self.rx.radius * self.tx.radius / self.range_r
+            finite = np.all(np.isfinite(k * self.range_r)) and np.all(np.isfinite(coupling))
+        if not (math.isfinite(self.beta) and finite):
             raise ValueError("beta, k_p * range and the coupling k_p * R_r * R_t / range must be finite")
         if self.range_r < 10.0 * (self.tx.radius + self.rx.radius):
             warnings.warn(

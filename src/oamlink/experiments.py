@@ -77,6 +77,10 @@ _MODE = _Domain(lambda v: abs(v) <= 64, "a mode index with |mode| <= 64")
 # the roll profile's grid, capacities and CSV rows (about 1 s per 10^5 angles)
 # and the Bessel lattice's (A, 2 (S + 2 N + 25) + 1) jv arrays (4 ms per angle at S = 100).
 _SWEEP_COUNT, _ROLL_COUNT, _MONOTONICITY_COUNT = _count(10_000), _count(100_000), _count(1_000)
+# Complexity-model counts: the estimation grids enter cubed, so p^3 u^3 <= 10^24,
+# and the steering term is P U N^2 <= 10^16, all finite doubles (p_fine = 10^103
+# overflowed the float conversion).  The paper's sweep stops at N = 32, P = 16.
+_COMPLEXITY_COUNT = _count(10_000)
 # numpy's default_rng takes non-negative seeds only.
 _SEED = _Domain(lambda v: v >= 0, "a non-negative integer")
 # Servo steps and the complexity terms divide angles below 2 pi rad by nu; nu >=
@@ -129,18 +133,19 @@ SCHEMA: dict[str, tuple] = {
     "monotonicity.start_deg": (1.0, float, _TILT),
     "monotonicity.stop_deg": (89.0, float, _TILT),
     "monotonicity.count": (50, int, _MONOTONICITY_COUNT),
-    "complexity.p_coarse": (4, int, _POSITIVE),
-    "complexity.u_coarse": (4, int, _POSITIVE),
-    "complexity.p_fine": (8, int, _POSITIVE),
-    "complexity.u_fine": (8, int, _POSITIVE),
-    "complexity.u_data": (9, int, _POSITIVE),
+    "complexity.p_coarse": (4, int, _COMPLEXITY_COUNT),
+    "complexity.u_coarse": (4, int, _COMPLEXITY_COUNT),
+    "complexity.p_fine": (8, int, _COMPLEXITY_COUNT),
+    "complexity.u_fine": (8, int, _COMPLEXITY_COUNT),
+    "complexity.u_data": (9, int, _COMPLEXITY_COUNT),
     "complexity.theta_star_deg": (10.0, float, _HALF_TURN),
-    "complexity.n_min": (8, int, _POSITIVE),
-    "complexity.n_max": (32, int, _POSITIVE),
-    "complexity.p_min": (4, int, _POSITIVE),
-    "complexity.p_max": (16, int, _POSITIVE),
+    "complexity.n_min": (8, int, _COMPLEXITY_COUNT),
+    "complexity.n_max": (32, int, _COMPLEXITY_COUNT),
+    "complexity.p_min": (4, int, _COMPLEXITY_COUNT),
+    "complexity.p_max": (16, int, _COMPLEXITY_COUNT),
 }
 _ORDERED_PAIRS = (
+    ("scenario.freq_start_hz", "scenario.freq_stop_hz"),
     ("scenario.mode_min", "scenario.mode_max"),
     ("snr.start_db", "snr.stop_db"),
     ("sweep.start_deg", "sweep.stop_deg"),
@@ -168,6 +173,9 @@ _MAX_SNR_POINTS = 10_000
 # 8 subcarriers and 9 modes: 6.5e6 entries, 104 MB).
 _MAX_SWEEP_POINTS = 10_000 * 16
 _MAX_SWEEP_ENTRIES = 10_000 * 8 * 9 * 9
+# Rows of the complexity CSV, one per (N, P) grid point: about 12 us each
+# (325 by default), so 10^5 rows take about a second.
+_MAX_COMPLEXITY_ROWS = 100_000
 
 
 def parse_config(text: str) -> dict:
@@ -233,6 +241,7 @@ class ExperimentSpec:
         spec.sweep_grid_deg()  # and the SNR grid
         spec.roll_grid_deg()
         spec.monotonicity_grid_deg()
+        spec.complexity_grid()
         spec.sa_params()
         spec.servo_config()
         if name == "hybrid-compare":
@@ -333,6 +342,17 @@ class ExperimentSpec:
 
     def monotonicity_grid_deg(self) -> np.ndarray:
         return np.linspace(self["monotonicity.start_deg"], self["monotonicity.stop_deg"], self["monotonicity.count"])
+
+    def complexity_grid(self) -> tuple[range, range]:
+        """Element counts N and subcarrier counts P of the complexity sweep."""
+        ns = range(self["complexity.n_min"], self["complexity.n_max"] + 1)
+        ps = range(self["complexity.p_min"], self["complexity.p_max"] + 1)
+        if len(ns) * len(ps) > _MAX_COMPLEXITY_ROWS:
+            raise ConfigError(
+                "keys 'complexity.n_min', 'complexity.n_max', 'complexity.p_min', 'complexity.p_max':"
+                f" the (N, P) grid has more than {_MAX_COMPLEXITY_ROWS} points"
+            )
+        return ns, ps
 
 
 # Field of SaParams / ServoConfig -> the config key that sets it.
@@ -489,8 +509,9 @@ def _run_complexity(spec: ExperimentSpec):
     )
     header = ["n_elements", "p_data", "cost_hybrid", "cost_electronic", "ratio"]
     rows = []
-    for n in range(spec["complexity.n_min"], spec["complexity.n_max"] + 1):
-        for p in range(spec["complexity.p_min"], spec["complexity.p_max"] + 1):
+    ns, ps = spec.complexity_grid()
+    for n in ns:
+        for p in ps:
             swept = replace(params, n_elements=n, p_data=p)
             hy, el = cost_hybrid(swept).total, cost_electronic(swept).total
             rows.append([str(n), str(p), _fmt(hy), _fmt(el), _fmt(hy / el)])

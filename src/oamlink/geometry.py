@@ -2,13 +2,14 @@
 
 The receive array sits at range ``r`` on the transmit boresight and can be
 rotated in yaw (about its vertical axis), pitch (about its horizontal axis)
-and roll (about boresight).  Everything here is a pure function of angles:
-rotation matrices, element positions in the frame parallel to the transmit
-array, exact and far-field element-to-element distances, and the identities
-tying yaw/pitch to the elevation/azimuth of the arrival direction.
+and roll (about boresight).  One ``Pose`` describes every attitude of the
+steering chain: the initial pose, the residual the pitch/yaw servo leaves
+and that residual rolled about boresight.  Everything here is a pure
+function of angles: rotation matrices, the identities tying yaw/pitch to the
+elevation/azimuth of the arrival direction, and ``distances``, the one place
+that knows the exact and far-field element-to-element distance models.
 
-Angles are radians throughout.  Element indices ``m``/``n`` are 1-based to
-match the usual array-notation convention; the internal arrays are 0-based.
+Angles are radians throughout.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ import numpy as np
 PITCH = "pitch"
 YAW = "yaw"
 ROLL = "roll"
-
-STAGE_INITIAL = "initial"
-STAGE_AFTER_PITCH_YAW = "after_pitch_yaw"
-STAGE_AFTER_ROLL = "after_roll"
 
 _HALF_PI = math.pi / 2.0
 
@@ -57,7 +54,7 @@ class Pose:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Uniform circular array: element count, radius [m], angle of element 1."""
+    """Uniform circular array: element count, radius [m], angle of element 0."""
 
     n_elements: int
     radius: float
@@ -69,15 +66,9 @@ class ArrayGeometry:
         if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
 
-    def element_angle(self, m: int) -> float:
-        """In-plane angle of element ``m`` (1-based): 2*pi*(m-1)/N + initial_angle."""
-        if not 1 <= m <= self.n_elements:
-            raise IndexError(f"element index {m} outside 1..{self.n_elements}")
-        return 2.0 * math.pi * (m - 1) / self.n_elements + self.initial_angle
-
     @property
     def element_angles(self) -> np.ndarray:
-        """All element angles as a length-N array (index 0 is element 1)."""
+        """In-plane element angles 2*pi*j/N + initial_angle, j = 0..N-1."""
         return 2.0 * math.pi * np.arange(self.n_elements) / self.n_elements + self.initial_angle
 
 
@@ -160,75 +151,35 @@ def phi_azimuth(gamma: float, psi: float) -> float:
     return _HALF_PI - math.acos(arg)
 
 
-def _stage_angles(pose: Pose | None, residual: Pose | None, stage: str) -> tuple[float, float, float]:
-    """Resolve (gamma, psi, extra roll) for a steering stage.
+def distances(angles: np.ndarray, cfg, method: str) -> np.ndarray:
+    """(A, N, N) element distances for A attitudes, rows (yaw, pitch, roll) of ``angles``.
 
-    ``initial`` uses the raw pose; the post-rotation stages use the residual
-    attitude, with ``after_roll`` additionally offsetting every element angle
-    by the residual's roll field.
+    ``cfg`` carries the ``tx``/``rx`` arrays and the range r.  With q the rotated
+    receive element and t the transmit one, ``exact`` is |q + r z - t| and
+    ``farfield`` its first-order expansion r + q_z - (q_x t_x + q_y t_y) / r.
     """
-    if stage == STAGE_INITIAL:
-        if pose is None:
-            raise ValueError("stage 'initial' requires a pose")
-        return pose.gamma, pose.psi, 0.0
-    if stage == STAGE_AFTER_PITCH_YAW:
-        if residual is None:
-            raise ValueError("stage 'after_pitch_yaw' requires a residual pose")
-        return residual.gamma, residual.psi, 0.0
-    if stage == STAGE_AFTER_ROLL:
-        if residual is None:
-            raise ValueError("stage 'after_roll' requires a residual pose")
-        return residual.gamma, residual.psi, residual.roll
-    raise ValueError(f"unknown stage {stage!r}")
-
-
-def rx_element_position(
-    m: int,
-    pose: Pose | None,
-    residual: Pose | None,
-    stage: str,
-    rx: ArrayGeometry,
-) -> np.ndarray:
-    """Position of receive element ``m`` in the frame parallel to the transmit array.
-
-    Closed form of R_yaw(gamma) @ R_pitch(psi) applied to the in-plane element
-    vector, with the stage-appropriate angles and (for ``after_roll``) the
-    rolled element angle.
-    """
-    gamma, psi, roll = _stage_angles(pose, residual, stage)
-    theta = rx.element_angle(m) + roll
-    st, ct = math.sin(theta), math.cos(theta)
-    sg, cg = math.sin(gamma), math.cos(gamma)
-    sp, cp = math.sin(psi), math.cos(psi)
-    return rx.radius * np.array(
-        [ct * cg + st * sp * sg, st * cp, st * sp * cg - ct * sg]
-    )
-
-
-def distance(
-    n: int,
-    m: int,
-    pose: Pose | None,
-    residual: Pose | None,
-    stage: str,
-    cfg,
-    method: str = "farfield",
-) -> float:
-    """Transmit element ``n`` to receive element ``m`` distance [m].
-
-    ``cfg`` carries ``tx``/``rx`` array geometries and the center range
-    ``range_r``.  With q the receive element position (``rx_element_position``)
-    and t the transmit element position, the exact method takes the Euclidean
-    norm |q + r z - t|; the far-field method evaluates its first-order
-    expansion in (array radius / range), r + q_z - (q_x t_x + q_y t_y) / r,
-    which keeps only phase-relevant terms.
-    """
+    gamma, psi, roll = (angles[:, i, None, None] for i in range(3))
+    theta = cfg.rx.element_angles[:, None] + roll  # (A, N, 1)
+    phi = cfg.tx.element_angles[None, :]
+    st, ct = np.sin(theta), np.cos(theta)
+    sf, cf = np.sin(phi), np.cos(phi)
+    sg, cg = np.sin(gamma), np.cos(gamma)
+    sp, cp = np.sin(psi), np.cos(psi)
     r = cfg.range_r
-    phi_n = cfg.tx.element_angle(n)
-    q = rx_element_position(m, pose, residual, stage, cfg.rx)
-    t = cfg.tx.radius * np.array([math.cos(phi_n), math.sin(phi_n), 0.0])
-    if method == "exact":
-        return float(np.linalg.norm(q + np.array([0.0, 0.0, r]) - t))
-    if method != "farfield":
+    if method == "farfield":
+        rr_rt = cfg.rx.radius * cfg.tx.radius / r
+        return (
+            r
+            - rr_rt * st * cf * sp * sg
+            - rr_rt * (ct * cf * cg + st * sf * cp)
+            + cfg.rx.radius * (st * sp * cg - ct * sg)
+        )
+    if method != "exact":
         raise ValueError(f"unknown distance method {method!r}")
-    return float(r + q[2] - (q[0] * t[0] + q[1] * t[1]) / r)
+    # Receive element positions in the transmit-parallel frame, shifted to range r.
+    qx = cfg.rx.radius * (ct * cg + st * sp * sg)
+    qy = cfg.rx.radius * (st * cp)
+    qz = cfg.rx.radius * (st * sp * cg - ct * sg) + r
+    return np.sqrt(
+        (qx - cfg.tx.radius * cf) ** 2 + (qy - cfg.tx.radius * sf) ** 2 + qz**2
+    )

@@ -252,7 +252,11 @@ def steered_sirs(
     n_elements: int,
 ) -> np.ndarray:
     """(A, U) SIR of every mode at every angle of a single-axis tilt; +inf when interference-free."""
-    signal, interference = _signal_interference(steered_entries(axis, modes, angles, s_coupling, n_elements))
+    magnitude = np.abs(steered_entries(axis, modes, angles, s_coupling, n_elements))
+    # Scale each row by a power of two from its largest entry before squaring: exact,
+    # and keeps the powers of small-coupling entries from underflowing to 0.
+    exponent = np.frexp(magnitude.max(axis=-1, keepdims=True))[1]
+    signal, interference = _signal_interference(np.ldexp(magnitude, -exponent))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(interference > 0.0, signal / interference, math.inf)
 

@@ -29,7 +29,6 @@ from .optimizer import SaParams, SaTrace, optimize_roll
 from .servo import ServoConfig, execute_rotation
 from .steering import (
     MechanicalCommand,
-    ResidualPose,
     SteeringPhases,
     eo_phases,
     mechanical_pitch_yaw,
@@ -44,7 +43,7 @@ class HybridResult:
     effective: list[OamMatrix]
     command: MechanicalCommand
     phases: list[SteeringPhases]
-    residual: ResidualPose
+    residual: Pose
     theta_star: float
     trace: SaTrace
     servo_steps: dict[str, int]
@@ -84,11 +83,11 @@ def hybrid_pipeline(
     # F2 rebuilds the channel at the rolled residual; E1 + E2 steer it.
     command = MechanicalCommand(gamma_hat, psi_hat, theta_achieved)
     subcarriers = range(cfg.n_subcarriers)
-    e1 = eo_phases([residual.gamma_bar], [residual.psi_bar], cfg)[0]  # phases_e1 per subcarrier
+    e1 = eo_phases([residual.gamma], [residual.psi], cfg)[0]  # phases_e1 per subcarrier
     e2 = np.array([phases_e2(p, residual, theta_achieved, cfg).phases for p in subcarriers])
     phase_schedules = [SteeringPhases(p, e1[p] + e2[p]) for p in subcarriers]
     rows = (np.exp(1j * e1) * np.exp(1j * e2))[None]  # the two stages' weights in turn
-    angles = [(residual.gamma_bar, residual.psi_bar, theta_achieved)]
+    angles = [(residual.gamma, residual.psi, theta_achieved)]
     effective = [OamMatrix(h) for h in mode_channels(angles, cfg, rows)[0]]
     return HybridResult(
         effective=effective,

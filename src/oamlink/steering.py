@@ -4,27 +4,28 @@ Electronic steering folds per-element phase shifts into the despiralization
 weights; each stage has a closed-form schedule:
 
 * ``phases_eo`` counters the full pose (electronic-only operation),
-* ``phases_e1`` counters the small residual pose left after the pitch/yaw
-  mechanical rotation,
+* ``phases_e1`` counters the small residual ``Pose`` left after the
+  pitch/yaw mechanical rotation (accuracy claims assume residuals within a
+  few tenths of a degree up to a few degrees),
 * ``phases_e2`` re-aims after the roll rotation by supplying exactly the
   element-angle difference terms the roll introduced.
 
 Mechanical rotation is a non-linear operation on the channel: it moves the
-element positions, so the channel matrices are rebuilt at the appropriate
-stage rather than multiplied by anything.  ``eo_phases`` gives the
+element positions, so the channel matrices are rebuilt at the new attitude
+rather than multiplied by anything.  ``eo_phases`` gives the
 electronic-only schedules of many poses at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import ChannelMatrix, channel_matrices
 from .config import LinkConfig
-from .geometry import Pose, STAGE_AFTER_ROLL
+from .geometry import Pose
 
 
 @dataclass(frozen=True)
@@ -44,21 +45,6 @@ class MechanicalCommand:
     roll_cmd: float = 0.0
 
 
-@dataclass(frozen=True)
-class ResidualPose:
-    """Misalignment left after mechanical pitch/yaw rotation.
-
-    Accuracy claims for the electronic stages assume the small-angle regime
-    (residuals within a few tenths of a degree up to a few degrees).
-    """
-
-    gamma_bar: float
-    psi_bar: float
-
-    def as_pose(self, roll: float = 0.0) -> Pose:
-        return Pose(self.gamma_bar, self.psi_bar, roll)
-
-
 def eo_phases(gamma, psi, cfg: LinkConfig) -> np.ndarray:
     """(A, P, N) phases_eo of A poses (gamma[a], psi[a]) at every subcarrier."""
     gamma, psi = (np.asarray(x, dtype=float)[:, None, None] for x in (gamma, psi))
@@ -72,12 +58,12 @@ def phases_eo(p: int, psi: float, gamma: float, cfg: LinkConfig) -> SteeringPhas
     return SteeringPhases(p, eo_phases([gamma], [psi], cfg)[0, p])
 
 
-def phases_e1(p: int, residual: ResidualPose, cfg: LinkConfig) -> SteeringPhases:
+def phases_e1(p: int, residual: Pose, cfg: LinkConfig) -> SteeringPhases:
     """Post-mechanical schedule: same form as phases_eo at the residual angles."""
-    return phases_eo(p, residual.psi_bar, residual.gamma_bar, cfg)
+    return phases_eo(p, residual.psi, residual.gamma, cfg)
 
 
-def phases_e2(p: int, residual: ResidualPose, theta_star: float, cfg: LinkConfig) -> SteeringPhases:
+def phases_e2(p: int, residual: Pose, theta_star: float, cfg: LinkConfig) -> SteeringPhases:
     """Roll-compensation schedule.
 
     2 k_p R_r sin(theta*/2) * (cos(gb) cos(theta*/2 + theta_m) sin(pb)
@@ -87,7 +73,7 @@ def phases_e2(p: int, residual: ResidualPose, theta_star: float, cfg: LinkConfig
     k_rr = cfg.wavenumber(p) * cfg.rx.radius
     theta = cfg.rx.element_angles
     half = 0.5 * theta_star
-    gb, pb = residual.gamma_bar, residual.psi_bar
+    gb, pb = residual.gamma, residual.psi
     w = (
         2.0
         * k_rr
@@ -102,25 +88,18 @@ def mechanical_pitch_yaw(
     command: MechanicalCommand,
     cfg: LinkConfig,
     servo=None,
-) -> ResidualPose:
-    """Rotate the array in yaw and pitch; return the residual pose (``channel_matrices`` builds its channel)."""
+) -> Pose:
+    """Rotate the array in yaw and pitch; return the residual pose, roll 0 (``channel_matrices`` builds its channel)."""
     if servo is not None:
         lo, hi = servo.reachable_range
         for cmd in (command.yaw_cmd, command.pitch_cmd):
             if not lo <= cmd <= hi:
                 raise ValueError(f"command {cmd} rad outside servo range [{lo}, {hi}]")
-    residual = ResidualPose(pose.gamma - command.yaw_cmd, pose.psi - command.pitch_cmd)
-    if not (abs(residual.gamma_bar) < math.pi / 2 and abs(residual.psi_bar) < math.pi / 2):
-        raise ValueError("residual misalignment must stay below pi/2 per axis")
-    return residual
+    return Pose(pose.gamma - command.yaw_cmd, pose.psi - command.pitch_cmd)
 
 
-def mechanical_roll(
-    residual: ResidualPose,
-    theta_star: float,
-    cfg: LinkConfig,
-) -> list[ChannelMatrix]:
-    """Rotate the array about boresight; rebuild the channel with offset element angles."""
+def mechanical_roll(residual: Pose, theta_star: float, cfg: LinkConfig) -> list[ChannelMatrix]:
+    """Rotate the array about boresight to ``theta_star``; rebuild the channel at the rolled residual."""
     if not abs(theta_star) <= math.pi:
         raise ValueError(f"roll angle must satisfy |theta| <= pi, got {theta_star}")
-    return channel_matrices(None, residual.as_pose(roll=theta_star), STAGE_AFTER_ROLL, cfg)
+    return channel_matrices(replace(residual, roll=theta_star), cfg)

@@ -12,11 +12,8 @@ import numpy as np
 
 from oamlink import (
     Pose,
-    ResidualPose,
     SaParams,
     ServoConfig,
-    STAGE_AFTER_ROLL,
-    STAGE_INITIAL,
     alpha_from,
     asymptotic_sir,
     capacity,
@@ -25,7 +22,7 @@ from oamlink import (
     channel_matrix,
     check_monotonicity,
     default_link,
-    distance,
+    distances,
     grid_search_roll,
     hybrid_pipeline,
     mechanical_roll,
@@ -53,7 +50,7 @@ def electronic_effectives(pose: Pose, cfg):
     effs = []
     steered = pose.gamma != 0.0 or pose.psi != 0.0
     for p in range(cfg.n_subcarriers):
-        H = channel_matrix(p, pose, None, STAGE_INITIAL, cfg)
+        H = channel_matrix(p, pose, cfg)
         steer = phases_eo(p, pose.psi, pose.gamma, cfg) if steered else None
         effs.append(oam_effective(H, cfg.modes, steer))
     return effs
@@ -65,7 +62,7 @@ def test_criterion_1_aligned_diagonality():
     for n in (4, 10, 16):
         modes = tuple(range(-(n // 2) + 1, n // 2))
         cfg = default_link(n_elements=n, modes=modes)
-        H = channel_matrix(0, Pose(0.0, 0.0), None, STAGE_INITIAL, cfg)
+        H = channel_matrix(0, Pose(0.0, 0.0), cfg)
         eff = oam_effective(H, cfg.modes).entries
         diag_max = np.abs(np.diag(eff)).max()
         off = np.abs(eff - np.diag(np.diag(eff))).max()
@@ -84,9 +81,7 @@ def test_criterion_2_hybrid_recovery():
     for gamma_deg, psi_deg in ((30.0, 30.0), (60.0, 60.0)):
         pose = Pose(math.radians(gamma_deg), math.radians(psi_deg))
         result = hybrid_pipeline(pose, cfg, sa, servo)
-        rolled = channel_matrices(
-            None, ResidualPose(0.0, 0.0).as_pose(roll=result.theta_star), STAGE_AFTER_ROLL, cfg
-        )
+        rolled = channel_matrices(Pose(0.0, 0.0, result.theta_star), cfg)
         reference = [oam_effective(H, cfg.modes) for H in rolled]
         eo = electronic_effectives(pose, cfg)
         for snr_db in snrs_db:
@@ -213,7 +208,7 @@ def test_criterion_6_small_coupling_monotonicity():
 def test_criterion_7_hybrid_suppression():
     started = time.monotonic()
     cfg = default_link()
-    res = ResidualPose(math.radians(0.3), math.radians(-0.3))
+    res = Pose(math.radians(0.3), math.radians(-0.3))
     worst_db = -math.inf
     for ts in (-math.pi / 10, -0.1, 0.0, 0.1449, math.pi / 10):
         channels = mechanical_roll(res, ts, cfg)
@@ -261,12 +256,9 @@ def test_criterion_9_oracle_equivalence():
     pose = Pose(math.radians(30), math.radians(20))
 
     # far-field phase within k * (max distance error) of the exact phase
-    d_exact = np.array(
-        [[distance(n, m, pose, None, STAGE_INITIAL, cfg, "exact") for n in range(1, 5)] for m in range(1, 5)]
-    )
-    d_far = np.array(
-        [[distance(n, m, pose, None, STAGE_INITIAL, cfg, "farfield") for n in range(1, 5)] for m in range(1, 5)]
-    )
+    angles = np.array([(pose.gamma, pose.psi, pose.roll)])
+    d_exact = distances(angles, cfg, "exact")[0]
+    d_far = distances(angles, cfg, "farfield")[0]
     bound = k * np.abs(d_exact - d_far).max()
     phase_err = np.abs(k * d_far - k * d_exact).max()
 
@@ -275,19 +267,19 @@ def test_criterion_9_oracle_equivalence():
     pose2 = Pose(math.radians(50.2), math.radians(20.6))
     ghat = round(pose2.gamma / nu) * nu
     phat = round(pose2.psi / nu) * nu
-    res = ResidualPose(pose2.gamma - ghat, pose2.psi - phat)
+    res = Pose(pose2.gamma - ghat, pose2.psi - phat)
     ts = 0.11
     n = 4
-    M = rotation_matrix(YAW, res.gamma_bar) @ rotation_matrix(PITCH, res.psi_bar) @ rotation_matrix(ROLL, ts)
+    M = rotation_matrix(YAW, res.gamma) @ rotation_matrix(PITCH, res.psi) @ rotation_matrix(ROLL, ts)
     theta = cfg.rx.element_angles
     w1 = k * cfg.rx.radius * (
-        np.sin(theta) * math.sin(res.psi_bar) * math.cos(res.gamma_bar)
-        - np.cos(theta) * math.sin(res.gamma_bar)
+        np.sin(theta) * math.sin(res.psi) * math.cos(res.gamma)
+        - np.cos(theta) * math.sin(res.gamma)
     )
     rolled_theta = theta + ts
     w2 = k * cfg.rx.radius * (
-        (np.sin(rolled_theta) - np.sin(theta)) * math.sin(res.psi_bar) * math.cos(res.gamma_bar)
-        - (np.cos(rolled_theta) - np.cos(theta)) * math.sin(res.gamma_bar)
+        (np.sin(rolled_theta) - np.sin(theta)) * math.sin(res.psi) * math.cos(res.gamma)
+        - (np.cos(rolled_theta) - np.cos(theta)) * math.sin(res.gamma)
     )
     H_bf = np.zeros((n, n), dtype=complex)
     for mi in range(n):

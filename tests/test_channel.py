@@ -9,12 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from oamlink import (
     Pose,
-    STAGE_AFTER_PITCH_YAW,
-    STAGE_AFTER_ROLL,
-    STAGE_INITIAL,
+    channel_matrices,
     channel_matrix,
     default_link,
-    distance,
+    distances,
     oam_effective,
     partial_dft,
     phases_eo,
@@ -22,42 +20,46 @@ from oamlink import (
     sinr,
 )
 from oamlink.channel import POSE_CHUNK, mode_channels
-from oamlink.geometry import PITCH, YAW, rotation_matrix
+from oamlink.geometry import PITCH, ROLL, YAW, rotation_matrix
 from oamlink.metrics import steered_entries
 from oamlink.steering import SteeringPhases, eo_phases
 
 EPS = np.finfo(float).eps
 
 
-def brute_force_channel(p, pose, cfg):
-    """Positions by generic rotation products, exact distances, first-line coefficient."""
+def brute_force_channel(p, pose, cfg, method="exact"):
+    """Positions by generic rotation products, exact distances or their far-field expansion, first-line coefficient."""
     n = cfg.n_elements
     k = cfg.wavenumber(p)
-    M = rotation_matrix(YAW, pose.gamma) @ rotation_matrix(PITCH, pose.psi)
+    r = cfg.range_r
+    M = rotation_matrix(YAW, pose.gamma) @ rotation_matrix(PITCH, pose.psi) @ rotation_matrix(ROLL, pose.roll)
     H = np.zeros((n, n), dtype=complex)
     for mi in range(n):
-        theta = cfg.rx.element_angle(mi + 1)
+        theta = cfg.rx.element_angles[mi]
         q = M @ (cfg.rx.radius * np.array([math.cos(theta), math.sin(theta), 0.0]))
-        q = q + np.array([0.0, 0.0, cfg.range_r])
         for ni in range(n):
-            phi = cfg.tx.element_angle(ni + 1)
+            phi = cfg.tx.element_angles[ni]
             t = cfg.tx.radius * np.array([math.cos(phi), math.sin(phi), 0.0])
-            d = np.linalg.norm(q - t)
-            H[mi, ni] = cfg.beta / (2 * k * d) * np.exp(-1j * k * d)
+            if method == "exact":
+                d = np.linalg.norm(q + np.array([0.0, 0.0, r]) - t)
+                H[mi, ni] = cfg.beta / (2 * k * d) * np.exp(-1j * k * d)
+            else:
+                d = r + q[2] - (q[0] * t[0] + q[1] * t[1]) / r
+                H[mi, ni] = cfg.beta / (2 * k * r) * np.exp(-1j * k * d)
     return H
 
 
 def test_farfield_amplitude_is_index_independent():
     cfg = default_link()
     pose = Pose(math.radians(25), math.radians(-10))
-    H = channel_matrix(0, pose, None, STAGE_INITIAL, cfg).entries
+    H = channel_matrix(0, pose, cfg).entries
     expected = cfg.beta / (2 * cfg.wavenumber(0) * cfg.range_r)
     assert np.abs(np.abs(H) - expected).max() < 1e-12 * expected
 
 
 def test_aligned_channel_depends_on_index_difference_only():
     cfg = default_link()
-    H = channel_matrix(0, Pose(0.0, 0.0), None, STAGE_INITIAL, cfg).entries
+    H = channel_matrix(0, Pose(0.0, 0.0), cfg).entries
     n = cfg.n_elements
     for m in range(n):
         for nn in range(n):
@@ -65,52 +67,45 @@ def test_aligned_channel_depends_on_index_difference_only():
 
 
 def test_channel_matrix_matches_channel_coeff():
-    # per-element coefficients beta/(2 k d) exp(-i k d) from the scalar distance oracle
+    # per-element coefficients beta/(2 k d) exp(-i k d) from the distance grid
     cfg = default_link(n_elements=5, n_subcarriers=2, modes=(0, 1, 2))
     pose = Pose(math.radians(33), math.radians(-21))
     k = cfg.wavenumber(1)
     for method in ("farfield", "exact"):
-        H = channel_matrix(1, pose, None, STAGE_INITIAL, cfg, method=method).entries
-        for m in range(1, 6):
-            for n in range(1, 6):
-                d = distance(n, m, pose, None, STAGE_INITIAL, cfg, method=method)
-                amplitude = cfg.beta / (2.0 * k * (d if method == "exact" else cfg.range_r))
-                assert amplitude * np.exp(-1j * k * d) == pytest.approx(H[m - 1, n - 1], rel=1e-12)
+        H = channel_matrix(1, pose, cfg, method=method).entries
+        d = distances(np.array([(pose.gamma, pose.psi, pose.roll)]), cfg, method)[0]
+        for m in range(5):
+            for n in range(5):
+                amplitude = cfg.beta / (2.0 * k * (d[m, n] if method == "exact" else cfg.range_r))
+                assert amplitude * np.exp(-1j * k * d[m, n]) == pytest.approx(H[m, n], rel=1e-12)
 
 
-def test_exact_channel_against_brute_force():
-    cfg = default_link(n_elements=4, n_subcarriers=1, modes=(-1, 0, 1))
-    pose = Pose(math.radians(30), math.radians(20))
-    H = channel_matrix(0, pose, None, STAGE_INITIAL, cfg, method="exact").entries
-    Hb = brute_force_channel(0, pose, cfg)
-    assert np.abs(H - Hb).max() / np.abs(Hb).max() < 1e-12
+@pytest.mark.parametrize("method", ["exact", "farfield"])
+@pytest.mark.parametrize("pose", [Pose(0.52, 0.35, 0.11), Pose(-0.7, 0.2, -2.3), Pose(1.2, -1.1, 3.0)])
+def test_channel_against_brute_force(pose, method):
+    # Each side rounds d to about eps (d + 16 (R_r + R_t)) (test_geometry's
+    # oracle test) and the phase k d to eps k d, so with d <= r + R_r + R_t the
+    # phases differ by up to 2 eps k (2 d + 16 (R_r + R_t)); exp and the
+    # amplitude add a few eps.
+    cfg = default_link()
+    radii = cfg.rx.radius + cfg.tx.radius
+    d_max = cfg.range_r + radii
+    for p, H in enumerate(channel_matrices(pose, cfg, method)):
+        Hb = brute_force_channel(p, pose, cfg, method)
+        tol = 2 * EPS * cfg.wavenumber(p) * (2 * d_max + 16 * radii) + 8 * EPS
+        assert np.max(np.abs(H.entries - Hb) / np.abs(Hb)) <= tol
 
 
 def test_farfield_phase_tracks_exact_phase():
     cfg = default_link()
     pose = Pose(math.radians(30), math.radians(20))
     k = cfg.wavenumber(0)
-    worst_d = max(
-        abs(
-            distance(n, m, pose, None, STAGE_INITIAL, cfg, "exact")
-            - distance(n, m, pose, None, STAGE_INITIAL, cfg, "farfield")
-        )
-        for m in range(1, 11)
-        for n in range(1, 11)
-    )
-    for m in (1, 4, 9):
-        for n in (2, 6, 10):
-            d_e = distance(n, m, pose, None, STAGE_INITIAL, cfg, "exact")
-            d_f = distance(n, m, pose, None, STAGE_INITIAL, cfg, "farfield")
-            assert abs(k * d_f - k * d_e) <= k * worst_d + 1e-9
-
-
-def test_residual_stage_equals_initial_at_same_angles():
-    cfg = default_link()
-    angles = Pose(math.radians(12), math.radians(-7))
-    a = channel_matrix(0, angles, None, STAGE_INITIAL, cfg).entries
-    b = channel_matrix(0, None, angles, STAGE_AFTER_PITCH_YAW, cfg).entries
-    assert np.abs(a - b).max() == 0.0
+    angles = np.array([(pose.gamma, pose.psi, pose.roll)])
+    d_e, d_f = distances(angles, cfg, "exact")[0], distances(angles, cfg, "farfield")[0]
+    worst_d = np.abs(d_e - d_f).max()
+    for m in (0, 3, 8):
+        for n in (1, 5, 9):
+            assert abs(k * d_f[m, n] - k * d_e[m, n]) <= k * worst_d + 1e-9
 
 
 def test_relabeling_invariance():
@@ -119,8 +114,8 @@ def test_relabeling_invariance():
     shift = 2 * math.pi / 10
     cfg0 = default_link()
     cfg1 = default_link(rx_initial_angle=shift, tx_initial_angle=shift)
-    H0 = channel_matrix(0, Pose(0, 0), None, STAGE_INITIAL, cfg0).entries
-    H1 = channel_matrix(0, Pose(0, 0), None, STAGE_INITIAL, cfg1).entries
+    H0 = channel_matrix(0, Pose(0, 0), cfg0).entries
+    H1 = channel_matrix(0, Pose(0, 0), cfg1).entries
     assert np.abs(H0 - H1).max() < 1e-9 * np.abs(H0).max()
 
 
@@ -159,7 +154,7 @@ def test_partial_dft_duplicate_modes_rejected():
 def test_aligned_oam_is_diagonal(n):
     modes = tuple(range(-(n // 2) + 1, n // 2))
     cfg = default_link(n_elements=n, modes=modes)
-    H = channel_matrix(0, Pose(0.0, 0.0), None, STAGE_INITIAL, cfg)
+    H = channel_matrix(0, Pose(0.0, 0.0), cfg)
     eff = oam_effective(H, cfg.modes).entries
     diag = np.abs(np.diag(eff))
     off = np.abs(eff - np.diag(np.diag(eff)))
@@ -168,7 +163,7 @@ def test_aligned_oam_is_diagonal(n):
 
 def test_oam_effective_identity_steering():
     cfg = default_link()
-    H = channel_matrix(0, Pose(math.radians(15), 0.0), None, STAGE_INITIAL, cfg)
+    H = channel_matrix(0, Pose(math.radians(15), 0.0), cfg)
     zero = SteeringPhases(0, np.zeros(10))
     a = oam_effective(H, cfg.modes, None).entries
     b = oam_effective(H, cfg.modes, zero).entries
@@ -177,7 +172,7 @@ def test_oam_effective_identity_steering():
 
 def test_full_despiralization_preserves_energy():
     cfg = default_link()
-    H = channel_matrix(0, Pose(math.radians(37), math.radians(11)), None, STAGE_INITIAL, cfg)
+    H = channel_matrix(0, Pose(math.radians(37), math.radians(11)), cfg)
     eff = oam_effective(H, tuple(range(10)), None).entries
     assert np.linalg.norm(eff) == pytest.approx(np.linalg.norm(H.entries), rel=1e-12)
 
@@ -187,7 +182,7 @@ def test_full_despiralization_preserves_energy():
 def test_steering_inverse_recovers_unsteered(seed):
     rng = np.random.default_rng(seed)
     cfg = default_link(n_elements=6, modes=(-2, -1, 0, 1, 2))
-    H = channel_matrix(0, Pose(0.3, -0.2), None, STAGE_INITIAL, cfg)
+    H = channel_matrix(0, Pose(0.3, -0.2), cfg)
     w = rng.uniform(-math.pi, math.pi, 6)
     eff = oam_effective(H, cfg.modes, [SteeringPhases(0, w), SteeringPhases(0, -w)]).entries
     plain = oam_effective(H, cfg.modes).entries
@@ -196,7 +191,7 @@ def test_steering_inverse_recovers_unsteered(seed):
 
 def test_simulate_reception_noiseless_single_mode():
     cfg = default_link()
-    H = channel_matrix(0, Pose(0.0, 0.0), None, STAGE_INITIAL, cfg)
+    H = channel_matrix(0, Pose(0.0, 0.0), cfg)
     eff = oam_effective(H, cfg.modes).entries
     s = np.zeros(9, dtype=complex)
     s[5] = 1.0
@@ -208,7 +203,7 @@ def test_simulate_reception_noiseless_single_mode():
 
 def test_simulate_reception_noiseless_matches_effective_product():
     cfg = default_link()
-    H = channel_matrix(0, Pose(math.radians(9), math.radians(4)), None, STAGE_INITIAL, cfg)
+    H = channel_matrix(0, Pose(math.radians(9), math.radians(4)), cfg)
     eff = oam_effective(H, cfg.modes).entries
     rng = np.random.default_rng(5)
     s = rng.standard_normal(9) + 1j * rng.standard_normal(9)
@@ -218,7 +213,7 @@ def test_simulate_reception_noiseless_matches_effective_product():
 
 def test_simulate_reception_deterministic_given_seed():
     cfg = default_link()
-    H = channel_matrix(0, Pose(0.0, 0.0), None, STAGE_INITIAL, cfg)
+    H = channel_matrix(0, Pose(0.0, 0.0), cfg)
     s = np.ones(9, dtype=complex)
     y1 = simulate_reception(s, H, cfg.modes, noise_sigma=1.0, rng=42)
     y2 = simulate_reception(s, H, cfg.modes, noise_sigma=1.0, rng=42)
@@ -229,7 +224,7 @@ def test_monte_carlo_sinr_matches_analytic():
     # 1e5 noise draws at 20 dB, aligned link: empirical SINR within 0.2 dB
     cfg = default_link()
     rho = 100.0
-    H = channel_matrix(0, Pose(0.0, 0.0), None, STAGE_INITIAL, cfg)
+    H = channel_matrix(0, Pose(0.0, 0.0), cfg)
     eff = oam_effective(H, cfg.modes)
     draws = 100_000
     s = np.full((9, draws), math.sqrt(rho), dtype=complex)
@@ -244,7 +239,7 @@ def test_monte_carlo_sinr_matches_analytic():
 
 def test_simulate_reception_dimension_mismatch():
     cfg = default_link()
-    H = channel_matrix(0, Pose(0.0, 0.0), None, STAGE_INITIAL, cfg)
+    H = channel_matrix(0, Pose(0.0, 0.0), cfg)
     with pytest.raises(ValueError):
         simulate_reception(np.ones(4), H, cfg.modes)
 
@@ -264,7 +259,7 @@ def test_mode_channels_slices_equal_one_pose_views(steered):
         single = mode_channels(angles[a : a + 1], cfg, None if rows is None else rows[a : a + 1])[0]
         assert np.array_equal(single, batch[a])
         for p in range(cfg.n_subcarriers):
-            H = channel_matrix(p, None, pose, STAGE_AFTER_ROLL, cfg)
+            H = channel_matrix(p, pose, cfg)
             steering = phases_eo(p, pose.psi, pose.gamma, cfg) if steered else None
             assert np.array_equal(oam_effective(H, cfg.modes, steering).entries, batch[a, p])
 
@@ -310,7 +305,7 @@ def test_dft_diagonalizes_aligned_circulant_link(n, modes):
     cfg = default_link(n_elements=n, modes=modes)
     batch = mode_channels([(0.0, 0.0, 0.0)], cfg)[0]
     for p in range(cfg.n_subcarriers):
-        h = channel_matrix(p, Pose(0.0, 0.0), None, STAGE_INITIAL, cfg).entries[0]
+        h = channel_matrix(p, Pose(0.0, 0.0), cfg).entries[0]
         eigen = n * np.fft.ifft(h)[np.mod(modes, n)]
         tol = EPS * n * n * abs(cfg.eta(p)) * (2 * n + 2 * math.pi * max(map(abs, modes)) + math.log2(n))
         assert np.abs(np.diag(batch[p]) - eigen).max() <= tol

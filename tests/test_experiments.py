@@ -3,6 +3,7 @@
 import csv
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -320,14 +321,33 @@ def test_all_experiment_names_have_runners():
         ("sweep-yaw", "sweep.count", "10000\nscenario.n_subcarriers = 64"),  # 5.2e7 channel entries
         ("sweep-yaw", "scenario.n_subcarriers", "1000000\nsweep.count = 10"),  # 1.49 GiB channel tensor
         ("sweep-yaw", "scenario.n_elements", "1001\nscenario.mode_min = -500\nscenario.mode_max = 500"),
+        ("complexity", "complexity.p_fine", str(10**103)),  # exited 2: int too large to convert to float
+        ("complexity", "complexity.n_max", "100000"),
+        ("complexity", "complexity.n_max", "10000\ncomplexity.p_max = 10000"),  # 10^8 CSV rows
+        ("roll-profile", "scenario.freq_start_hz", "1.7e308"),  # band starts above its stop
     ],
 )
 def test_cli_out_of_domain_value_exits_1_naming_key(tmp_path, capsys, experiment, key, value):
     cfg = tmp_path / "probe.cfg"
     cfg.write_text(f"{key} = {value}\n")
-    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert key in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_overflowing_coupling_exits_1_without_runtime_warning(tmp_path, capsys):
+    # A band from 4.98e-272 Hz to the default stop makes the upper subcarriers'
+    # coupling k_p R_r R_t / r overflow; the link check reports it as a config error.
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text("scenario.freq_start_hz = 4.98e-272\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["roll-profile", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "coupling" in capsys.readouterr().err
 
 
 def test_snr_grid_length_checked_before_allocating():

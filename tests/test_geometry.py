@@ -1,4 +1,4 @@
-"""Rotation matrices, angle identities, element positions and distances."""
+"""Rotation matrices, angle identities and element distances."""
 
 import math
 import sys
@@ -8,18 +8,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from oamlink import (
-    ArrayGeometry,
     Pose,
-    STAGE_AFTER_PITCH_YAW,
-    STAGE_AFTER_ROLL,
-    STAGE_INITIAL,
     alpha_from,
     default_link,
-    distance,
+    distances,
     phi_azimuth,
     psi_from,
     rotation_matrix,
-    rx_element_position,
 )
 from oamlink.geometry import PITCH, ROLL, YAW
 
@@ -28,8 +23,40 @@ ALPHA_30_45 = 0.911738290968487636358489564317
 # frozen from a 30-digit evaluation of pi/2 - arccos(1/sqrt(3))
 PHI_M45_45 = 0.615479708670387341067464589124
 
+EPS = sys.float_info.epsilon
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
 open_angles = st.floats(-1.39, 1.39)  # ~80 degrees, inside the open pi/2 domain
+# Receive attitudes with non-zero yaw, pitch and roll, from a servo residual to steep tilts.
+TILTED_POSES = (
+    Pose(0.003, -0.004, 0.21),
+    Pose(0.52, 0.35, 0.11),
+    Pose(-0.7, 0.2, -2.3),
+    Pose(1.2, -1.1, 3.0),
+)
+
+
+def oracle_distances(pose, cfg, method):
+    """(N, N) distances from the rotation-matrix product q = R_yaw R_pitch R_roll x0.
+
+    The exact model is |q + r z - t|; the far-field model its first-order
+    expansion r + q_z - (q_x t_x + q_y t_y) / r.
+    """
+    M = rotation_matrix(YAW, pose.gamma) @ rotation_matrix(PITCH, pose.psi) @ rotation_matrix(ROLL, pose.roll)
+    r = cfg.range_r
+    d = np.empty((cfg.n_elements, cfg.n_elements))
+    for m, theta in enumerate(cfg.rx.element_angles):
+        q = M @ (cfg.rx.radius * np.array([math.cos(theta), math.sin(theta), 0.0]))
+        for n, phi in enumerate(cfg.tx.element_angles):
+            t = cfg.tx.radius * np.array([math.cos(phi), math.sin(phi), 0.0])
+            if method == "exact":
+                d[m, n] = np.linalg.norm(q + np.array([0.0, 0.0, r]) - t)
+            else:
+                d[m, n] = r + q[2] - (q[0] * t[0] + q[1] * t[1]) / r
+    return d
+
+
+def grid(pose, cfg, method):
+    return distances(np.array([(pose.gamma, pose.psi, pose.roll)]), cfg, method)[0]
 
 
 def test_rotation_matrix_identity_at_zero():
@@ -159,17 +186,6 @@ def test_phi_azimuth_undefined_at_origin():
         phi_azimuth(0.0, 0.0)
 
 
-def test_element_angle_one_based_mapping():
-    geo = ArrayGeometry(10, 1.0, initial_angle=0.25)
-    assert geo.element_angle(1) == 0.25
-    assert geo.element_angle(2) == pytest.approx(0.25 + 2 * math.pi / 10)
-    assert np.allclose(geo.element_angles, [geo.element_angle(m) for m in range(1, 11)])
-    with pytest.raises(IndexError):
-        geo.element_angle(0)
-    with pytest.raises(IndexError):
-        geo.element_angle(11)
-
-
 def test_pose_validation():
     with pytest.raises(ValueError):
         Pose(math.pi / 2, 0.0)
@@ -178,60 +194,26 @@ def test_pose_validation():
     assert Pose(0.1, -0.2, roll=2.5).alpha > 0
 
 
-def test_rx_element_position_aligned():
-    rx = ArrayGeometry(8, 2.0)
-    pose = Pose(0.0, 0.0)
-    assert np.allclose(rx_element_position(1, pose, None, STAGE_INITIAL, rx), [2.0, 0.0, 0.0])
-    for m in range(1, 9):
-        q = rx_element_position(m, pose, None, STAGE_INITIAL, rx)
-        assert q[2] == pytest.approx(0.0, abs=1e-15)
+@pytest.mark.parametrize("method", ["exact", "farfield"])
+@pytest.mark.parametrize("pose", TILTED_POSES)
+def test_distances_match_rotation_matrix_product(pose, method):
+    # Both sides end in a sum of size d ~ r, rounded by eps d / 2 each; their
+    # radius-sized terms (three rotations, a handful of products and trig
+    # values) add a few eps R each, bounded by 16 eps (R_r + R_t).
+    cfg = default_link(rx_initial_angle=0.1, tx_initial_angle=-0.3)
+    expected = oracle_distances(pose, cfg, method)
+    tol = EPS * (expected + 16 * (cfg.rx.radius + cfg.tx.radius))
+    assert np.all(np.abs(grid(pose, cfg, method) - expected) <= tol)
 
 
-def test_rx_element_position_matches_matrix_product():
-    rx = ArrayGeometry(10, 1.4997, initial_angle=0.1)
-    pose = Pose(math.radians(30), math.radians(20))
-    for m in (1, 3, 7, 10):
-        theta = rx.element_angle(m)
-        x0 = rx.radius * np.array([math.cos(theta), math.sin(theta), 0.0])
-        expected = rotation_matrix(YAW, pose.gamma) @ rotation_matrix(PITCH, pose.psi) @ x0
-        got = rx_element_position(m, pose, None, STAGE_INITIAL, rx)
-        assert np.abs(got - expected).max() < 1e-12
-
-
-def test_rx_element_position_stages():
-    rx = ArrayGeometry(10, 1.5)
-    pose = Pose(math.radians(40), math.radians(25))
-    residual = Pose(math.radians(0.2), math.radians(-0.1), roll=0.3)
-    # residual stage equals the initial-stage formula at the residual angles
-    after = rx_element_position(4, pose, residual, STAGE_AFTER_PITCH_YAW, rx)
-    direct = rx_element_position(4, Pose(residual.gamma, residual.psi), None, STAGE_INITIAL, rx)
-    assert np.allclose(after, direct, atol=0)
-    # roll stage: generic matrix product including the boresight rotation
-    theta = rx.element_angle(4)
-    x0 = rx.radius * np.array([math.cos(theta), math.sin(theta), 0.0])
-    expected = (
-        rotation_matrix(YAW, residual.gamma)
-        @ rotation_matrix(PITCH, residual.psi)
-        @ rotation_matrix(ROLL, residual.roll)
-        @ x0
-    )
-    got = rx_element_position(4, pose, residual, STAGE_AFTER_ROLL, rx)
-    assert np.abs(got - expected).max() < 1e-12
-
-
-def test_rx_element_position_requires_residual():
-    rx = ArrayGeometry(4, 1.0)
-    with pytest.raises(ValueError):
-        rx_element_position(1, Pose(0, 0), None, STAGE_AFTER_PITCH_YAW, rx)
-    with pytest.raises(ValueError):
-        rx_element_position(1, None, None, STAGE_INITIAL, rx)
-    with pytest.raises(ValueError):
-        rx_element_position(1, Pose(0, 0), None, "after_warp", rx)
+def test_distances_unknown_method():
+    with pytest.raises(ValueError, match="unknown distance method"):
+        grid(Pose(0.0, 0.0), default_link(), "spherical")
 
 
 def test_distance_farfield_aligned_reference_element():
     cfg = default_link()
-    d = distance(1, 1, Pose(0.0, 0.0), None, STAGE_INITIAL, cfg, method="farfield")
+    d = grid(Pose(0.0, 0.0), cfg, "farfield")[0, 0]
     assert d == pytest.approx(cfg.range_r - cfg.rx.radius * cfg.tx.radius / cfg.range_r, rel=1e-15)
 
 
@@ -241,13 +223,8 @@ def test_distance_farfield_error_bound_at_default_range():
     # relative error at 450-wavelength range
     cfg = default_link()
     pose = Pose(math.radians(30), math.radians(20))
-    worst = 0.0
-    for m in range(1, 11):
-        for n in range(1, 11):
-            exact = distance(n, m, pose, None, STAGE_INITIAL, cfg, method="exact")
-            far = distance(n, m, pose, None, STAGE_INITIAL, cfg, method="farfield")
-            worst = max(worst, abs(exact - far) / exact)
-    assert worst < 2.0e-3
+    exact, far = grid(pose, cfg, "exact"), grid(pose, cfg, "farfield")
+    assert np.max(np.abs(exact - far) / exact) < 2.0e-3
 
 
 def test_distance_farfield_error_decreases_with_range():
@@ -259,28 +236,6 @@ def test_distance_farfield_error_decreases_with_range():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cfg = default_link(range_wavelengths=rw)
-        worst = 0.0
-        for m in range(1, 11):
-            for n in range(1, 11):
-                exact = distance(n, m, pose, None, STAGE_INITIAL, cfg, method="exact")
-                far = distance(n, m, pose, None, STAGE_INITIAL, cfg, method="farfield")
-                worst = max(worst, abs(exact - far) / exact)
-        errs.append(worst)
+        exact, far = grid(pose, cfg, "exact"), grid(pose, cfg, "farfield")
+        errs.append(np.max(np.abs(exact - far) / exact))
     assert errs[0] > errs[1] > errs[2]
-
-
-def test_distance_residual_stage_collapses_to_aligned():
-    cfg = default_link()
-    residual = Pose(0.0, 0.0)
-    for m, n in ((1, 1), (3, 8), (10, 2)):
-        after = distance(n, m, None, residual, STAGE_AFTER_PITCH_YAW, cfg)
-        aligned = distance(n, m, Pose(0.0, 0.0), None, STAGE_INITIAL, cfg)
-        assert after == pytest.approx(aligned, rel=1e-15)
-
-
-def test_distance_index_errors():
-    cfg = default_link()
-    with pytest.raises(IndexError):
-        distance(0, 1, Pose(0, 0), None, STAGE_INITIAL, cfg)
-    with pytest.raises(IndexError):
-        distance(1, 11, Pose(0, 0), None, STAGE_INITIAL, cfg)

@@ -15,7 +15,6 @@ import oamlink
 from oamlink import (
     ModePair,
     Pose,
-    STAGE_INITIAL,
     asymptotic_sir,
     capacity,
     channel_matrix,
@@ -28,13 +27,13 @@ from oamlink import (
     sir_asymptotic,
 )
 from oamlink.channel import OamMatrix
-from oamlink.metrics import scaled_coupling_link, steered_entries, steered_mode_entry, steered_sir
+from oamlink.metrics import scaled_coupling_link, steered_entries, steered_mode_entry, steered_sir, steered_sirs
 
 MODES = tuple(range(-4, 5))
 
 
 def electronic_effective(pose: Pose, cfg, p: int = 0):
-    H = channel_matrix(p, pose, None, STAGE_INITIAL, cfg)
+    H = channel_matrix(p, pose, cfg)
     return oam_effective(H, cfg.modes, phases_eo(p, pose.psi, pose.gamma, cfg))
 
 
@@ -153,7 +152,7 @@ def test_aligned_reference_capacity_regression():
     for n_sub, curve in expected.items():
         cfg = default_link(n_subcarriers=n_sub)
         effs = [
-            oam_effective(channel_matrix(p, Pose(0.0, 0.0), None, STAGE_INITIAL, cfg), cfg.modes)
+            oam_effective(channel_matrix(p, Pose(0.0, 0.0), cfg), cfg.modes)
             for p in range(n_sub)
         ]
         for snr_db, value in curve.items():
@@ -282,6 +281,19 @@ def test_check_monotonicity_small_coupling_all_modes():
         for u in range(9):
             ok, worst = check_monotonicity(axis, u, 0.01, grid, cfg)
             assert ok, f"{axis} mode index {u}: worst increase {worst}"
+
+
+@pytest.mark.parametrize("n, lo, s", [(48, -23, 1e-8), (64, -31, 1e-4), (10, -4, 1e-40)])
+def test_steered_sirs_finite_at_small_coupling(n, lo, s):
+    # On these links the interference powers |h_uv|^2 underflow to 0 in
+    # double precision, which read as +inf SIR in 100 to 600 cells of each
+    # 25-angle monotonicity CSV; scaling each row by a power of two first keeps
+    # every SIR finite and positive.
+    modes = tuple(range(lo, -lo + 1))
+    grid = np.radians(np.linspace(1, 89, 25))
+    for axis in ("yaw", "pitch"):
+        sirs = steered_sirs(axis, modes, grid, s, n)
+        assert np.all(np.isfinite(sirs)) and np.all(sirs > 0)
 
 
 def test_check_monotonicity_single_point_vacuous():

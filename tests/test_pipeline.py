@@ -18,7 +18,6 @@ from oamlink import (
     phases_e1,
     phases_e2,
 )
-from oamlink import STAGE_INITIAL
 
 SA = SaParams(rng_seed=0)
 SERVO = ServoConfig()
@@ -33,7 +32,7 @@ def test_zero_pose_recovers_aligned_up_to_roll(cfg):
     result = hybrid_pipeline(Pose(0.0, 0.0), cfg, SA, SERVO)
     assert result.command.yaw_cmd == 0.0
     assert result.command.pitch_cmd == 0.0
-    assert result.residual.gamma_bar == 0.0 and result.residual.psi_bar == 0.0
+    assert result.residual.gamma == 0.0 and result.residual.psi == 0.0
     # effective matrices are diagonal (aligned link rolled to the optimum)
     for eff in result.effective:
         diag = np.abs(np.diag(eff.entries))
@@ -44,8 +43,8 @@ def test_zero_pose_recovers_aligned_up_to_roll(cfg):
 def test_residual_bounded_by_servo_accuracy(cfg):
     pose = Pose(math.radians(60.07), math.radians(29.86))
     result = hybrid_pipeline(pose, cfg, SA, SERVO)
-    assert abs(result.residual.gamma_bar) <= SERVO.accuracy_nu / 2 + 1e-15
-    assert abs(result.residual.psi_bar) <= SERVO.accuracy_nu / 2 + 1e-15
+    assert abs(result.residual.gamma) <= SERVO.accuracy_nu / 2 + 1e-15
+    assert abs(result.residual.psi) <= SERVO.accuracy_nu / 2 + 1e-15
     assert result.servo_steps["yaw"] == round(abs(result.command.yaw_cmd) / SERVO.accuracy_nu)
 
 
@@ -53,8 +52,8 @@ def test_aoa_error_shifts_residual(cfg):
     err = (math.radians(0.9), math.radians(-0.6))
     pose = Pose(math.radians(30), math.radians(30))
     result = hybrid_pipeline(pose, cfg, SA, SERVO, aoa_error=err)
-    assert result.residual.gamma_bar == pytest.approx(-err[0], abs=SERVO.accuracy_nu / 2 + 1e-12)
-    assert result.residual.psi_bar == pytest.approx(-err[1], abs=SERVO.accuracy_nu / 2 + 1e-12)
+    assert result.residual.gamma == pytest.approx(-err[0], abs=SERVO.accuracy_nu / 2 + 1e-12)
+    assert result.residual.psi == pytest.approx(-err[1], abs=SERVO.accuracy_nu / 2 + 1e-12)
 
 
 def test_orderings_agree(cfg):
@@ -81,12 +80,9 @@ def test_capacity_close_to_roll_matched_reference(cfg):
     # small fraction of the aligned link rolled to the same angle
     pose = Pose(math.radians(45.13), math.radians(29.92))
     result = hybrid_pipeline(pose, cfg, SA, SERVO)
-    from oamlink import STAGE_AFTER_ROLL, channel_matrices
-    from oamlink.steering import ResidualPose
+    from oamlink import channel_matrices
 
-    rolled = channel_matrices(
-        None, ResidualPose(0.0, 0.0).as_pose(roll=result.theta_star), STAGE_AFTER_ROLL, cfg
-    )
+    rolled = channel_matrices(Pose(0.0, 0.0, result.theta_star), cfg)
     reference = [oam_effective(H, cfg.modes) for H in rolled]
     for rho in (1.0, 100.0, 1000.0):
         c_h = capacity(result.effective, rho)
@@ -101,7 +97,7 @@ def test_pipeline_beats_electronic_only(cfg):
     result = hybrid_pipeline(pose, cfg, SA, SERVO)
     eo = []
     for p in range(cfg.n_subcarriers):
-        H = channel_matrix(p, pose, None, STAGE_INITIAL, cfg)
+        H = channel_matrix(p, pose, cfg)
         eo.append(oam_effective(H, cfg.modes, phases_eo(p, pose.psi, pose.gamma, cfg)))
     for rho in (1.0, 100.0):
         assert capacity(result.effective, rho) > capacity(eo, rho)

@@ -10,9 +10,6 @@ from oamlink import (
     CarrierGrid,
     MechanicalCommand,
     Pose,
-    ResidualPose,
-    STAGE_AFTER_PITCH_YAW,
-    STAGE_INITIAL,
     ServoConfig,
     capacity_profile,
     channel_matrices,
@@ -69,7 +66,7 @@ def test_phases_eo_cancels_element_angle_phase_term():
     cfg = default_link()
     pose = Pose(math.radians(35), math.radians(15))
     p = 1
-    H = channel_matrix(p, pose, None, STAGE_INITIAL, cfg).entries
+    H = channel_matrix(p, pose, cfg).entries
     w = phases_eo(p, pose.psi, pose.gamma, cfg).phases
     steered = np.exp(1j * w)[:, None] * H
     k = cfg.wavenumber(p)
@@ -87,31 +84,31 @@ def test_phases_eo_cancels_element_angle_phase_term():
 
 def test_phases_e1_equals_eo_at_residual():
     cfg = default_link()
-    res = ResidualPose(math.radians(0.21), math.radians(-0.13))
+    res = Pose(math.radians(0.21), math.radians(-0.13))
     a = phases_e1(3, res, cfg).phases
-    b = phases_eo(3, res.psi_bar, res.gamma_bar, cfg).phases
+    b = phases_eo(3, res.psi, res.gamma, cfg).phases
     assert np.array_equal(a, b)
 
 
 def test_phases_e2_trivial_zeros():
     cfg = default_link()
-    res = ResidualPose(math.radians(0.2), math.radians(0.1))
+    res = Pose(math.radians(0.2), math.radians(0.1))
     assert np.abs(phases_e2(0, res, 0.0, cfg).phases).max() == 0.0
-    assert np.abs(phases_e2(0, ResidualPose(0.0, 0.0), 0.3, cfg).phases).max() == 0.0
+    assert np.abs(phases_e2(0, Pose(0.0, 0.0), 0.3, cfg).phases).max() == 0.0
 
 
 def test_phases_e2_equals_element_angle_difference_form():
     # the half-angle product form equals the plain difference of the e1-style
     # correction evaluated at rolled versus unrolled element angles
     cfg = default_link()
-    res = ResidualPose(math.radians(0.25), math.radians(-0.2))
+    res = Pose(math.radians(0.25), math.radians(-0.2))
     ts = 0.21
     k_rr = cfg.wavenumber(0) * cfg.rx.radius
     theta = cfg.rx.element_angles
     rolled = theta + ts
     expected = k_rr * (
-        (np.sin(rolled) - np.sin(theta)) * math.sin(res.psi_bar) * math.cos(res.gamma_bar)
-        - (np.cos(rolled) - np.cos(theta)) * math.sin(res.gamma_bar)
+        (np.sin(rolled) - np.sin(theta)) * math.sin(res.psi) * math.cos(res.gamma)
+        - (np.cos(rolled) - np.cos(theta)) * math.sin(res.gamma)
     )
     got = phases_e2(0, res, ts, cfg).phases
     assert np.abs(got - expected).max() < 1e-12
@@ -121,9 +118,9 @@ def test_mechanical_pitch_yaw_perfect_command():
     cfg = default_link()
     pose = Pose(math.radians(40), math.radians(30))
     residual = mechanical_pitch_yaw(pose, MechanicalCommand(pose.gamma, pose.psi), cfg)
-    channels = channel_matrices(None, residual.as_pose(), STAGE_AFTER_PITCH_YAW, cfg)
-    assert residual.gamma_bar == 0.0 and residual.psi_bar == 0.0
-    aligned = channel_matrix(0, Pose(0.0, 0.0), None, STAGE_INITIAL, cfg).entries
+    channels = channel_matrices(residual, cfg)
+    assert residual.gamma == 0.0 and residual.psi == 0.0
+    aligned = channel_matrix(0, Pose(0.0, 0.0), cfg).entries
     assert np.abs(channels[0].entries - aligned).max() == 0.0
     assert len(channels) == cfg.n_subcarriers
 
@@ -132,8 +129,8 @@ def test_mechanical_pitch_yaw_null_command():
     cfg = default_link()
     pose = Pose(math.radians(40), math.radians(30))
     residual = mechanical_pitch_yaw(pose, MechanicalCommand(0.0, 0.0), cfg)
-    channels = channel_matrices(None, residual.as_pose(), STAGE_AFTER_PITCH_YAW, cfg)
-    original = channel_matrix(0, pose, None, STAGE_INITIAL, cfg).entries
+    channels = channel_matrices(residual, cfg)
+    original = channel_matrix(0, pose, cfg).entries
     assert np.abs(channels[0].entries - original).max() == 0.0
 
 
@@ -142,38 +139,41 @@ def test_mechanical_pitch_yaw_servo_range_check():
     servo = ServoConfig()
     with pytest.raises(ValueError):
         mechanical_pitch_yaw(Pose(0.0, 0.0), MechanicalCommand(2.0, 0.0), cfg, servo=servo)
+    # a residual of pi/2 or more is no Pose
+    with pytest.raises(ValueError, match="pi/2"):
+        mechanical_pitch_yaw(Pose(1.0, 0.0), MechanicalCommand(-1.0, 0.0), cfg)
 
 
 def test_mechanical_roll_zero_equals_residual_stage():
     cfg = default_link()
-    res = ResidualPose(math.radians(0.2), math.radians(0.1))
+    res = Pose(math.radians(0.2), math.radians(0.1))
     rolled = mechanical_roll(res, 0.0, cfg)
-    f1 = channel_matrices(None, res.as_pose(), STAGE_AFTER_PITCH_YAW, cfg)
+    f1 = channel_matrices(res, cfg)
     for a, b in zip(rolled, f1):
         assert np.abs(a.entries - b.entries).max() == 0.0
 
 
 def test_mechanical_roll_full_spacing_permutes_rows():
     cfg = default_link()
-    res = ResidualPose(0.0, 0.0)
+    res = Pose(0.0, 0.0)
     rolled = mechanical_roll(res, 2 * math.pi / 10, cfg)[0].entries
-    base = channel_matrices(None, res.as_pose(), STAGE_AFTER_PITCH_YAW, cfg)[0].entries
+    base = channel_matrices(res, cfg)[0].entries
     assert np.abs(rolled - np.roll(base, -1, axis=0)).max() < 1e-9 * np.abs(base).max()
 
 
 def test_mechanical_roll_against_geometric_brute_force():
     cfg = default_link()
-    res = ResidualPose(math.radians(0.2), math.radians(-0.15))
+    res = Pose(math.radians(0.2), math.radians(-0.15))
     ts = 0.1
     rolled = mechanical_roll(res, ts, cfg)[0].entries
     k = cfg.wavenumber(0)
-    M = rotation_matrix(YAW, res.gamma_bar) @ rotation_matrix(PITCH, res.psi_bar) @ rotation_matrix(ROLL, ts)
+    M = rotation_matrix(YAW, res.gamma) @ rotation_matrix(PITCH, res.psi) @ rotation_matrix(ROLL, ts)
     H = np.zeros((10, 10), dtype=complex)
     for mi in range(10):
-        theta = cfg.rx.element_angle(mi + 1)
+        theta = cfg.rx.element_angles[mi]
         q = M @ (cfg.rx.radius * np.array([math.cos(theta), math.sin(theta), 0.0]))
         for ni in range(10):
-            phi = cfg.tx.element_angle(ni + 1)
+            phi = cfg.tx.element_angles[ni]
             t = cfg.tx.radius * np.array([math.cos(phi), math.sin(phi), 0.0])
             d_ff = cfg.range_r + q[2] - (q[0] * t[0] + q[1] * t[1]) / cfg.range_r
             H[mi, ni] = cfg.beta / (2 * k * cfg.range_r) * np.exp(-1j * k * d_ff)
@@ -184,7 +184,7 @@ def test_closed_form_diag_matches_double_sum():
     # capacity_profile's closed-form diagonal against the explicit double DFT
     # sum, mode by mode
     cfg = default_link()
-    H = channel_matrix(0, Pose(0.0, 0.0), None, STAGE_INITIAL, cfg)
+    H = channel_matrix(0, Pose(0.0, 0.0), cfg)
     eff = oam_effective(H, cfg.modes).entries
     for u, mode in enumerate(cfg.modes):
         assert_capacity_of_diag(one_mode_profile(cfg, 0, mode, 0.0)[0], eff[u, u], cfg.snr_rho, 1e-12)
@@ -196,7 +196,7 @@ def test_closed_form_diag_rolled_matches_double_sum():
     # unit phase exp(i * mode * theta), so magnitudes and capacity agree
     cfg = default_link()
     ts = 0.13
-    rolled = mechanical_roll(ResidualPose(0.0, 0.0), ts, cfg)
+    rolled = mechanical_roll(Pose(0.0, 0.0), ts, cfg)
     eff = oam_effective(rolled[0], cfg.modes).entries
     for u, mode in enumerate(cfg.modes):
         assert_capacity_of_diag(one_mode_profile(cfg, 0, mode, ts)[0], eff[u, u], cfg.snr_rho, 1e-10)
@@ -219,8 +219,8 @@ def test_e1_suppression_bound():
     # frozen regression bound: off-diagonal power at least 40 dB below
     # diagonal power for residuals up to 0.3 degree (measured ~-82 dB)
     cfg = default_link()
-    res = ResidualPose(math.radians(0.3), math.radians(0.3))
-    channels = channel_matrices(None, res.as_pose(), STAGE_AFTER_PITCH_YAW, cfg)
+    res = Pose(math.radians(0.3), math.radians(0.3))
+    channels = channel_matrices(res, cfg)
     for p, H in enumerate(channels):
         eff = oam_effective(H, cfg.modes, phases_e1(p, res, cfg)).entries
         assert offdiag_power_db(eff) < -40.0
@@ -228,7 +228,7 @@ def test_e1_suppression_bound():
 
 def test_hybrid_suppression_bound_over_roll_range():
     cfg = default_link()
-    res = ResidualPose(math.radians(0.3), math.radians(-0.3))
+    res = Pose(math.radians(0.3), math.radians(-0.3))
     for ts in (-math.pi / 10, -0.1, 0.02, 0.1449, math.pi / 10):
         channels = mechanical_roll(res, ts, cfg)
         for p, H in enumerate(channels):
@@ -242,10 +242,10 @@ def test_hybrid_diag_closed_form_accuracy():
     # 0.3-degree residual corners (the low-magnitude mode 0 dominates the
     # relative error), frozen at 3e-3
     cfg = default_link()
-    res = ResidualPose(math.radians(0.3), math.radians(0.2))
+    res = Pose(math.radians(0.3), math.radians(0.2))
     ts = 0.11
     channels = mechanical_roll(res, ts, cfg)
-    aligned = mechanical_roll(ResidualPose(0.0, 0.0), ts, cfg)
+    aligned = mechanical_roll(Pose(0.0, 0.0), ts, cfg)
     for p in (0, 4, 7):
         eff = oam_effective(
             channels[p], cfg.modes, [phases_e1(p, res, cfg), phases_e2(p, res, ts, cfg)]
