@@ -391,22 +391,19 @@ def serialize_config(spec: ExperimentSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(x) -> str:
-    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
-
-
 def _rhos(spec: ExperimentSpec) -> np.ndarray:
     return np.array([10.0 ** (s / 10.0) for s in spec.snr_grid_db()])
 
 
-def _scheme_rows(angles_deg, snrs_db, caps: dict):
-    """CSV rows (angle, SNR, scheme, capacity) from (angles, SNRs) capacity arrays per scheme."""
-    return ["angle_deg", "snr_db", "scheme", "capacity_bps_hz"], [
-        [_fmt(angle_deg), _fmt(snr_db), scheme, _fmt(c[i, j])]
-        for i, angle_deg in enumerate(angles_deg)
-        for j, snr_db in enumerate(snrs_db)
-        for scheme, c in caps.items()
-    ]
+def _scheme_columns(angles_deg, snrs_db, caps: dict) -> dict:
+    """Columns (angle, SNR, scheme, capacity), angle-major, from (angles, SNRs) capacity arrays per scheme."""
+    a, s, k = len(angles_deg), len(snrs_db), len(caps)
+    return {
+        "angle_deg": np.repeat(angles_deg, s * k),
+        "snr_db": np.tile(np.repeat(snrs_db, k), a),
+        "scheme": list(caps) * (a * s),
+        "capacity_bps_hz": np.stack([np.broadcast_to(c, (a, s)) for c in caps.values()], axis=2).ravel(),
+    }
 
 
 def _run_angle_sweep(spec: ExperimentSpec, axis: str):
@@ -416,9 +413,8 @@ def _run_angle_sweep(spec: ExperimentSpec, axis: str):
     tilt, zero = np.radians(angles_deg), np.zeros(len(angles_deg))
     gamma, psi = (tilt, zero) if axis == "yaw" else (zero, tilt)
     poses = np.stack([gamma, psi, zero], axis=1)
-    aligned = capacity(mode_channels([(0.0, 0.0, 0.0)], cfg), rhos)
-    return _scheme_rows(angles_deg, spec.snr_grid_db(), {
-        "aligned": np.broadcast_to(aligned, (len(poses), len(rhos))),
+    return _scheme_columns(angles_deg, spec.snr_grid_db(), {
+        "aligned": capacity(mode_channels([(0.0, 0.0, 0.0)], cfg), rhos),
         "none": capacity(mode_channels(poses, cfg), rhos),
         "electronic": capacity(mode_channels(poses, cfg, np.exp(1j * eo_phases(gamma, psi, cfg))), rhos),
     })
@@ -428,10 +424,7 @@ def _run_roll_profile(spec: ExperimentSpec):
     cfg = spec.link()
     thetas_deg = spec.roll_grid_deg()
     thetas = np.radians(thetas_deg)
-    caps = capacity_profile(thetas, cfg)
-    header = ["theta_deg", "theta_rad", "capacity_bps_hz"]
-    rows = [[_fmt(d), _fmt(r), _fmt(c)] for d, r, c in zip(thetas_deg, thetas, caps)]
-    return header, rows
+    return {"theta_deg": thetas_deg, "theta_rad": thetas, "capacity_bps_hz": capacity_profile(thetas, cfg)}
 
 
 def _run_hybrid_compare(spec: ExperimentSpec):
@@ -456,8 +449,8 @@ def _run_hybrid_compare(spec: ExperimentSpec):
     # Perfect alignment rolled to the achieved angle; the same kernel as the
     # hybrid rows, so a zero residual gives the same bits.
     perfect = capacity(mode_channels([(0.0, 0.0, results[0].theta_star)], cfg), rhos)
-    return _scheme_rows(angles_deg, spec.snr_grid_db(), {
-        "perfect": np.broadcast_to(perfect, hybrid.shape),
+    return _scheme_columns(angles_deg, spec.snr_grid_db(), {
+        "perfect": perfect,
         "hybrid": hybrid,
         "electronic": electronic,
     })
@@ -466,18 +459,13 @@ def _run_hybrid_compare(spec: ExperimentSpec):
 def _run_sa_trace(spec: ExperimentSpec):
     cfg = spec.link()
     theta_star, trace = optimize_roll(cfg, spec.sa_params())
-    header = ["outer_iter", "temperature", "best_theta_rad", "best_capacity_bps_hz", "accepted"]
-    rows = [
-        [
-            str(i),
-            _fmt(trace.temperatures[i]),
-            _fmt(trace.best_thetas[i]),
-            _fmt(trace.best_capacities[i]),
-            str(trace.accepted_counts[i]),
-        ]
-        for i in range(len(trace))
-    ]
-    return header, rows
+    return {
+        "outer_iter": np.arange(len(trace)),
+        "temperature": np.array(trace.temperatures, dtype=float),
+        "best_theta_rad": np.array(trace.best_thetas, dtype=float),
+        "best_capacity_bps_hz": np.array(trace.best_capacities, dtype=float),
+        "accepted": np.array(trace.accepted_counts, dtype=int),
+    }
 
 
 def _run_monotonicity(spec: ExperimentSpec):
@@ -485,15 +473,19 @@ def _run_monotonicity(spec: ExperimentSpec):
     s_target = spec["monotonicity.s_coupling"]
     grid_deg = spec.monotonicity_grid_deg()
     angles = [math.radians(d) for d in grid_deg]
-    header = ["axis", "mode", "angle_deg", "sir_linear", "sir_asymptotic"]
-    rows = []
-    for axis in ("yaw", "pitch"):
-        exact = steered_sirs(axis, cfg.modes, angles, s_target, cfg.n_elements)
-        for u in range(cfg.n_modes):
-            asym = asymptotic_sir(cfg.modes, u, cfg.n_elements, angles, s_target)
-            for k in range(len(angles)):
-                rows.append([axis, str(cfg.modes[u]), _fmt(grid_deg[k]), _fmt(exact[k, u]), _fmt(asym[k])])
-    return header, rows
+    axes, rows = ("yaw", "pitch"), cfg.n_modes * len(angles)
+    # Rows run axis-major, then mode, then angle; the closed form has no pitch term.
+    asymptotic = np.stack(
+        [asymptotic_sir(cfg.modes, u, cfg.n_elements, angles, s_target) for u in range(cfg.n_modes)]
+    )
+    exact = [steered_sirs(axis, cfg.modes, angles, s_target, cfg.n_elements).T.ravel() for axis in axes]
+    return {
+        "axis": [axis for axis in axes for _ in range(rows)],
+        "mode": np.tile(np.repeat(cfg.modes, len(angles)), len(axes)),
+        "angle_deg": np.tile(grid_deg, len(axes) * cfg.n_modes),
+        "sir_linear": np.concatenate(exact),
+        "sir_asymptotic": np.tile(asymptotic.ravel(), len(axes)),
+    }
 
 
 def _run_complexity(spec: ExperimentSpec):
@@ -507,17 +499,21 @@ def _run_complexity(spec: ExperimentSpec):
         theta_star=math.radians(spec["complexity.theta_star_deg"]),
         nu=math.radians(spec["servo.accuracy_deg"]),
     )
-    header = ["n_elements", "p_data", "cost_hybrid", "cost_electronic", "ratio"]
-    rows = []
     ns, ps = spec.complexity_grid()
-    for n in ns:
-        for p in ps:
-            swept = replace(params, n_elements=n, p_data=p)
-            hy, el = cost_hybrid(swept).total, cost_electronic(swept).total
-            rows.append([str(n), str(p), _fmt(hy), _fmt(el), _fmt(hy / el)])
-    return header, rows
+    swept = [replace(params, n_elements=n, p_data=p) for n in ns for p in ps]
+    hybrid = np.array([cost_hybrid(s).total for s in swept])
+    electronic = np.array([cost_electronic(s).total for s in swept])
+    return {
+        "n_elements": np.repeat(ns, len(ps)),
+        "p_data": np.tile(ps, len(ns)),
+        "cost_hybrid": hybrid,
+        "cost_electronic": electronic,
+        "ratio": hybrid / electronic,
+    }
 
 
+# Each runner returns column name -> column, in CSV order: equal-length numpy
+# arrays, or lists of str; run() formats and writes them.
 _RUNNERS = {
     "sweep-yaw": lambda spec: _run_angle_sweep(spec, "yaw"),
     "sweep-pitch": lambda spec: _run_angle_sweep(spec, "pitch"),
@@ -540,19 +536,25 @@ def run(spec: ExperimentSpec, out_dir, seed: int | None = None) -> tuple[Path, P
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    header, rows = _RUNNERS[spec.name](spec)
+    columns = _RUNNERS[spec.name](spec)
     wall = time.monotonic() - started
 
+    # The one place that knows the number format: floats as Python's shortest
+    # round-trip repr, integers in decimal, str columns (axis, scheme) as they are.
+    cells = [
+        col if isinstance(col, list) else map(repr if col.dtype.kind == "f" else str, col.tolist())
+        for col in columns.values()
+    ]
     csv_path = out / f"{spec.name}.csv"
     with _open_fresh(csv_path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells, strict=True))  # unequal columns raise ValueError
     manifest_path = out / "manifest.txt"
     with _open_fresh(manifest_path) as fh:
         fh.write(f"# oamlink {__version__} experiment manifest\n")
         fh.write(f"# wall_time_s = {wall:.3f}\n")
-        fh.write(f"# rows = {len(rows)}\n")
+        fh.write(f"# rows = {len(next(iter(columns.values())))}\n")
         fh.write(serialize_config(spec))
     return csv_path, manifest_path
 
