@@ -10,10 +10,10 @@ from pathlib import Path
 from oamlink.experiments import EXPERIMENT_NAMES, ExperimentSpec, run
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("results"))
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     for name in EXPERIMENT_NAMES:
         spec = ExperimentSpec.resolve(name)
         csv_path, manifest_path = run(spec, args.out / name)

@@ -74,7 +74,7 @@ _LINK_SIZE = _count(64)
 _MODE = _Domain(lambda v: abs(v) <= 64, "a mode index with |mode| <= 64")
 # Grid points per run.  The largest arrays: the sweeps' (A, P, U, U) complex
 # channels (7.8 KB per angle at 6 subcarriers, 9 modes: 78 MB at the bound),
-# the roll profile's grid, capacities and CSV rows (about 1 s per 10^5 angles)
+# the roll profile's grid, capacities and CSV columns (1.5 s and 44 MB per 10^5 angles, 0.6 s of it the CSV)
 # and the Bessel lattice's (A, 2 (S + 2 N + 25) + 1) jv arrays (4 ms per angle at S = 100).
 _SWEEP_COUNT, _ROLL_COUNT, _MONOTONICITY_COUNT = _count(10_000), _count(100_000), _count(1_000)
 # Complexity-model counts: the estimation grids enter cubed, so p^3 u^3 <= 10^24,
@@ -167,9 +167,9 @@ _MAX_SA_EVALUATIONS = 100_000
 # SNR points per run; the sweeps and hybrid-compare evaluate the capacity
 # once per SNR, angle and scheme (16 points by default).
 _MAX_SNR_POINTS = 10_000
-# Sweep sizes: its CSV has 3 rows per (angle, SNR) point, built as lists of
-# strings before writing (10^4 angles at the default 16 SNR points took 5 s
-# and 280 MB); its channels are one complex (A, P, U, U) array (10^4 angles at
+# Sweep sizes: its CSV has 3 rows per (angle, SNR) point (10^4 angles at the default 16 SNR
+# points took 4 s, half of it the CSV, at a 280 MB peak set by the capacity's (A, SNR, P, U)
+# temporaries); its channels are one complex (A, P, U, U) array (10^4 angles at
 # 8 subcarriers and 9 modes: 6.5e6 entries, 104 MB).
 _MAX_SWEEP_POINTS = 10_000 * 16
 _MAX_SWEEP_ENTRIES = 10_000 * 8 * 9 * 9
@@ -267,7 +267,8 @@ class ExperimentSpec:
                 freq_stop_hz=self["scenario.freq_stop_hz"],
             )
         except ValueError as exc:
-            raise ConfigError(f"scenario: {exc}") from None
+            cited = [f"'scenario.{key}'" for word, keys in _LINK_KEYS.items() if word in str(exc) for key in keys]
+            raise ConfigError(f"keys {', '.join(dict.fromkeys(cited))}: {exc}") from None
 
     def sa_params(self) -> SaParams:
         fields = {field: self[key] for field, key in _SA_KEYS.items()}
@@ -355,6 +356,15 @@ class ExperimentSpec:
         return ns, ps
 
 
+# A word of each message of default_link's checks -> the scenario keys that set what it
+# checks.  Lengths are in first-carrier wavelengths, so freq_start_hz scales all of them.
+_LINK_KEYS = {
+    "frequencies": ("freq_start_hz", "freq_stop_hz", "n_subcarriers"),
+    "modes": ("mode_min", "mode_max", "n_elements"),
+    "finite": ("freq_start_hz", "freq_stop_hz", "radius_rx_wavelengths", "radius_tx_wavelengths", "range_wavelengths"),
+    "range": ("freq_start_hz", "range_wavelengths"),
+    "radius": ("freq_start_hz", "radius_rx_wavelengths", "radius_tx_wavelengths"),
+}
 # Field of SaParams / ServoConfig -> the config key that sets it.
 _SA_KEYS = {
     "t_init": "sa.t_init",
@@ -443,7 +453,7 @@ def _run_hybrid_compare(spec: ExperimentSpec):
     results = [
         hybrid_pipeline(Pose(a, a), cfg, sa, servo, aoa_error=aoa_error, theta_star=theta_star) for a in tilt
     ]
-    hybrid = capacity(np.array([[eff.entries for eff in r.effective] for r in results]), rhos)
+    hybrid = capacity(np.stack([r.effective for r in results]), rhos)
     poses = np.stack([tilt, tilt, np.zeros(len(tilt))], axis=1)
     electronic = capacity(mode_channels(poses, cfg, np.exp(1j * eo_phases(tilt, tilt, cfg))), rhos)
     # Perfect alignment rolled to the achieved angle; the same kernel as the
@@ -461,10 +471,10 @@ def _run_sa_trace(spec: ExperimentSpec):
     theta_star, trace = optimize_roll(cfg, spec.sa_params())
     return {
         "outer_iter": np.arange(len(trace)),
-        "temperature": np.array(trace.temperatures, dtype=float),
-        "best_theta_rad": np.array(trace.best_thetas, dtype=float),
-        "best_capacity_bps_hz": np.array(trace.best_capacities, dtype=float),
-        "accepted": np.array(trace.accepted_counts, dtype=int),
+        "temperature": np.array(trace.temperatures),
+        "best_theta_rad": np.array(trace.best_thetas),
+        "best_capacity_bps_hz": np.array(trace.best_capacities),
+        "accepted": np.array(trace.accepted_counts),
     }
 
 
@@ -473,18 +483,16 @@ def _run_monotonicity(spec: ExperimentSpec):
     s_target = spec["monotonicity.s_coupling"]
     grid_deg = spec.monotonicity_grid_deg()
     angles = [math.radians(d) for d in grid_deg]
-    axes, rows = ("yaw", "pitch"), cfg.n_modes * len(angles)
+    axes = ("yaw", "pitch")
     # Rows run axis-major, then mode, then angle; the closed form has no pitch term.
-    asymptotic = np.stack(
-        [asymptotic_sir(cfg.modes, u, cfg.n_elements, angles, s_target) for u in range(cfg.n_modes)]
-    )
-    exact = [steered_sirs(axis, cfg.modes, angles, s_target, cfg.n_elements).T.ravel() for axis in axes]
+    exact = np.stack([steered_sirs(axis, cfg.modes, angles, s_target, cfg.n_elements).T for axis in axes])
+    asymptotic = [asymptotic_sir(cfg.modes, u, cfg.n_elements, angles, s_target) for u in range(cfg.n_modes)]
     return {
-        "axis": [axis for axis in axes for _ in range(rows)],
+        "axis": [axis for axis in axes for _ in range(cfg.n_modes * len(angles))],
         "mode": np.tile(np.repeat(cfg.modes, len(angles)), len(axes)),
         "angle_deg": np.tile(grid_deg, len(axes) * cfg.n_modes),
-        "sir_linear": np.concatenate(exact),
-        "sir_asymptotic": np.tile(asymptotic.ravel(), len(axes)),
+        "sir_linear": exact.ravel(),
+        "sir_asymptotic": np.tile(np.concatenate(asymptotic), len(axes)),
     }
 
 
@@ -501,8 +509,7 @@ def _run_complexity(spec: ExperimentSpec):
     )
     ns, ps = spec.complexity_grid()
     swept = [replace(params, n_elements=n, p_data=p) for n in ns for p in ps]
-    hybrid = np.array([cost_hybrid(s).total for s in swept])
-    electronic = np.array([cost_electronic(s).total for s in swept])
+    hybrid, electronic = np.array([(cost_hybrid(s).total, cost_electronic(s).total) for s in swept]).T
     return {
         "n_elements": np.repeat(ns, len(ps)),
         "p_data": np.tile(ps, len(ns)),

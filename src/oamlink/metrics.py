@@ -180,17 +180,35 @@ def asymptotic_sir(
     """Small-coupling SIR on mode ``u`` at zero pitch, from the closed forms.
 
     ``gamma`` is one yaw angle or an array of them; the result has its shape.
+    The closed forms are powers S^tau that under- and overflow a double, so each
+    ratio r_v = interference_v / signal is taken in the log domain and
+    SIR = 1 / sum_v r_v^2 = exp(-logsumexp(2 log r_v)).  Exactly zero
+    interference (odd t) gives +inf.
     """
     gamma = np.asarray(gamma, dtype=float)
-    signal, interference_power = 0.0, np.zeros_like(gamma)
+    cg = np.cos(gamma)
+    with np.errstate(divide="ignore"):  # log(0) = -inf: a factor that vanishes
+        log_s, log_plus, log_minus = math.log(s_coupling), np.log1p(cg), np.log1p(-cg)
+    log_ratios = [np.full(gamma.shape, -math.inf)]  # r = 0 when no pair interferes
     for v in range(len(modes)):
-        if v == u:
-            continue
         pair = ModePair.from_modes(modes, u, v, n_elements)
-        signal, interf = sir_asymptotic(pair, gamma, s_coupling)  # signal depends on mode u only
-        interference_power = interference_power + interf**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(interference_power > 0.0, signal**2 / interference_power, math.inf)
+        if v == u or pair.t % 2 != 0:
+            continue
+        # t is even, so tau, tau_bar and chi are integers: one correctly rounded quotient
+        # of factorials and powers of 4 (differences of lgamma lose up to 150 eps).
+        tau, tb, chi = int(pair.tau), int(pair.tau_bar), int(pair.chi)
+        e = tb + chi - tau
+        factor = math.factorial(tau) * 4 ** max(-e, 0) / (math.factorial(tb) * math.factorial(chi) * 4 ** max(e, 0))
+        log_r = e * log_s + math.log(factor)
+        # Skip the angle factors with exponent 0: 0^0 = 1, where 0 * log(0) is nan.
+        log_r = log_r + (tb * log_minus if tb else 0.0) + ((chi - tau) * log_plus if chi != tau else 0.0)
+        log_ratios.append(2.0 * log_r)
+    # logsumexp from the largest term: a running logaddexp rounds at each step.
+    x = np.stack(np.broadcast_arrays(*log_ratios))
+    top = x.max(axis=0)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = np.exp(-(shift + np.log(np.exp(x - shift).sum(axis=0))))
     return ratio if ratio.ndim else float(ratio)
 
 

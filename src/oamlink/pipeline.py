@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import OamMatrix, mode_channels
+from .channel import mode_channels
 from .config import LinkConfig
 from .geometry import PITCH, ROLL, YAW, Pose
 from .optimizer import SaParams, SaTrace, optimize_roll
@@ -40,7 +40,7 @@ from .steering import (
 class HybridResult:
     """Everything the hybrid pipeline produced for one pose."""
 
-    effective: list[OamMatrix]
+    effective: np.ndarray  # (P, U, U) steered mode-domain channels, one per subcarrier
     command: MechanicalCommand
     phases: list[SteeringPhases]
     residual: Pose
@@ -88,9 +88,8 @@ def hybrid_pipeline(
     phase_schedules = [SteeringPhases(p, e1[p] + e2[p]) for p in subcarriers]
     rows = (np.exp(1j * e1) * np.exp(1j * e2))[None]  # the two stages' weights in turn
     angles = [(residual.gamma, residual.psi, theta_achieved)]
-    effective = [OamMatrix(h) for h in mode_channels(angles, cfg, rows)[0]]
     return HybridResult(
-        effective=effective,
+        effective=mode_channels(angles, cfg, rows)[0],
         command=command,
         phases=phase_schedules,
         residual=residual,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oamlink import experiments
 from oamlink.cli import main
 from oamlink.experiments import (
     ConfigError,
@@ -122,6 +123,14 @@ def test_manifest_reruns_byte_identical(tmp_path):
     spec2 = ExperimentSpec.resolve(overrides["experiment.name"], overrides)
     csv2, _ = run(spec2, tmp_path / "b")
     assert csv1.read_bytes() == csv2.read_bytes()
+
+
+def test_run_rejects_columns_of_unequal_length(tmp_path, monkeypatch):
+    spec = ExperimentSpec.resolve("complexity")
+    monkeypatch.setitem(experiments._RUNNERS, "complexity", lambda spec: {"a": np.arange(2), "b": np.ones(3)})
+    with pytest.raises(ValueError, match="zip"):
+        run(spec, tmp_path)
+    assert not (tmp_path / "manifest.txt").exists()
 
 
 def test_rerun_into_same_directory_replaces_outputs(tmp_path):
@@ -325,6 +334,12 @@ def test_all_experiment_names_have_runners():
         ("complexity", "complexity.n_max", "100000"),
         ("complexity", "complexity.n_max", "10000\ncomplexity.p_max = 10000"),  # 10^8 CSV rows
         ("roll-profile", "scenario.freq_start_hz", "1.7e308"),  # band starts above its stop
+        ("roll-profile", "scenario.freq_start_hz", "4e9\nscenario.freq_stop_hz = 4e9"),  # 8 equal subcarriers
+        ("roll-profile", "scenario.freq_stop_hz", "4e9\nscenario.freq_start_hz = 4e9"),
+        ("roll-profile", "scenario.freq_start_hz", "4.98e-272"),  # overflowing coupling
+        ("roll-profile", "scenario.range_wavelengths", "5e-324"),  # range underflows to 0 m
+        ("roll-profile", "scenario.radius_tx_wavelengths", "5e-324"),
+        ("roll-profile", "scenario.mode_min", "-6"),  # 11 modes on 10 elements
     ],
 )
 def test_cli_out_of_domain_value_exits_1_naming_key(tmp_path, capsys, experiment, key, value):

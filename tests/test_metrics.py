@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,44 @@ def test_steered_sirs_finite_at_small_coupling(n, lo, s):
     for axis in ("yaw", "pitch"):
         sirs = steered_sirs(axis, modes, grid, s, n)
         assert np.all(np.isfinite(sirs)) and np.all(sirs > 0)
+
+
+def _decimal_asymptotic_sir(pairs, cos_gamma: Decimal, s: Decimal) -> Decimal:
+    """The closed forms of ``sir_asymptotic`` in Decimal arithmetic: signal^2 / sum of interference^2."""
+    tau = int(pairs[0].tau)
+    signal = (s * (1 + cos_gamma)) ** tau / (4**tau * math.factorial(tau))
+    interference_power = Decimal(0)
+    for pair in pairs:
+        if pair.t % 2 == 0:  # odd t vanishes at even N
+            tb, chi = int(pair.tau_bar), int(pair.chi)
+            interference = (
+                s ** (tb + chi)
+                * (1 - cos_gamma) ** tb
+                * (1 + cos_gamma) ** chi
+                / (4 ** (tb + chi) * math.factorial(tb) * math.factorial(chi))
+            )
+            interference_power += interference**2
+    return signal**2 / interference_power
+
+
+@pytest.mark.parametrize("n, lo, s", [(48, -23, 1e-8), (64, -31, 1e-4), (10, -4, 1e-40)])
+def test_asymptotic_sir_matches_decimal_closed_forms(n, lo, s):
+    # On these links signal^2 / interference^2 in doubles read inf or 0 in 458
+    # cells, though every SIR is a finite double.  The log domain rounds log S,
+    # log(1 +- cos), their weighted sum L = ln SIR and exp(-L): about |L| eps from
+    # the logs and sum, plus a few eps; measured at most 0.96 of this bound.
+    modes = tuple(range(lo, -lo + 1))
+    gammas = np.radians(np.linspace(1, 89, 25))
+    eps = Decimal(np.finfo(float).eps)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for u in range(len(modes)):
+            pairs = [ModePair.from_modes(modes, u, v, n) for v in range(len(modes)) if v != u]
+            got = asymptotic_sir(modes, u, n, gammas, s)
+            for value, c in zip(got, np.cos(gammas)):
+                expected = _decimal_asymptotic_sir(pairs, Decimal(float(c)), Decimal(s))
+                assert math.isfinite(value)
+                assert abs(Decimal(float(value)) - expected) <= (abs(expected.ln()) + 8) * eps * expected
 
 
 def test_check_monotonicity_single_point_vacuous():
