@@ -20,7 +20,7 @@ from .geometry import (
     psi_from,
     rotation_matrix,
 )
-from .metrics import ModePair, asymptotic_sir, capacity, check_monotonicity, sinr, sir, sir_asymptotic
+from .metrics import ModePair, asymptotic_sir, capacity, check_monotonicity, sinr, sir
 from .optimizer import (
     SaParams,
     SaTrace,

@@ -130,46 +130,6 @@ def capacity(effectives, rho):
     return float(total) if total.ndim == 0 else total
 
 
-def sir_asymptotic(
-    pair: ModePair,
-    gamma,
-    s_coupling: float,
-    eta_scale: float = 1.0,
-):
-    """Leading-order (signal, interference) entry magnitudes at zero pitch.
-
-    ``gamma`` is one yaw angle or an array of them.
-
-    Valid in the small-coupling regime (s_coupling well below ~0.1):
-
-    signal       ~ |eta| N^2 [S (1+cos g)]^tau / (4^tau tau!)
-    interference ~ |eta| N^2 S^(tb+chi) (1-cos g)^tb (1+cos g)^chi
-                   / (4^(tb+chi) tb! chi!)
-
-    For an even element count, entries whose mode-number difference ``t`` is
-    odd vanish identically at zero pitch (shifting both element indices by
-    N/2 flips the summand sign), so their interference term is exactly 0.
-    ``eta_scale`` stands in for |eta| N^2 and cancels in any SIR built from
-    these terms.
-    """
-    cg = np.cos(gamma)
-    signal = (
-        eta_scale
-        * (s_coupling * (1.0 + cg)) ** pair.tau
-        / (4.0**pair.tau * math.gamma(pair.tau + 1.0))
-    )
-    if pair.t % 2 != 0:
-        return signal, 0.0
-    interference = (
-        eta_scale
-        * s_coupling ** (pair.tau_bar + pair.chi)
-        * (1.0 - cg) ** pair.tau_bar
-        * (1.0 + cg) ** pair.chi
-        / (4.0 ** (pair.tau_bar + pair.chi) * math.gamma(pair.tau_bar + 1.0) * math.gamma(pair.chi + 1.0))
-    )
-    return signal, interference
-
-
 def asymptotic_sir(
     modes: Sequence[int],
     u: int,
@@ -180,10 +140,18 @@ def asymptotic_sir(
     """Small-coupling SIR on mode ``u`` at zero pitch, from the closed forms.
 
     ``gamma`` is one yaw angle or an array of them; the result has its shape.
-    The closed forms are powers S^tau that under- and overflow a double, so each
-    ratio r_v = interference_v / signal is taken in the log domain and
-    SIR = 1 / sum_v r_v^2 = exp(-logsumexp(2 log r_v)).  Exactly zero
-    interference (odd t) gives +inf.
+    Valid in the small-coupling regime (s_coupling well below ~0.1), the
+    leading-order entry magnitudes, in units of |eta| N^2 (which cancels), are
+
+    signal_u       ~ [S (1+cos g)]^tau / (4^tau tau!)
+    interference_v ~ S^(tb+chi) (1-cos g)^tb (1+cos g)^chi / (4^(tb+chi) tb! chi!)
+
+    with the exponents of ``ModePair``.  For an even element count, entries whose
+    mode-number difference ``t`` is odd vanish identically at zero pitch (shifting
+    both element indices by N/2 flips the summand sign), so they add no interference.
+    The powers S^tau under- and overflow a double, so each ratio
+    r_v = interference_v / signal_u is taken in the log domain and
+    SIR = 1 / sum_v r_v^2 = exp(-logsumexp(2 log r_v)); +inf with no interference.
     """
     gamma = np.asarray(gamma, dtype=float)
     cg = np.cos(gamma)

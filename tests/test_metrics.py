@@ -25,7 +25,6 @@ from oamlink import (
     phases_eo,
     sinr,
     sir,
-    sir_asymptotic,
 )
 from oamlink.channel import OamMatrix
 from oamlink.metrics import scaled_coupling_link, steered_entries, steered_mode_entry, steered_sir, steered_sirs
@@ -175,25 +174,21 @@ def test_mode_pair_orders():
         assert 0 <= p.tau <= 5 and 0 <= p.tau_bar <= 5 and 0 <= p.chi <= 5
 
 
-def test_sir_asymptotic_zero_interference_at_zero_yaw():
-    pair = ModePair.from_modes(MODES, u=5, v=3, n_elements=10)  # t=2
-    signal, interference = sir_asymptotic(pair, 0.0, 0.01)
-    assert interference == 0.0
-    assert signal > 0.0
+def test_asymptotic_sir_infinite_at_zero_yaw():
+    # Every even-t interference term of mode 1 carries (1 - cos g)^tau_bar with tau_bar > 0.
+    assert asymptotic_sir(MODES, 5, 10, 0.0, 0.01) == math.inf
 
 
-def test_sir_asymptotic_odd_difference_vanishes():
-    pair = ModePair.from_modes(MODES, u=5, v=4, n_elements=10)  # t=1
-    _, interference = sir_asymptotic(pair, math.radians(40), 0.01)
-    assert interference == 0.0
+def test_asymptotic_sir_ignores_odd_differences():
+    # t = 1 is the only pair, and its entry vanishes at zero pitch for even N.
+    assert asymptotic_sir((0, 1), 0, 10, math.radians(40), 0.01) == math.inf
 
 
-def test_sir_asymptotic_signal_linear_specialization():
-    # tau=1 mode: signal term reduces to eta_scale * S * (1 + cos g) / 4
-    pair = ModePair.from_modes(MODES, u=5, v=3, n_elements=10)
+def test_asymptotic_sir_linear_specialization():
+    # Modes +-1: tau = tau_bar = 1 and chi = 0, so SIR = ((1 + cos g) / (1 - cos g))^2.
     gamma = math.radians(37)
-    signal, _ = sir_asymptotic(pair, gamma, 0.01, eta_scale=2.5)
-    assert signal == pytest.approx(2.5 * 0.01 * (1 + math.cos(gamma)) / 4.0, rel=1e-12)
+    expected = ((1 + math.cos(gamma)) / (1 - math.cos(gamma))) ** 2
+    assert asymptotic_sir((1, -1), 0, 10, gamma, 0.01) == pytest.approx(expected, rel=1e-12)
 
 
 def test_steered_entry_matches_double_sum_at_moderate_coupling():
@@ -298,7 +293,7 @@ def test_steered_sirs_finite_at_small_coupling(n, lo, s):
 
 
 def _decimal_asymptotic_sir(pairs, cos_gamma: Decimal, s: Decimal) -> Decimal:
-    """The closed forms of ``sir_asymptotic`` in Decimal arithmetic: signal^2 / sum of interference^2."""
+    """The closed forms of ``asymptotic_sir`` in Decimal arithmetic: signal^2 / sum of interference^2."""
     tau = int(pairs[0].tau)
     signal = (s * (1 + cos_gamma)) ** tau / (4**tau * math.factorial(tau))
     interference_power = Decimal(0)
