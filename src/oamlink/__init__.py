@@ -3,7 +3,6 @@ with electronic-only and hybrid mechanical + electronic beam steering."""
 
 from .channel import (
     ChannelMatrix,
-    OamMatrix,
     channel_matrices,
     channel_matrix,
     oam_effective,
@@ -34,7 +33,6 @@ from .pipeline import HybridResult, hybrid_pipeline
 from .servo import ServoConfig, angle_from_duty, duty_from_angle, execute_rotation
 from .steering import (
     MechanicalCommand,
-    SteeringPhases,
     mechanical_pitch_yaw,
     mechanical_roll,
     phases_e1,

@@ -6,12 +6,13 @@ distance in the phase expansion but flattens the amplitude to beta/(2 k r).
 Mode multiplexing uses rows of a (partial) DFT matrix: row u spiralizes /
 despiralizes mode l_u, optionally weighted by per-element steering phases.
 
-``mode_channels`` is the one kernel: the (A, P, U, U) mode-domain channels
-((F * b) @ H) @ F^H of A receive attitudes, from ``geometry.distances``
-vectorized over the attitudes, the partial DFT F built once per call and
-(A, P, N) steering rows b, POSE_CHUNK attitudes at a time.  ``channel_matrix``
-and ``channel_matrices`` take one ``Pose``, roll included; with
-``oam_effective`` they are the kernel's one-pose views.  Its oracles in the
+``oam_effective`` is the despiralization kernel: ((F * b) @ H) @ F^H of a
+(..., N, N) stack of channels H with (..., N) steering rows b and the partial
+DFT F.  ``mode_channels`` gives the (A, P, U, U) mode-domain channels of A
+receive attitudes through it, from ``geometry.distances`` vectorized over
+the attitudes, POSE_CHUNK attitudes at a time.  ``channel_matrix`` and
+``channel_matrices`` take one ``Pose``, roll included; they are the element
+channel's one-pose views.  Its oracles in the
 tests: the rotation-matrix product with the exact Euclidean distance; the
 aligned link is circulant, so the DFT diagonalizes it (Edfors & Johansson,
 IEEE TAP 2012); and a single-axis tilt steered by ``phases_eo`` (R. Chen et
@@ -43,13 +44,6 @@ class ChannelMatrix:
     entries: np.ndarray
 
 
-@dataclass(frozen=True)
-class OamMatrix:
-    """U x U effective mode-domain channel (rows/cols follow the mode list)."""
-
-    entries: np.ndarray
-
-
 def _channel_tensor(angles: np.ndarray, cfg: LinkConfig, method: str) -> np.ndarray:
     """(A, P, N, N) element-domain channels of A attitudes at every subcarrier."""
     k = cfg.carriers.wavenumbers[:, None, None]
@@ -69,14 +63,11 @@ def mode_channels(angles, cfg: LinkConfig, rows=None) -> np.ndarray:
     shape = (len(angles), cfg.n_subcarriers, cfg.n_elements)
     if rows is not None and np.shape(rows) != shape:
         raise ValueError(f"steering rows must have shape {shape}, got {np.shape(rows)}")
-    F = partial_dft(cfg.modes, cfg.n_elements)
-    F_h = F.conj().T
     out = np.empty(shape[:2] + (cfg.n_modes, cfg.n_modes), dtype=complex)
     for start in range(0, len(angles), POSE_CHUNK):
         chunk = slice(start, start + POSE_CHUNK)
         H = _channel_tensor(angles[chunk], cfg, "farfield")
-        b = np.ones(H.shape[:-1], dtype=complex) if rows is None else rows[chunk]
-        out[chunk] = (F * b[..., None, :]) @ H @ F_h
+        out[chunk] = oam_effective(H, cfg.modes, None if rows is None else rows[chunk])
     return out
 
 
@@ -105,64 +96,49 @@ def partial_dft(modes: Sequence[int], n_elements: int) -> np.ndarray:
     return np.exp(-2j * math.pi * np.array(modes)[:, None] * j / n_elements) / math.sqrt(n_elements)
 
 
-def _steering_row(steering, n_elements: int) -> np.ndarray:
-    """Unit-modulus per-element weights from zero, one or several phase schedules."""
-    if steering is None:
-        return np.ones(n_elements)
-    schedules = steering if isinstance(steering, (list, tuple)) else [steering]
-    row = np.ones(n_elements, dtype=complex)
-    for sched in schedules:
-        phases = np.asarray(getattr(sched, "phases", sched), dtype=float)
-        if phases.shape != (n_elements,):
-            raise ValueError(f"steering phases must have shape ({n_elements},), got {phases.shape}")
-        row = row * np.exp(1j * phases)
-    return row
+def oam_effective(H, modes: Sequence[int], rows=None) -> np.ndarray:
+    """(..., U, U) mode-domain channels (F * b) @ H @ F^H of (..., N, N) channels ``H``.
 
-
-def oam_effective(
-    H: ChannelMatrix,
-    modes: Sequence[int],
-    steering=None,
-) -> OamMatrix:
-    """Mode-domain channel (F * b) @ H @ F^H with optional steering weights b.
-
-    ``steering`` may be None (plain despiralization), a phase schedule, or a
-    sequence of schedules applied multiplicatively (successive electronic
-    steering stages).
+    ``rows`` holds (..., N) unit-modulus steering weights b, one row per
+    channel; None stands for weights of exactly 1 + 0j, which zero phases
+    also give.  Successive steering stages multiply their weights.
     """
-    n = H.entries.shape[0]
-    if H.entries.shape != (n, n):
-        raise ValueError(f"channel matrix must be square, got {H.entries.shape}")
+    n = H.shape[-1]
+    if H.shape[-2:] != (n, n):
+        raise ValueError(f"channel matrices must be square, got {H.shape}")
+    if rows is not None and np.shape(rows) != H.shape[:-1]:
+        raise ValueError(f"steering rows must have shape {H.shape[:-1]}, got {np.shape(rows)}")
     F = partial_dft(modes, n)
-    row = _steering_row(steering, n)
-    return OamMatrix((F * row) @ H.entries @ F.conj().T)
+    b = np.ones(H.shape[:-1], dtype=complex) if rows is None else rows
+    return (F * b[..., None, :]) @ H @ F.conj().T
 
 
 def simulate_reception(
     symbols: np.ndarray,
-    H: ChannelMatrix,
+    H: np.ndarray,
     modes: Sequence[int],
-    steering=None,
+    rows=None,
     noise_sigma: float = 0.0,
     rng: int | np.random.Generator = 0,
 ) -> np.ndarray:
-    """One-shot receive chain: spiralize, propagate, add noise, despiralize.
+    """One-shot receive chain: spiralize, propagate over the N x N ``H``, add noise, despiralize.
 
     ``symbols`` is the length-U mode-symbol vector (or U x K batch of draws);
-    noise is circular complex Gaussian with per-element variance
-    ``noise_sigma**2``.  Deterministic for a given seed.
+    ``rows`` the (N,) unit-modulus steering weights, None for none.  Noise
+    is circular complex Gaussian with per-element variance ``noise_sigma**2``.
+    Deterministic for a given seed.
     """
-    n = H.entries.shape[0]
+    n = H.shape[0]
     F = partial_dft(modes, n)
     s = np.asarray(symbols, dtype=complex)
     if s.shape[0] != len(F):
         raise ValueError(f"expected {len(F)} mode symbols, got {s.shape[0]}")
     x = F.conj().T @ s
-    received = H.entries @ x
+    received = H @ x
     if noise_sigma > 0.0:
         gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         z = noise_sigma / math.sqrt(2.0) * (
             gen.standard_normal(received.shape) + 1j * gen.standard_normal(received.shape)
         )
         received = received + z
-    return (F * _steering_row(steering, n)) @ received
+    return (F if rows is None else F * rows) @ received

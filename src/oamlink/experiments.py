@@ -26,11 +26,11 @@ from . import __version__
 from .channel import mode_channels
 from .config import LinkConfig, default_link
 from .geometry import PITCH, ROLL, YAW, Pose
-from .metrics import asymptotic_sir, capacity, steered_sirs
+from .metrics import asymptotic_sir, capacity, steered_sir
 from .optimizer import SaParams, capacity_profile, optimize_roll
 from .pipeline import hybrid_pipeline
 from .servo import ServoConfig, execute_rotation
-from .steering import eo_phases
+from .steering import phases_eo
 from .complexity import ComplexityParams, cost_electronic, cost_hybrid
 
 EXPERIMENT_NAMES = (
@@ -168,8 +168,8 @@ _MAX_SA_EVALUATIONS = 100_000
 # once per SNR, angle and scheme (16 points by default).
 _MAX_SNR_POINTS = 10_000
 # Sweep sizes: its CSV has 3 rows per (angle, SNR) point (10^4 angles at the default 16 SNR
-# points took 4 s, half of it the CSV, at a 280 MB peak set by the capacity's (A, SNR, P, U)
-# temporaries); its channels are one complex (A, P, U, U) array (10^4 angles at
+# points took 2.9 s, half of it the CSV, at a 117 MB peak RSS, 78 MB of it the 6-subcarrier
+# channels); its channels are one complex (A, P, U, U) array (10^4 angles at
 # 8 subcarriers and 9 modes: 6.5e6 entries, 104 MB).
 _MAX_SWEEP_POINTS = 10_000 * 16
 _MAX_SWEEP_ENTRIES = 10_000 * 8 * 9 * 9
@@ -426,7 +426,7 @@ def _run_angle_sweep(spec: ExperimentSpec, axis: str):
     return _scheme_columns(angles_deg, spec.snr_grid_db(), {
         "aligned": capacity(mode_channels([(0.0, 0.0, 0.0)], cfg), rhos),
         "none": capacity(mode_channels(poses, cfg), rhos),
-        "electronic": capacity(mode_channels(poses, cfg, np.exp(1j * eo_phases(gamma, psi, cfg))), rhos),
+        "electronic": capacity(mode_channels(poses, cfg, np.exp(1j * phases_eo(gamma, psi, cfg))), rhos),
     })
 
 
@@ -455,7 +455,7 @@ def _run_hybrid_compare(spec: ExperimentSpec):
     ]
     hybrid = capacity(np.stack([r.effective for r in results]), rhos)
     poses = np.stack([tilt, tilt, np.zeros(len(tilt))], axis=1)
-    electronic = capacity(mode_channels(poses, cfg, np.exp(1j * eo_phases(tilt, tilt, cfg))), rhos)
+    electronic = capacity(mode_channels(poses, cfg, np.exp(1j * phases_eo(tilt, tilt, cfg))), rhos)
     # Perfect alignment rolled to the achieved angle; the same kernel as the
     # hybrid rows, so a zero residual gives the same bits.
     perfect = capacity(mode_channels([(0.0, 0.0, results[0].theta_star)], cfg), rhos)
@@ -485,7 +485,7 @@ def _run_monotonicity(spec: ExperimentSpec):
     angles = [math.radians(d) for d in grid_deg]
     axes = ("yaw", "pitch")
     # Rows run axis-major, then mode, then angle; the closed form has no pitch term.
-    exact = np.stack([steered_sirs(axis, cfg.modes, angles, s_target, cfg.n_elements).T for axis in axes])
+    exact = np.stack([steered_sir(axis, cfg.modes, angles, s_target, cfg.n_elements).T for axis in axes])
     asymptotic = [asymptotic_sir(cfg.modes, u, cfg.n_elements, angles, s_target) for u in range(cfg.n_modes)]
     return {
         "axis": [axis for axis in axes for _ in range(cfg.n_modes * len(angles))],

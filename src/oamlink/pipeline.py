@@ -27,13 +27,7 @@ from .config import LinkConfig
 from .geometry import PITCH, ROLL, YAW, Pose
 from .optimizer import SaParams, SaTrace, optimize_roll
 from .servo import ServoConfig, execute_rotation
-from .steering import (
-    MechanicalCommand,
-    SteeringPhases,
-    eo_phases,
-    mechanical_pitch_yaw,
-    phases_e2,
-)
+from .steering import MechanicalCommand, mechanical_pitch_yaw, phases_e1, phases_e2
 
 
 @dataclass
@@ -42,7 +36,7 @@ class HybridResult:
 
     effective: np.ndarray  # (P, U, U) steered mode-domain channels, one per subcarrier
     command: MechanicalCommand
-    phases: list[SteeringPhases]
+    phases: np.ndarray  # (P, N) summed E1 + E2 schedule, one row per subcarrier
     residual: Pose
     theta_star: float
     trace: SaTrace
@@ -61,7 +55,7 @@ def hybrid_pipeline(
 
     ``theta_star`` short-circuits the annealer with a precomputed roll angle
     (it depends only on the link, not on the pose).  ``phases`` of the result
-    holds the summed E1 + E2 schedule per subcarrier.
+    holds the summed E1 + E2 schedule, one (N,) row per subcarrier.
     """
     servo_cfg = servo_cfg if servo_cfg is not None else ServoConfig()
     sa_params = sa_params if sa_params is not None else SaParams()
@@ -69,9 +63,7 @@ def hybrid_pipeline(
     # F1: coarse mechanical alignment at servo accuracy.
     gamma_hat, steps_yaw = execute_rotation(YAW, pose.gamma + aoa_error[0], servo_cfg)
     psi_hat, steps_pitch = execute_rotation(PITCH, pose.psi + aoa_error[1], servo_cfg)
-    residual = mechanical_pitch_yaw(
-        pose, MechanicalCommand(gamma_hat, psi_hat), cfg, servo=servo_cfg
-    )
+    residual = mechanical_pitch_yaw(pose, MechanicalCommand(gamma_hat, psi_hat), servo=servo_cfg)
 
     # Roll optimization and F2.
     if theta_star is None:
@@ -82,16 +74,14 @@ def hybrid_pipeline(
 
     # F2 rebuilds the channel at the rolled residual; E1 + E2 steer it.
     command = MechanicalCommand(gamma_hat, psi_hat, theta_achieved)
-    subcarriers = range(cfg.n_subcarriers)
-    e1 = eo_phases([residual.gamma], [residual.psi], cfg)[0]  # phases_e1 per subcarrier
-    e2 = np.array([phases_e2(p, residual, theta_achieved, cfg).phases for p in subcarriers])
-    phase_schedules = [SteeringPhases(p, e1[p] + e2[p]) for p in subcarriers]
+    e1 = phases_e1(residual, cfg)
+    e2 = phases_e2(residual, theta_achieved, cfg)
     rows = (np.exp(1j * e1) * np.exp(1j * e2))[None]  # the two stages' weights in turn
     angles = [(residual.gamma, residual.psi, theta_achieved)]
     return HybridResult(
         effective=mode_channels(angles, cfg, rows)[0],
         command=command,
-        phases=phase_schedules,
+        phases=e1 + e2,
         residual=residual,
         theta_star=theta_achieved,
         trace=trace,

@@ -1,19 +1,19 @@
 """Electronic steering phase schedules and mechanical rotation of the channel.
 
 Electronic steering folds per-element phase shifts into the despiralization
-weights; each stage has a closed-form schedule:
+weights; each stage has a closed-form schedule, one (N,) row per subcarrier:
 
-* ``phases_eo`` counters the full pose (electronic-only operation),
+* ``phases_eo`` counters the full pose (electronic-only operation, after
+  R. Chen et al., IEEE WCL 2018), (A, P, N) for A poses at once,
 * ``phases_e1`` counters the small residual ``Pose`` left after the
   pitch/yaw mechanical rotation (accuracy claims assume residuals within a
-  few tenths of a degree up to a few degrees),
+  few tenths of a degree up to a few degrees), (P, N),
 * ``phases_e2`` re-aims after the roll rotation by supplying exactly the
-  element-angle difference terms the roll introduced.
+  element-angle difference terms the roll introduced, (P, N).
 
 Mechanical rotation is a non-linear operation on the channel: it moves the
 element positions, so the channel matrices are rebuilt at the new attitude
-rather than multiplied by anything.  ``eo_phases`` gives the
-electronic-only schedules of many poses at once.
+rather than multiplied by anything.
 """
 
 from __future__ import annotations
@@ -29,14 +29,6 @@ from .geometry import Pose
 
 
 @dataclass(frozen=True)
-class SteeringPhases:
-    """Per-element steering phases [rad] at one subcarrier (stored unwrapped)."""
-
-    subcarrier_index: int
-    phases: np.ndarray
-
-
-@dataclass(frozen=True)
 class MechanicalCommand:
     """Commanded mechanical rotation angles [rad] per axis."""
 
@@ -45,50 +37,42 @@ class MechanicalCommand:
     roll_cmd: float = 0.0
 
 
-def eo_phases(gamma, psi, cfg: LinkConfig) -> np.ndarray:
-    """(A, P, N) phases_eo of A poses (gamma[a], psi[a]) at every subcarrier."""
+def phases_eo(gamma, psi, cfg: LinkConfig) -> np.ndarray:
+    """(A, P, N) electronic-only schedules of A poses (gamma[a], psi[a]) at every subcarrier.
+
+    k_p R_r (sin(theta_m) sin(psi) cos(gamma) - cos(theta_m) sin(gamma)).
+    """
     gamma, psi = (np.asarray(x, dtype=float)[:, None, None] for x in (gamma, psi))
     k_rr = cfg.carriers.wavenumbers[:, None] * cfg.rx.radius
     theta = cfg.rx.element_angles
     return k_rr * (np.sin(theta) * np.sin(psi) * np.cos(gamma) - np.cos(theta) * np.sin(gamma))
 
 
-def phases_eo(p: int, psi: float, gamma: float, cfg: LinkConfig) -> SteeringPhases:
-    """Electronic-only schedule: k_p R_r (sin(theta_m) sin(psi) cos(gamma) - cos(theta_m) sin(gamma))."""
-    return SteeringPhases(p, eo_phases([gamma], [psi], cfg)[0, p])
+def phases_e1(residual: Pose, cfg: LinkConfig) -> np.ndarray:
+    """(P, N) post-mechanical schedule: ``phases_eo`` at the residual angles."""
+    return phases_eo([residual.gamma], [residual.psi], cfg)[0]
 
 
-def phases_e1(p: int, residual: Pose, cfg: LinkConfig) -> SteeringPhases:
-    """Post-mechanical schedule: same form as phases_eo at the residual angles."""
-    return phases_eo(p, residual.psi, residual.gamma, cfg)
-
-
-def phases_e2(p: int, residual: Pose, theta_star: float, cfg: LinkConfig) -> SteeringPhases:
-    """Roll-compensation schedule.
+def phases_e2(residual: Pose, theta_star: float, cfg: LinkConfig) -> np.ndarray:
+    """(P, N) roll-compensation schedule.
 
     2 k_p R_r sin(theta*/2) * (cos(gb) cos(theta*/2 + theta_m) sin(pb)
     + sin(gb) sin(theta*/2 + theta_m)), the exact increment that moves the
     phases_e1 correction from element angles theta_m to theta_m + theta*.
     """
-    k_rr = cfg.wavenumber(p) * cfg.rx.radius
+    k_rr = (cfg.carriers.wavenumbers * cfg.rx.radius)[:, None]
     theta = cfg.rx.element_angles
     half = 0.5 * theta_star
     gb, pb = residual.gamma, residual.psi
-    w = (
+    return (
         2.0
         * k_rr
         * math.sin(half)
         * (math.cos(gb) * np.cos(half + theta) * math.sin(pb) + math.sin(gb) * np.sin(half + theta))
     )
-    return SteeringPhases(p, w)
 
 
-def mechanical_pitch_yaw(
-    pose: Pose,
-    command: MechanicalCommand,
-    cfg: LinkConfig,
-    servo=None,
-) -> Pose:
+def mechanical_pitch_yaw(pose: Pose, command: MechanicalCommand, servo=None) -> Pose:
     """Rotate the array in yaw and pitch; return the residual pose, roll 0 (``channel_matrices`` builds its channel)."""
     if servo is not None:
         lo, hi = servo.reachable_range

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -26,33 +27,38 @@ from oamlink import (
     sinr,
     sir,
 )
-from oamlink.channel import OamMatrix
-from oamlink.metrics import scaled_coupling_link, steered_entries, steered_mode_entry, steered_sir, steered_sirs
+from oamlink.metrics import (
+    CAPACITY_CHUNK,
+    scaled_coupling_link,
+    steered_entries,
+    steered_mode_entry,
+    steered_sir,
+)
 
 MODES = tuple(range(-4, 5))
 
 
 def electronic_effective(pose: Pose, cfg, p: int = 0):
     H = channel_matrix(p, pose, cfg)
-    return oam_effective(H, cfg.modes, phases_eo(p, pose.psi, pose.gamma, cfg))
+    return oam_effective(H.entries, cfg.modes, np.exp(1j * phases_eo([pose.gamma], [pose.psi], cfg)[0, p]))
 
 
 def test_sinr_diagonal_matrix():
-    eff = OamMatrix(np.diag([2.0 + 0j, 0.5 + 0j]))
+    eff = np.diag([2.0 + 0j, 0.5 + 0j])
     assert sinr(eff, 0, 10.0) == pytest.approx(10.0 * 4.0)
     assert sinr(eff, 1, 10.0) == pytest.approx(10.0 * 0.25)
 
 
 def test_sinr_equal_entries_two_modes():
     h = 0.7 - 0.2j
-    eff = OamMatrix(np.array([[h, h], [h, h]]))
+    eff = np.array([[h, h], [h, h]])
     rho = 31.0
     expected = rho * abs(h) ** 2 / (rho * abs(h) ** 2 + 1.0)
     assert sinr(eff, 0, rho) == pytest.approx(expected)
 
 
 def test_sinr_validation():
-    eff = OamMatrix(np.eye(2, dtype=complex))
+    eff = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
         sinr(eff, 0, 0.0)
     with pytest.raises(IndexError):
@@ -60,14 +66,14 @@ def test_sinr_validation():
 
 
 def test_sir_diagonal_is_infinite():
-    assert sir(OamMatrix(np.diag([1.0 + 0j, 2.0 + 0j])), 0) == math.inf
+    assert sir(np.diag([1.0 + 0j, 2.0 + 0j]), 0) == math.inf
 
 
 @pytest.mark.parametrize("off", [1e-9, 3e-8])
 def test_sir_sums_off_diagonal_power_without_cancellation(off):
     # row sum - signal rounds 1 + off^2 back to 1 and reported inf (1e-9)
     # or a 1.3% error (3e-8); the true SIR is 1 / off^2
-    eff = OamMatrix(np.array([[1.0, off], [off, 1.0]], dtype=complex))
+    eff = np.array([[1.0, off], [off, 1.0]], dtype=complex)
     assert sir(eff, 0) == pytest.approx(1.0 / off**2, rel=1e-14)
 
 
@@ -83,10 +89,10 @@ def test_sinr_approaches_sir_at_high_snr():
 @given(st.integers(0, 2**31 - 1))
 def test_sinr_sir_limit_identity(seed):
     rng = np.random.default_rng(seed)
-    eff = OamMatrix(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    eff = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     for rho in (1e6, 1e9):
         for u in range(4):
-            row = np.abs(eff.entries[u]) ** 2
+            row = np.abs(eff[u]) ** 2
             interference = row.sum() - row[u]
             lhs = sinr(eff, u, rho) * (1.0 + 1.0 / (rho * interference))
             assert lhs == pytest.approx(sir(eff, u), rel=1e-6)
@@ -100,14 +106,14 @@ def test_sir_decreases_between_small_yaw_points():
 
 
 def test_capacity_single_mode_unit_sinr():
-    eff = OamMatrix(np.array([[1.0 + 0j]]))
+    eff = np.array([[1.0 + 0j]])
     assert capacity([eff], 1.0) == pytest.approx(1.0)
 
 
 def test_capacity_increases_when_interference_removed():
     cfg = default_link()
     eff = electronic_effective(Pose(math.radians(30), math.radians(10)), cfg)
-    cleaned = OamMatrix(np.diag(np.diag(eff.entries)))
+    cleaned = np.diag(np.diag(eff))
     assert capacity([cleaned], 100.0) > capacity([eff], 100.0)
 
 
@@ -117,8 +123,8 @@ def test_capacity_invariant_under_row_phase_rotation(seed):
     rng = np.random.default_rng(seed)
     eff = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     phases = np.exp(1j * rng.uniform(-math.pi, math.pi, 5))
-    rotated = OamMatrix(phases[:, None] * eff)
-    assert capacity([OamMatrix(eff)], 50.0) == pytest.approx(capacity([rotated], 50.0), rel=1e-12)
+    rotated = phases[:, None] * eff
+    assert capacity([eff], 50.0) == pytest.approx(capacity([rotated], 50.0), rel=1e-12)
 
 
 def test_capacity_of_stack_equals_per_pose_calls():
@@ -132,14 +138,39 @@ def test_capacity_of_stack_equals_per_pose_calls():
     caps = capacity(stack, rhos)
     assert caps.shape == (3, len(rhos))
     for a in range(3):
-        per_pose = [OamMatrix(h) for h in stack[a]]
         for j, rho in enumerate(rhos):
-            assert caps[a, j] == capacity(per_pose, float(rho))
+            assert caps[a, j] == capacity(stack[a], float(rho))
     assert isinstance(capacity(stack[0], 2.0), float)
     with pytest.raises(ValueError):
         capacity(stack, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         capacity([], 1.0)
+
+
+def test_capacity_working_memory_bounded_by_chunk():
+    # Beyond its (rows, S) result, capacity holds one chunk's temporaries: at most
+    # two (CAPACITY_CHUNK, P, U, U) power arrays (|h|^2, then its off-diagonal copy,
+    # while the diagonal view keeps |h|^2 alive) and at most four (CAPACITY_CHUNK,
+    # S, P, U) per-mode terms.  Evaluating every row at once holds the per-mode
+    # terms of all rows instead: 3.5 MB each here, against a 2.3 MB bound.
+    P, U, S = 6, 9, 16
+    rows = 8 * CAPACITY_CHUNK
+    rng = np.random.default_rng(3)
+    h = rng.standard_normal((rows, P, U, U)) + 1j * rng.standard_normal((rows, P, U, U))
+    rhos = 10.0 ** (np.arange(S) / 5.0)
+    bound = 2 * CAPACITY_CHUNK * P * U * U * 8 + 4 * CAPACITY_CHUNK * S * P * U * 8
+    capacity(h[:1], rhos)  # first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        caps = capacity(h, rhos)
+        extra = tracemalloc.get_traced_memory()[1] - before - caps.nbytes
+    finally:
+        tracemalloc.stop()
+    assert extra <= bound
+    # rows on either side of a chunk boundary keep the bits of a one-pose call
+    for a in (0, CAPACITY_CHUNK - 1, CAPACITY_CHUNK, rows - 1):
+        assert np.array_equal(caps[a], capacity(h[a], rhos))
 
 
 def test_aligned_reference_capacity_regression():
@@ -152,7 +183,7 @@ def test_aligned_reference_capacity_regression():
     for n_sub, curve in expected.items():
         cfg = default_link(n_subcarriers=n_sub)
         effs = [
-            oam_effective(channel_matrix(p, Pose(0.0, 0.0), cfg), cfg.modes)
+            oam_effective(channel_matrix(p, Pose(0.0, 0.0), cfg).entries, cfg.modes)
             for p in range(n_sub)
         ]
         for snr_db, value in curve.items():
@@ -198,7 +229,7 @@ def test_steered_entry_matches_double_sum_at_moderate_coupling():
         for axis in ("yaw", "pitch"):
             angle = math.radians(33)
             pose = Pose(angle, 0.0) if axis == "yaw" else Pose(0.0, angle)
-            eff = electronic_effective(pose, scaled).entries
+            eff = electronic_effective(pose, scaled)
             scale = scaled.eta(0) * scaled.n_elements**2
             for u in (0, 4, 5):
                 for v in (2, 4, 8):
@@ -262,7 +293,7 @@ def test_exact_sir_converges_to_asymptotic():
         for u in range(9):
             for gdeg in (10, 30, 60):
                 g = math.radians(gdeg)
-                exact = steered_sir("yaw", MODES, u, g, s, 10)
+                exact = steered_sir("yaw", MODES, [g], s, 10)[0, u]
                 asym = asymptotic_sir(MODES, u, 10, g, s)
                 worst = max(worst, abs(exact / asym - 1.0))
         ratios.append(worst)
@@ -288,7 +319,7 @@ def test_steered_sirs_finite_at_small_coupling(n, lo, s):
     modes = tuple(range(lo, -lo + 1))
     grid = np.radians(np.linspace(1, 89, 25))
     for axis in ("yaw", "pitch"):
-        sirs = steered_sirs(axis, modes, grid, s, n)
+        sirs = steered_sir(axis, modes, grid, s, n)
         assert np.all(np.isfinite(sirs)) and np.all(sirs > 0)
 
 

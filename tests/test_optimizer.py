@@ -67,7 +67,7 @@ def test_capacity_objective_matches_closed_form_diag(cfg, theta_of):
     theta = theta_of(cfg.n_elements)
     total = 0.0
     for H in mechanical_roll(Pose(0.0, 0.0), theta, cfg):
-        for h in np.diag(oam_effective(H, cfg.modes).entries):
+        for h in np.diag(oam_effective(H.entries, cfg.modes)):
             total += math.log2(1.0 + cfg.snr_rho * abs(h) ** 2)
     assert capacity_objective(theta, cfg) == pytest.approx(total / cfg.n_subcarriers, rel=1e-12)
 

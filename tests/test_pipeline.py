@@ -63,9 +63,10 @@ def test_orderings_agree(cfg):
     result = hybrid_pipeline(pose, cfg, SA, SERVO)
     res, ts = result.residual, result.theta_star
     rolled = mechanical_roll(res, ts, cfg)
+    e1, e2 = phases_e1(res, cfg), phases_e2(res, ts, cfg)
     for p, (H, eff, sched) in enumerate(zip(rolled, result.effective, result.phases)):
-        assert np.array_equal(sched.phases, phases_e1(p, res, cfg).phases + phases_e2(p, res, ts, cfg).phases)
-        two = oam_effective(H, cfg.modes, sched).entries
+        assert np.array_equal(sched, e1[p] + e2[p])
+        two = oam_effective(H.entries, cfg.modes, np.exp(1j * sched))
         assert np.abs(eff - two).max() <= 1e-12 * np.abs(eff).max()
 
 
@@ -83,7 +84,7 @@ def test_capacity_close_to_roll_matched_reference(cfg):
     from oamlink import channel_matrices
 
     rolled = channel_matrices(Pose(0.0, 0.0, result.theta_star), cfg)
-    reference = [oam_effective(H, cfg.modes) for H in rolled]
+    reference = [oam_effective(H.entries, cfg.modes) for H in rolled]
     for rho in (1.0, 100.0, 1000.0):
         c_h = capacity(result.effective, rho)
         c_ref = capacity(reference, rho)
@@ -96,8 +97,9 @@ def test_pipeline_beats_electronic_only(cfg):
     pose = Pose(math.radians(60), math.radians(60))
     result = hybrid_pipeline(pose, cfg, SA, SERVO)
     eo = []
+    rows = np.exp(1j * phases_eo([pose.gamma], [pose.psi], cfg)[0])
     for p in range(cfg.n_subcarriers):
         H = channel_matrix(p, pose, cfg)
-        eo.append(oam_effective(H, cfg.modes, phases_eo(p, pose.psi, pose.gamma, cfg)))
+        eo.append(oam_effective(H.entries, cfg.modes, rows[p]))
     for rho in (1.0, 100.0):
         assert capacity(result.effective, rho) > capacity(eo, rho)

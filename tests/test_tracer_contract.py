@@ -33,3 +33,24 @@ def test_tracer_installs_counts_channel_entries_and_restores():
     calls, _ = tracer.span_totals(t, [t.unit])
     assert calls["channel.channel_matrix"] == 1
     assert calls["channel.channel_matrices"] == 1
+
+
+def test_batched_kernels_are_traced_by_name(tmp_path, capsys):
+    # The kernels carry the names the benchmark wraps, so their calls are counted.
+    t = tracer.Tracer()
+    restore = tracer.install(t)
+    try:
+        for name in ("sweep-yaw", "hybrid-compare", "monotonicity"):
+            assert oamlink.cli.main([name, "--out", str(tmp_path / name)]) == 0
+    finally:
+        restore()
+    capsys.readouterr()  # the CSV and manifest paths main prints
+    calls, _ = tracer.span_totals(t, [t.unit])
+    for name in (
+        "steering.phases_eo",
+        "steering.phases_e1",
+        "steering.phases_e2",
+        "channel.oam_effective",
+        "metrics.steered_sir",
+    ):
+        assert calls.get(name, 0) > 0, name
