@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -96,6 +97,15 @@ def partial_dft(modes: Sequence[int], n_elements: int) -> np.ndarray:
     return np.exp(-2j * math.pi * np.array(modes)[:, None] * j / n_elements) / math.sqrt(n_elements)
 
 
+@lru_cache(maxsize=16)
+def _despiralizer(modes: tuple[int, ...], n_elements: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``partial_dft`` F and F^H of a mode set, built once, not once per call or chunk."""
+    F = partial_dft(modes, n_elements)
+    F_h = F.conj().T
+    F.flags.writeable = F_h.flags.writeable = False
+    return F, F_h
+
+
 def oam_effective(H, modes: Sequence[int], rows=None) -> np.ndarray:
     """(..., U, U) mode-domain channels (F * b) @ H @ F^H of (..., N, N) channels ``H``.
 
@@ -108,9 +118,9 @@ def oam_effective(H, modes: Sequence[int], rows=None) -> np.ndarray:
         raise ValueError(f"channel matrices must be square, got {H.shape}")
     if rows is not None and np.shape(rows) != H.shape[:-1]:
         raise ValueError(f"steering rows must have shape {H.shape[:-1]}, got {np.shape(rows)}")
-    F = partial_dft(modes, n)
+    F, F_h = _despiralizer(tuple(modes), n)
     b = np.ones(H.shape[:-1], dtype=complex) if rows is None else rows
-    return (F * b[..., None, :]) @ H @ F.conj().T
+    return (F * b[..., None, :]) @ H @ F_h
 
 
 def simulate_reception(
@@ -129,11 +139,11 @@ def simulate_reception(
     Deterministic for a given seed.
     """
     n = H.shape[0]
-    F = partial_dft(modes, n)
+    F, F_h = _despiralizer(tuple(modes), n)
     s = np.asarray(symbols, dtype=complex)
     if s.shape[0] != len(F):
         raise ValueError(f"expected {len(F)} mode symbols, got {s.shape[0]}")
-    x = F.conj().T @ s
+    x = F_h @ s
     received = H @ x
     if noise_sigma > 0.0:
         gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)

@@ -162,7 +162,8 @@ _EXPERIMENT_OVERRIDES = {
 }
 
 # Annealer candidate evaluations per run (outer levels x inner iterations);
-# the default schedule makes 2 200, at tens of microseconds each.
+# the default schedule makes 2 200, at 8-13 us each on the default link and up
+# to about 1 ms at N = P = U = 64 where the roll model sums the N elements.
 _MAX_SA_EVALUATIONS = 100_000
 # SNR points per run; the sweeps and hybrid-compare evaluate the capacity
 # once per SNR, angle and scheme (16 points by default).

@@ -6,14 +6,23 @@ roll angle only through the per-mode diagonal magnitudes.  The objective is
 periodic with period 2*pi/N, hence the search interval [-pi/N, pi/N].
 
 Mode l's diagonal factor exp(-i l theta) has modulus one, so |h_l| =
-N |eta_p| |sum_j W_lj exp(i S_p cos(delta_j - theta))| with the constant (U, N)
-matrix W = exp(i l delta): theta enters one mode-independent (N,) factor.
-``roll_objective`` builds delta, W, the couplings S_p and the scales N |eta_p|
-once per annealing run; each candidate angle is then one (subcarriers, 1, N)
-complex exp and a broadcast product-sum with W, the operations of the batched
-``capacity_profile``, so both give the same bits and the seeded trace the same
-accept decisions.  Neither BLAS (``e @ W.T``, whose rows change in the last bit
-with the number of rows) nor a Jacobi-Anger series would keep those bits.
+N |eta_p| |sum_j W_lj exp(i S_p cos(delta_j - theta))| with W = exp(i l delta),
+delta_j = 2 pi j / N.  The Jacobi-Anger expansion exp(i S cos phi) =
+sum_q i^q J_q(S) exp(i q phi) (DLMF 10.12) keeps only the orders q = kN - l of
+that sum, so with z = exp(-i N theta)
+
+    |h_l| = N^2 |eta_p| |sum_k i^q J_q(S_p) z^k|,  q = kN - l,
+
+a polynomial of a few terms whose period 2 pi / N is built in.  Its
+coefficients come from one FFT, so no Bessel routine is needed.  Where the
+series would need more than N terms (large couplings), the same kernel sums
+the N element terms instead.  ``roll_objective`` builds the terms' exponents and
+the (K, P, U) coefficient table once per annealing run; each candidate angle is
+then K complex exps, a product with the table and its axis-0 sum.
+``capacity_profile`` does the same per angle, one k after another, so both give
+the same bits and the seeded trace the same accept decisions.  BLAS
+(``z @ c``, whose rows change in the last bit with the number of rows) would
+not keep those bits.
 
 A brute-force grid search over the same interval serves as the optimizer's
 reference; annealing runs are deterministic for a given seed.
@@ -28,9 +37,9 @@ import numpy as np
 
 from .config import LinkConfig
 
-# Roll angles capacity_profile evaluates together.  Its largest temporary,
-# the complex (ANGLE_CHUNK, U, N) product with W of 92 KB at U = 9, N = 10,
-# stays below glibc's 128 KB mmap threshold and so reuses heap pages.
+# Roll angles capacity_profile evaluates together.  Its largest temporaries,
+# complex (ANGLE_CHUNK, P, U) sums and products of 74 KB at P = 8, U = 9, stay
+# below glibc's 128 KB mmap threshold and so reuse heap pages.
 ANGLE_CHUNK = 64
 
 
@@ -86,19 +95,73 @@ class SaTrace:
         return len(self.temperatures)
 
 
-def _diag_constants(cfg: LinkConfig):
-    """Per-link constants of the diagonal model.
+def _series_orders(s_max: float, modes, n: int) -> range | None:
+    """The k of the series terms, or None where it would need more than N of them.
 
-    Returns delta = 2 pi j / N, j = 1..N (N,), W = exp(i l delta) as (U, N),
-    the couplings S_p as (P, 1, 1) and the scales N |eta_p| as (P, 1).
+    Mode l takes the orders q = kN - l.  |J_q(S)| <= (S/2)^|q| / |q|! (DLMF
+    10.14.4), and once q + 2 >= S successive bounds shrink by at least half, so
+    the orders beyond |q| > q_max add at most 4 (S/2)^(q_max+1) / (q_max+1)!.
+    q_max is the first order, from the largest one some mode needs at all, where
+    that is below 2^-56 at the largest coupling: in units of N^2 |eta_p|, an
+    eighth of the N-element sum's own rounding of about 2^-53.  The search stops
+    where the k range would pass N terms, so it takes at most about N^2 / 2
+    steps whatever the coupling.
+    """
+    lo, hi = min(modes), max(modes)
+    q = max(min(l % n, -l % n) for l in modes)
+    tail = 4.0 * math.prod((s_max / 2.0) / m for m in range(1, q + 2))
+    while True:
+        ks = range(-((q - lo) // n), (hi + q) // n + 1)
+        if len(ks) > n:
+            return None
+        if q + 2 >= s_max and tail <= 2.0**-56:
+            return ks
+        q += 1
+        tail *= (s_max / 2.0) / (q + 1)
+
+
+def _jacobi_anger(s: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """(len(s),) + orders.shape coefficients i^q J_q(s) of exp(i s cos phi) = sum_q i^q J_q(s) exp(i q phi).
+
+    One length-M FFT of exp(i s cos(2 pi m / M)) per coupling: its bin q is the
+    sum of the coefficients of orders q + rM, so M > 2 max|q| leaves only orders
+    past max|q| as aliases, which ``_series_orders`` has bounded.
+    """
+    m = 16
+    while m <= 2 * int(np.max(np.abs(orders))):
+        m *= 2
+    samples = np.exp(1j * np.outer(s, np.cos(2.0 * math.pi * np.arange(m) / m)))
+    return (np.fft.fft(samples, axis=1) / m)[:, orders % m]
+
+
+def _roll_model(cfg: LinkConfig):
+    """The diagonal model as |h_{p,l}(theta)| = |sum_k c[k, p, l] exp(exponent(theta)[k, p])|.
+
+    Returns (exponent, c) with c a contiguous (K, P, U) table scaled by
+    sqrt(rho), so that rho |h|^2 is h * h.  ``exponent`` maps a roll angle (or
+    a (T, 1, 1, 1) array of them) to the (K, P or 1, 1) imaginary exponents of
+    the terms (leading T), i times a real phase rounded once.  The
+    Jacobi-Anger series (module docstring) takes the terms exp(-i k N theta)
+    where ``_series_orders`` finds at most N of them; otherwise the terms are
+    the N-element sum's exp(i S_p cos(delta_j - theta)), with c_j = sqrt(rho)
+    N |eta_p| W_lj.
     """
     n = cfg.n_elements
-    delta = 2.0 * math.pi * np.arange(1, n + 1) / n
-    w = np.exp(1j * np.outer(cfg.modes, delta))
     subcarriers = range(cfg.n_subcarriers)
-    s = np.array([cfg.coupling(p) for p in subcarriers])[:, None, None]
-    scale = np.array([n * abs(cfg.eta(p)) for p in subcarriers])[:, None]
-    return delta, w, s, scale
+    s = np.array([cfg.coupling(p) for p in subcarriers])
+    amp = math.sqrt(cfg.snr_rho) * n * np.abs([cfg.eta(p) for p in subcarriers])
+    modes = np.array(cfg.modes)
+    ks = _series_orders(float(np.max(s)), cfg.modes, n)
+    if ks is None:
+        delta = 2.0 * math.pi * np.arange(1, n + 1) / n
+        c = np.exp(1j * np.outer(delta, modes))[:, None, :] * amp[:, None]  # (N, P, U)
+        delta, i_s = delta[:, None, None], 1j * s[:, None]
+        return (lambda theta: i_s * np.cos(delta - theta)), c
+    k = np.array(ks)
+    coefficients = _jacobi_anger(s, k[:, None] * n - modes)  # (P, K, U)
+    c = np.ascontiguousarray((n * amp[:, None, None] * coefficients).transpose(1, 0, 2))
+    i_kn = -1j * n * k[:, None, None]
+    return (lambda theta: i_kn * theta), c
 
 
 def capacity_profile(thetas, cfg: LinkConfig) -> np.ndarray:
@@ -106,41 +169,37 @@ def capacity_profile(thetas, cfg: LinkConfig) -> np.ndarray:
 
     Mode l's diagonal entry is N eta(p) sum_delta exp(i l (delta - theta) + i S_p cos(delta - theta)),
     delta = 2 pi j / N, j = 1..N: periodic in theta with period 2 pi / N and equal in magnitude
-    to the double DFT sum of the aligned link rolled to theta; per subcarrier it is one (angles, N)
-    complex exp and the product-sum with W (module docstring).  Walks the angles ANGLE_CHUNK at a
-    time and loops over subcarriers, so the temporaries stay (ANGLE_CHUNK, modes, N) however many
-    angles are asked for; every per-angle reduction is the same, and so are the bits.
+    to the double DFT sum of the aligned link rolled to theta.  Walks the angles ANGLE_CHUNK at a
+    time and adds the terms of ``_roll_model`` one k after another, in the order of the
+    objective's axis-0 reduction, so the temporaries stay (ANGLE_CHUNK, P, U) however many angles
+    are asked for, and every angle gets the objective's bits.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    delta, w, s, scale = _diag_constants(cfg)
+    exponent, c = _roll_model(cfg)
     caps = np.empty(thetas.shape[0])
     for start in range(0, thetas.shape[0], ANGLE_CHUNK):
-        cos = np.cos(delta[None, :] - thetas[start : start + ANGLE_CHUNK, None])  # (T, N)
-        total = np.zeros(cos.shape[0])
-        for p in range(cfg.n_subcarriers):
-            e = np.exp(1j * (s[p] * cos))  # (T, N)
-            h_abs = scale[p] * np.abs((e[:, None, :] * w).sum(axis=2))  # (T, U)
-            total += np.log2(1.0 + cfg.snr_rho * h_abs**2).sum(axis=1)
-        caps[start : start + ANGLE_CHUNK] = total / cfg.n_subcarriers
-    return caps
+        terms = np.exp(exponent(thetas[start : start + ANGLE_CHUNK, None, None, None]))  # (T, K, P|1, 1)
+        h = c[0] * terms[:, 0]
+        for k in range(1, len(c)):
+            h += c[k] * terms[:, k]
+        h = np.abs(h)
+        caps[start : start + ANGLE_CHUNK] = np.add.reduce(np.log2(1.0 + h * h).reshape(len(h), -1), axis=1)
+    return caps / cfg.n_subcarriers
 
 
 def roll_objective(cfg: LinkConfig):
     """The annealer's objective: theta -> ``capacity_profile([theta], cfg)[0]``, bit for bit.
 
-    The link constants are built once; each call is one (P, 1, N) complex exp
-    and its product-sum with W, the profile's operations, whose per-subcarrier
-    sums are added in subcarrier order as the profile does (``np.sum`` would
-    add eight or more of them pairwise).
+    The roll model is built once; each call is one exp of the K exponents,
+    the product with the coefficient table, its sum over k, and one pairwise
+    sum of the P U capacities, the profile's operations per angle.
     """
-    delta, w, s, scale = _diag_constants(cfg)
-    rho, n_sub = cfg.snr_rho, cfg.n_subcarriers
+    exponent, c = _roll_model(cfg)
+    n_sub = cfg.n_subcarriers
 
     def objective(theta: float) -> float:
-        e = np.exp(1j * (s * np.cos(delta - theta)))  # (P, 1, N)
-        h_abs = scale * np.abs((e * w).sum(axis=2))  # (P, U)
-        per_subcarrier = np.log2(1.0 + rho * h_abs**2).sum(axis=1)
-        return float(np.add.accumulate(per_subcarrier)[-1] / n_sub)
+        h = np.abs(np.add.reduce(c * np.exp(exponent(theta)), axis=0))  # (P, U)
+        return float(np.add.reduce(np.log2(1.0 + h * h), axis=None)) / n_sub
 
     return objective
 
@@ -161,6 +220,17 @@ def grid_search_roll(cfg: LinkConfig, resolution: int) -> tuple[float, float]:
     return float(thetas[best]), float(caps[best])
 
 
+def _uniform_stream(rng: np.random.Generator, block: int = 1024):
+    """The doubles of successive ``rng.random()`` calls, drawn ``block`` at a time.
+
+    ``Generator.uniform(lo, hi)`` is lo + (hi - lo) * random() on the same
+    stream, one double per call, so a loop that takes its draws from here in
+    order makes the decisions it would make calling the generator each time.
+    """
+    while True:
+        yield from rng.random(block).tolist()
+
+
 def optimize_roll(
     cfg: LinkConfig,
     sa: SaParams,
@@ -177,7 +247,7 @@ def optimize_roll(
     """
     half = math.pi / cfg.n_elements
     step0 = sa.step_scale if sa.step_scale is not None else half / 10.0
-    rng = np.random.default_rng(sa.rng_seed)
+    draw = _uniform_stream(np.random.default_rng(sa.rng_seed)).__next__
     theta = -half if theta_init is None else float(theta_init)
     if not -half <= theta <= half:
         raise ValueError(f"theta_init {theta} outside [-pi/N, pi/N]")
@@ -190,13 +260,13 @@ def optimize_roll(
         accepted = 0
         step = step0 * temperature / sa.t_init
         for _ in range(sa.inner_iters):
-            e = rng.uniform(-step, step)
+            e = -step + 2.0 * step * draw()  # uniform(-step, step): lo + (hi - lo) * random()
             cand = theta + e
             if not -half < cand < half:
                 cand = theta - e
             cand = min(max(cand, -half), half)
             cap_new = objective(cand)
-            if cap_new > cap or rng.random() < math.exp((cap_new - cap) / temperature):
+            if cap_new > cap or draw() < math.exp((cap_new - cap) / temperature):
                 theta, cap = cand, cap_new
                 accepted += 1
                 if cap > cap_best:

@@ -18,6 +18,17 @@ from oamlink import (
     roll_objective,
 )
 from oamlink.metrics import scaled_coupling_link
+from oamlink.optimizer import _jacobi_anger, _series_orders, _uniform_stream
+
+# Links whose roll model takes the N-element sum instead of the series: the
+# couplings 16.7 (radii 50 wavelengths at range 1000) and 2.2e9 (the last
+# subcarrier at 1.567e18 Hz, a value the config fuzz test reaches).
+WIDE_LINK = default_link(radius_rx_wavelengths=50, radius_tx_wavelengths=50, range_wavelengths=1000)
+HUGE_COUPLING_LINK = default_link(freq_stop_hz=1.567e18)
+
+
+def _largest_coupling(cfg):
+    return max(cfg.coupling(p) for p in range(cfg.n_subcarriers))
 
 
 def test_sa_params_validation():
@@ -58,8 +69,14 @@ ORACLE_THETAS = {
 @pytest.mark.parametrize("theta_of", ORACLE_THETAS.values(), ids=ORACLE_THETAS.keys())
 @pytest.mark.parametrize(
     "cfg",
-    [default_link(), default_link(n_subcarriers=1), default_link(n_elements=16, modes=tuple(range(-7, 8)))],
-    ids=["default", "P1", "N16"],
+    [
+        default_link(),
+        default_link(n_subcarriers=1),
+        default_link(n_elements=16, modes=tuple(range(-7, 8))),
+        WIDE_LINK,
+        HUGE_COUPLING_LINK,
+    ],
+    ids=["default", "P1", "N16", "wide", "S2e9"],
 )
 def test_capacity_objective_matches_closed_form_diag(cfg, theta_of):
     # the objective's closed-form diagonal against the explicit double DFT sum
@@ -70,6 +87,24 @@ def test_capacity_objective_matches_closed_form_diag(cfg, theta_of):
         for h in np.diag(oam_effective(H.entries, cfg.modes)):
             total += math.log2(1.0 + cfg.snr_rho * abs(h) ** 2)
     assert capacity_objective(theta, cfg) == pytest.approx(total / cfg.n_subcarriers, rel=1e-12)
+
+
+def test_roll_model_branch_follows_term_count():
+    # the series where it needs at most N terms, else the N-element sum
+    cfg = default_link()
+    ks = _series_orders(_largest_coupling(cfg), cfg.modes, cfg.n_elements)
+    assert ks is not None and len(ks) <= cfg.n_elements
+    for cfg in (WIDE_LINK, HUGE_COUPLING_LINK):
+        assert _series_orders(_largest_coupling(cfg), cfg.modes, cfg.n_elements) is None
+
+
+def test_jacobi_anger_coefficients_match_jv():
+    from scipy.special import jv
+
+    couplings = np.array([1e-3, 0.2, *(default_link().coupling(p) for p in range(8)), 16.7, 37.0])
+    orders = np.arange(-40, 41)
+    expected = 1j ** (orders % 4) * jv(orders, couplings[:, None])
+    assert np.max(np.abs(_jacobi_anger(couplings, orders) - expected)) <= 3e-15
 
 
 @pytest.mark.parametrize(
@@ -108,6 +143,29 @@ def test_optimize_roll_seeded_trace_pinned():
     assert trace.accepted_counts == [19] + [20] * 109
     assert trace.best_thetas == [theta for theta, run in SEED0_BEST_THETAS for _ in range(run)]
     assert theta_star == -0.14494416610097324
+
+
+def test_uniform_stream_continues_the_generator():
+    # block boundaries fall inside the run; uniform(lo, hi) is lo + (hi - lo) * random()
+    stream = _uniform_stream(np.random.default_rng(5), block=7)
+    rng = np.random.default_rng(5)
+    for i in range(50):
+        step = 0.01 * (i + 1)
+        if i % 3:
+            assert next(stream) == rng.random()
+        else:
+            assert -step + 2.0 * step * next(stream) == rng.uniform(-step, step)
+
+
+def test_optimize_roll_extreme_schedule_never_runs_dry():
+    # 13 463 levels of one or two draws each, many blocks of the stream
+    sa = SaParams(t_init=1e308, t_min=1e-308, inner_iters=1)
+    levels, temperature = 0, sa.t_init
+    while temperature > sa.t_min:
+        levels, temperature = levels + 1, temperature * sa.cooling
+    theta_star, trace = optimize_roll(default_link(n_subcarriers=1), sa)
+    assert len(trace) == levels
+    assert abs(theta_star) <= math.pi / 10
 
 
 def test_capacity_objective_symmetric_for_symmetric_modes():
