@@ -5,11 +5,12 @@ link: every mode sees SINR = rho * |h_diag|^2, so the capacity depends on the
 roll angle only through the per-mode diagonal magnitudes.  The objective is
 periodic with period 2*pi/N, hence the search interval [-pi/N, pi/N].
 
-Mode l's diagonal factor exp(-i l theta) has modulus one, so |h_l| =
-N |eta_p| |sum_j W_lj exp(i S_p cos(delta_j - theta))| with W = exp(i l delta),
-delta_j = 2 pi j / N.  The Jacobi-Anger expansion exp(i S cos phi) =
-sum_q i^q J_q(S) exp(i q phi) (DLMF 10.12) keeps only the orders q = kN - l of
-that sum, so with z = exp(-i N theta)
+Mode l's diagonal entry of the aligned link rolled to theta (the double DFT
+sum the tests use as oracle) has the factor exp(-i l theta) of modulus one, so
+|h_l| = N |eta_p| |sum_j W_lj exp(i S_p cos(delta_j - theta))| with
+W = exp(i l delta), delta_j = 2 pi j / N.  The Jacobi-Anger expansion
+exp(i S cos phi) = sum_q i^q J_q(S) exp(i q phi) (DLMF 10.12) keeps only the
+orders q = kN - l of that sum, so with z = exp(-i N theta)
 
     |h_l| = N^2 |eta_p| |sum_k i^q J_q(S_p) z^k|,  q = kN - l,
 
@@ -101,9 +102,9 @@ def _series_orders(s_max: float, modes, n: int) -> range | None:
     Mode l takes the orders q = kN - l.  |J_q(S)| <= (S/2)^|q| / |q|! (DLMF
     10.14.4), and once q + 2 >= S successive bounds shrink by at least half, so
     the orders beyond |q| > q_max add at most 4 (S/2)^(q_max+1) / (q_max+1)!.
-    q_max is the first order, from the largest one some mode needs at all, where
-    that is below 2^-56 at the largest coupling: in units of N^2 |eta_p|, an
-    eighth of the N-element sum's own rounding of about 2^-53.  The search stops
+    q_max is the first order, counting up from the largest order some mode needs
+    at all, where that is below 2^-56 at the largest coupling: in units of
+    N^2 |eta_p|, an eighth of the N-element sum's own rounding of about 2^-53.  The search stops
     where the k range would pass N terms, so it takes at most about N^2 / 2
     steps whatever the coupling.
     """
@@ -121,11 +122,12 @@ def _series_orders(s_max: float, modes, n: int) -> range | None:
 
 
 def _jacobi_anger(s: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """(len(s),) + orders.shape coefficients i^q J_q(s) of exp(i s cos phi) = sum_q i^q J_q(s) exp(i q phi).
+    """The coefficients i^q J_q(s) of exp(i s cos phi) = sum_q i^q J_q(s) exp(i q phi).
 
-    One length-M FFT of exp(i s cos(2 pi m / M)) per coupling: its bin q is the
-    sum of the coefficients of orders q + rM, so M > 2 max|q| leaves only orders
-    past max|q| as aliases, which ``_series_orders`` has bounded.
+    Shape (len(s),) + orders.shape.  One length-M FFT of exp(i s cos(2 pi m / M))
+    per coupling: its bin q is the sum of the coefficients of orders q + rM, so
+    M > 2 max|q| leaves only orders past max|q| as aliases, which
+    ``_series_orders`` has bounded.
     """
     m = 16
     while m <= 2 * int(np.max(np.abs(orders))):
@@ -167,23 +169,23 @@ def _roll_model(cfg: LinkConfig):
 def capacity_profile(thetas, cfg: LinkConfig) -> np.ndarray:
     """Diagonal-model capacity [bits/s/Hz] at each roll angle (vectorized).
 
-    Mode l's diagonal entry is N eta(p) sum_delta exp(i l (delta - theta) + i S_p cos(delta - theta)),
-    delta = 2 pi j / N, j = 1..N: periodic in theta with period 2 pi / N and equal in magnitude
-    to the double DFT sum of the aligned link rolled to theta.  Walks the angles ANGLE_CHUNK at a
-    time and adds the terms of ``_roll_model`` one k after another, in the order of the
-    objective's axis-0 reduction, so the temporaries stay (ANGLE_CHUNK, P, U) however many angles
-    are asked for, and every angle gets the objective's bits.
+    Walks the angles ANGLE_CHUNK at a time and adds the terms of ``_roll_model``
+    one k after another, in the order of the objective's axis-0 sum, so the
+    temporaries stay (ANGLE_CHUNK, P, U) however many angles are asked for, and
+    every angle gets the objective's bits.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     exponent, c = _roll_model(cfg)
     caps = np.empty(thetas.shape[0])
     for start in range(0, thetas.shape[0], ANGLE_CHUNK):
-        terms = np.exp(exponent(thetas[start : start + ANGLE_CHUNK, None, None, None]))  # (T, K, P|1, 1)
+        chunk = thetas[start : start + ANGLE_CHUNK, None, None, None]
+        terms = np.exp(exponent(chunk))  # (T, K, P or 1, 1)
         h = c[0] * terms[:, 0]
         for k in range(1, len(c)):
             h += c[k] * terms[:, k]
         h = np.abs(h)
-        caps[start : start + ANGLE_CHUNK] = np.add.reduce(np.log2(1.0 + h * h).reshape(len(h), -1), axis=1)
+        per_mode = np.log2(1.0 + h * h).reshape(len(h), -1)  # (T, P U)
+        caps[start : start + ANGLE_CHUNK] = np.add.reduce(per_mode, axis=1)
     return caps / cfg.n_subcarriers
 
 
