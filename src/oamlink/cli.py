@@ -1,19 +1,33 @@
 """Command-line entry point: one subcommand per experiment.
 
-Exit codes: 0 on success, 1 on configuration errors, 2 on runtime errors.
+Exit codes: 0 on success (and for ``--help``), 1 on configuration errors,
+bad command lines included (an unknown subcommand or flag, or a flag value
+of the wrong type), 2 on runtime errors.  Errors print ``config error: ...``
+or ``runtime error: ...`` on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 from .experiments import EXPERIMENT_NAMES, ConfigError, ExperimentSpec, parse_config, run
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose command-line errors are config errors (exit 1)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"config error: {message}\n")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The CLI parser, built on first use and shared by every later ``main`` call."""
+    parser = _Parser(
         prog="oamlink",
         description="UCA-based LoS OAM link experiments (hybrid vs electronic beam steering)",
     )

@@ -286,21 +286,28 @@ def test_mode_channels_working_memory_independent_of_pose_count():
     P, N = cfg.n_subcarriers, cfg.n_elements
     bound = 6 * POSE_CHUNK * P * N * N * 16
     mode_channels(np.zeros((1, 3)), cfg)  # first-call allocations
-    extra = []
+    numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    extra, leaked = [], []
     tracemalloc.start()
     try:
         for count in (2 * POSE_CHUNK, 40 * POSE_CHUNK):
             angles = np.zeros((count, 3))
             angles[:, 0] = np.linspace(0.0, 1.4, count)
+            arrays = tracemalloc.take_snapshot().filter_traces(numpy_only)
             tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
             out = mode_channels(angles, cfg)
-            extra.append(tracemalloc.get_traced_memory()[1] - before - out.nbytes)
+            # Working memory: out and the blocks that outlive the call are in
+            # both the peak and the memory still traced after it, so they cancel.
+            current, peak = tracemalloc.get_traced_memory()
+            extra.append(peak - current)
             del out
+            after = tracemalloc.take_snapshot().filter_traces(numpy_only)
+            leaked += [stat for stat in after.compare_to(arrays, "traceback") if stat.count_diff > 0]
     finally:
         tracemalloc.stop()
     assert max(extra) <= bound
     assert abs(extra[0] - extra[1]) <= 4096  # interpreter noise, not arrays
+    assert leaked == []  # no array allocated by the call outlives it
 
 
 @pytest.mark.parametrize("n, modes", [(10, tuple(range(-4, 5))), (16, tuple(range(-7, 8))), (7, (-3, -1, 0, 2, 3))])

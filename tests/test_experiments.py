@@ -1,6 +1,7 @@
 """Config parsing, experiment runs, manifests and the CLI surface."""
 
 import csv
+import io
 import math
 import tracemalloc
 import warnings
@@ -131,6 +132,57 @@ def test_run_rejects_columns_of_unequal_length(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="zip"):
         run(spec, tmp_path)
     assert not (tmp_path / "manifest.txt").exists()
+
+
+# Small configs of every experiment, for tests that run each one.
+SMALL = {
+    "sweep-yaw": FAST_SWEEP,
+    "sweep-pitch": FAST_SWEEP,
+    "roll-profile": {"roll.count": 9},
+    "hybrid-compare": {"snr.step_db": 10.0},
+    "sa-trace": {"sa.cooling": 0.5},
+    "monotonicity": {"monotonicity.count": 3},
+    "complexity": {"complexity.n_max": 10, "complexity.p_max": 6},
+}
+
+
+@pytest.mark.parametrize("lines_per_write", [experiments._LINES_PER_WRITE, 4])
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+def test_csv_bytes_match_csv_writer(tmp_path, monkeypatch, name, lines_per_write):
+    # Oracle: the standard library's writer on the runner's own columns, cells
+    # formatted as documented (float repr, integer decimal, text as it is).
+    monkeypatch.setattr(experiments, "_LINES_PER_WRITE", lines_per_write)
+    spec = ExperimentSpec.resolve(name, SMALL[name])
+    columns = experiments._RUNNERS[name](spec)
+    cells = [
+        col if isinstance(col, list) else [repr(v) if col.dtype.kind == "f" else str(v) for v in col.tolist()]
+        for col in columns.values()
+    ]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(columns)
+    writer.writerows(zip(*cells))
+    path, _ = run(spec, tmp_path)
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
+@pytest.mark.parametrize(
+    "columns, named",
+    [
+        ({"a": np.arange(2), "b": ["x", "y,z"]}, "'b'"),
+        ({"a": np.arange(2), "b": ['say "hi"', "x"]}, "'b'"),
+        ({"a": np.arange(2), "b": ["x", "two\nlines"]}, "'b'"),
+        ({"a": np.arange(2), "b": ["x\r", "y"]}, "'b'"),
+        ({"a,b": np.arange(2)}, "'a,b'"),
+        ({"a": ["x", "y"], 'c"d': np.ones(2)}, "'c\"d'"),
+    ],
+)
+def test_run_refuses_cells_that_need_quoting(tmp_path, monkeypatch, columns, named):
+    spec = ExperimentSpec.resolve("complexity")
+    monkeypatch.setitem(experiments._RUNNERS, "complexity", lambda spec: columns)
+    with pytest.raises(ValueError, match=f"column {named}.*quoting"):
+        run(spec, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rerun_into_same_directory_replaces_outputs(tmp_path):
@@ -277,6 +329,44 @@ def test_cli_success_and_exit_codes(tmp_path, capsys):
     ro = tmp_path / "blocked"
     ro.write_text("not a directory")
     assert main(["complexity", "--out", str(ro)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["sweep-yaw", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (["sweep-yaw", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["no-such-experiment"], "argument experiment: invalid choice: 'no-such-experiment'"),
+    ],
+)
+def test_cli_bad_command_line_exits_1_naming_argument(capsys, argv, named):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: oamlink")
+    assert f"config error: {named}" in err
+
+
+def test_cli_help_exits_0(capsys):
+    for argv in (["--help"], ["sa-trace", "--help"]):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: oamlink")
+
+
+def test_cli_parser_reuse_carries_no_state(tmp_path):
+    # The parser is built once per process; a --seed given to one call must
+    # not reach the next, which runs at the config's own seed.
+    cfg = tmp_path / "trace.cfg"
+    cfg.write_text("sa.seed = 3\nsa.cooling = 0.5\n")
+    assert main(["sa-trace", "--config", str(cfg), "--seed", "7", "--out", str(tmp_path / "seeded")]) == 0
+    assert main(["sa-trace", "--config", str(cfg), "--out", str(tmp_path / "after")]) == 0
+    own, _ = run(ExperimentSpec.resolve("sa-trace", parse_config(cfg.read_text())), tmp_path / "own")
+    after = (tmp_path / "after" / "sa-trace.csv").read_bytes()
+    assert after == own.read_bytes()
+    assert after != (tmp_path / "seeded" / "sa-trace.csv").read_bytes()
 
 
 @pytest.mark.parametrize("key", [key for key in SCHEMA if key.startswith("scenario.")])
