@@ -74,7 +74,7 @@ _LINK_SIZE = _count(64)
 _MODE = _Domain(lambda v: abs(v) <= 64, "a mode index with |mode| <= 64")
 # Grid points per run.  The largest arrays: the sweeps' (A, P, U, U) complex
 # channels (7.8 KB per angle at 6 subcarriers, 9 modes: 78 MB at the bound),
-# the roll profile's grid, capacities and CSV columns (1.5 s and 44 MB per 10^5 angles, 0.6 s of it the CSV)
+# the roll profile's grid, capacities and CSV columns (0.75 s and 47 MB per 10^5 angles, 0.4 s of it the CSV)
 # and the Bessel lattice's (A, 2 (S + 2 N + 25) + 1) jv arrays (4 ms per angle at S = 100).
 _SWEEP_COUNT, _ROLL_COUNT, _MONOTONICITY_COUNT = _count(10_000), _count(100_000), _count(1_000)
 # Complexity-model counts: the estimation grids enter cubed, so p^3 u^3 <= 10^24,
@@ -169,7 +169,7 @@ _MAX_SA_EVALUATIONS = 100_000
 # once per SNR, angle and scheme (16 points by default).
 _MAX_SNR_POINTS = 10_000
 # Sweep sizes: its CSV has 3 rows per (angle, SNR) point (10^4 angles at the default 16 SNR
-# points took 2.9 s, half of it the CSV, at a 117 MB peak RSS, 78 MB of it the 6-subcarrier
+# points took 2.2-2.9 s, 1.2 s of it the CSV, at a 116 MB peak RSS, 78 MB of it the 6-subcarrier
 # channels); its channels are one complex (A, P, U, U) array (10^4 angles at
 # 8 subcarriers and 9 modes: 6.5e6 entries, 104 MB).
 _MAX_SWEEP_POINTS = 10_000 * 16
