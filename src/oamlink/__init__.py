@@ -19,7 +19,7 @@ from .geometry import (
     psi_from,
     rotation_matrix,
 )
-from .metrics import ModePair, asymptotic_sir, capacity, check_monotonicity, sinr, sir
+from .metrics import asymptotic_sir, capacity, check_monotonicity, sinr, sir
 from .optimizer import (
     SaParams,
     SaTrace,
@@ -39,6 +39,6 @@ from .steering import (
     phases_e2,
     phases_eo,
 )
-from .complexity import ComplexityParams, CostBreakdown, cost_electronic, cost_hybrid, relative_cost
+from .complexity import ComplexityParams, cost_electronic, cost_hybrid, relative_cost
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import math
 import time
 from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .channel import mode_channels
 from .config import LinkConfig, default_link
-from .geometry import PITCH, ROLL, YAW, Pose
+from .geometry import Pose
 from .metrics import asymptotic_sir, capacity, steered_sir
 from .optimizer import SaParams, capacity_profile, optimize_roll
 from .pipeline import hybrid_pipeline
@@ -75,7 +75,8 @@ _MODE = _Domain(lambda v: abs(v) <= 64, "a mode index with |mode| <= 64")
 # Grid points per run.  The largest arrays: the sweeps' (A, P, U, U) complex
 # channels (7.8 KB per angle at 6 subcarriers, 9 modes: 78 MB at the bound),
 # the roll profile's grid, capacities and CSV columns (0.75 s and 47 MB per 10^5 angles, 0.4 s of it the CSV)
-# and the Bessel lattice's (A, 2 (S + 2 N + 25) + 1) jv arrays (4 ms per angle at S = 100).
+# and the monotonicity run's Bessel lattice and (V, A, U) closed-form terms: 1000 angles with
+# 64 modes (N = 64) peak at 195 MB RSS in 3.6 s at S = 0.01, and at 201 MB in 8.8 s at S = 100.
 _SWEEP_COUNT, _ROLL_COUNT, _MONOTONICITY_COUNT = _count(10_000), _count(100_000), _count(1_000)
 # Complexity-model counts: the estimation grids enter cubed, so p^3 u^3 <= 10^24,
 # and the steering term is P U N^2 <= 10^16, all finite doubles (p_fine = 10^103
@@ -174,8 +175,8 @@ _MAX_SNR_POINTS = 10_000
 # 8 subcarriers and 9 modes: 6.5e6 entries, 104 MB).
 _MAX_SWEEP_POINTS = 10_000 * 16
 _MAX_SWEEP_ENTRIES = 10_000 * 8 * 9 * 9
-# Rows of the complexity CSV, one per (N, P) grid point: about 12 us each
-# (325 by default), so 10^5 rows take about a second.
+# Rows of the complexity CSV, one per (N, P) grid point (325 by default): 10^5
+# rows take 0.4 s, nearly all of it formatting the CSV.
 _MAX_COMPLEXITY_ROWS = 100_000
 
 
@@ -295,8 +296,8 @@ class ExperimentSpec:
         servo = self.servo_config()
         lo, hi = servo.reachable_range
 
-        def reachable(axis: str, target: float) -> float:
-            achieved = execute_rotation(axis, target, servo)[0] if lo <= target <= hi else math.nan
+        def reachable(target: float) -> float:
+            achieved = execute_rotation(target, servo)[0] if lo <= target <= hi else math.nan
             if not lo <= achieved <= hi:
                 raise ConfigError(
                     "keys 'servo.pulse_min_s', 'servo.pulse_mid_s', 'servo.pulse_max_s': commanded"
@@ -305,11 +306,11 @@ class ExperimentSpec:
             return achieved
 
         half = math.pi / self["scenario.n_elements"]
-        reachable(ROLL, -half)  # the roll search interval
-        reachable(ROLL, half)
+        reachable(-half)  # the roll search interval
+        reachable(half)
         for angle in np.radians(self.hybrid_grid_deg()):
-            for axis, key in ((YAW, "pose.aoa_error_gamma_deg"), (PITCH, "pose.aoa_error_psi_deg")):
-                if not abs(angle - reachable(axis, angle + math.radians(self[key]))) < math.pi / 2:
+            for key in ("pose.aoa_error_gamma_deg", "pose.aoa_error_psi_deg"):
+                if not abs(angle - reachable(angle + math.radians(self[key]))) < math.pi / 2:
                     raise ConfigError(f"key {key!r}: residual misalignment must stay below 90 degrees")
 
     def hybrid_grid_deg(self) -> np.ndarray:
@@ -487,20 +488,21 @@ def _run_monotonicity(spec: ExperimentSpec):
     axes = ("yaw", "pitch")
     # Rows run axis-major, then mode, then angle; the closed form has no pitch term.
     exact = np.stack([steered_sir(axis, cfg.modes, angles, s_target, cfg.n_elements).T for axis in axes])
-    asymptotic = [asymptotic_sir(cfg.modes, u, cfg.n_elements, angles, s_target) for u in range(cfg.n_modes)]
+    asymptotic = asymptotic_sir(cfg.modes, angles, s_target, cfg.n_elements).T
     return {
         "axis": [axis for axis in axes for _ in range(cfg.n_modes * len(angles))],
         "mode": np.tile(np.repeat(cfg.modes, len(angles)), len(axes)),
         "angle_deg": np.tile(grid_deg, len(axes) * cfg.n_modes),
         "sir_linear": exact.ravel(),
-        "sir_asymptotic": np.tile(np.concatenate(asymptotic), len(axes)),
+        "sir_asymptotic": np.tile(asymptotic.ravel(), len(axes)),
     }
 
 
 def _run_complexity(spec: ExperimentSpec):
+    ns, ps = spec.complexity_grid()
     params = ComplexityParams(
-        p_data=spec["scenario.n_subcarriers"],
-        n_elements=spec["scenario.n_elements"],
+        p_data=np.tile(ps, len(ns)),
+        n_elements=np.repeat(ns, len(ps)),
         **{f: spec[f"complexity.{f}"] for f in ("u_data", "p_coarse", "u_coarse", "p_fine", "u_fine")},
         sa=spec.sa_params(),
         gamma_cmd=math.radians(spec["pose.gamma_deg"]),
@@ -508,12 +510,10 @@ def _run_complexity(spec: ExperimentSpec):
         theta_star=math.radians(spec["complexity.theta_star_deg"]),
         nu=math.radians(spec["servo.accuracy_deg"]),
     )
-    ns, ps = spec.complexity_grid()
-    swept = [replace(params, n_elements=n, p_data=p) for n in ns for p in ps]
-    hybrid, electronic = np.array([(cost_hybrid(s).total, cost_electronic(s).total) for s in swept]).T
+    hybrid, electronic = (sum(cost(params).values()) for cost in (cost_hybrid, cost_electronic))
     return {
-        "n_elements": np.repeat(ns, len(ps)),
-        "p_data": np.tile(ps, len(ns)),
+        "n_elements": params.n_elements,
+        "p_data": params.p_data,
         "cost_hybrid": hybrid,
         "cost_electronic": electronic,
         "ratio": hybrid / electronic,
@@ -557,16 +557,20 @@ def run(spec: ExperimentSpec, out_dir, seed: int | None = None) -> tuple[Path, P
     # The one place that knows the number format: floats as Python's shortest
     # round-trip repr, integers in decimal, str columns (axis, scheme) as they are.
     # No cell needs quoting, so a CSV line is its cells joined by commas and
-    # ended by CRLF, the bytes csv.writer writes.
+    # ended by CRLF, the bytes csv.writer writes.  Every check runs before a
+    # file is opened, so a failed run leaves an earlier run's outputs as they were.
+    n_rows = len(next(iter(columns.values())))
     cells = []
     for name, col in columns.items():
+        if len(col) != n_rows:
+            raise ValueError(f"column {name!r} has {len(col)} rows, the first column {n_rows}")
         if isinstance(col, list):
             _check_unquoted(name, {name, *col})
             cells.append(col)
         else:
             _check_unquoted(name, (name,))
             cells.append(map(repr if col.dtype.kind == "f" else str, col.tolist()))
-    rows = map(",".join, zip(*cells, strict=True))  # unequal columns raise ValueError
+    rows = map(",".join, zip(*cells, strict=True))
     lines = itertools.chain([",".join(columns)], rows)
     csv_path = out / f"{spec.name}.csv"
     with _open_fresh(csv_path, newline="") as fh:
@@ -576,7 +580,7 @@ def run(spec: ExperimentSpec, out_dir, seed: int | None = None) -> tuple[Path, P
     with _open_fresh(manifest_path) as fh:
         fh.write(f"# oamlink {__version__} experiment manifest\n")
         fh.write(f"# wall_time_s = {wall:.3f}\n")
-        fh.write(f"# rows = {len(next(iter(columns.values())))}\n")
+        fh.write(f"# rows = {n_rows}\n")
         fh.write(serialize_config(spec))
     return csv_path, manifest_path
 

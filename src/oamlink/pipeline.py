@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import mode_channels
 from .config import LinkConfig
-from .geometry import PITCH, ROLL, YAW, Pose
+from .geometry import Pose
 from .optimizer import SaParams, SaTrace, optimize_roll
 from .servo import ServoConfig, execute_rotation
 from .steering import MechanicalCommand, mechanical_pitch_yaw, phases_e1, phases_e2
@@ -61,8 +61,8 @@ def hybrid_pipeline(
     sa_params = sa_params if sa_params is not None else SaParams()
 
     # F1: coarse mechanical alignment at servo accuracy.
-    gamma_hat, steps_yaw = execute_rotation(YAW, pose.gamma + aoa_error[0], servo_cfg)
-    psi_hat, steps_pitch = execute_rotation(PITCH, pose.psi + aoa_error[1], servo_cfg)
+    gamma_hat, steps_yaw = execute_rotation(pose.gamma + aoa_error[0], servo_cfg)
+    psi_hat, steps_pitch = execute_rotation(pose.psi + aoa_error[1], servo_cfg)
     residual = mechanical_pitch_yaw(pose, MechanicalCommand(gamma_hat, psi_hat), servo=servo_cfg)
 
     # Roll optimization and F2.
@@ -70,7 +70,7 @@ def hybrid_pipeline(
         theta_star, trace = optimize_roll(cfg, sa_params)
     else:
         trace = SaTrace()
-    theta_achieved, steps_roll = execute_rotation(ROLL, theta_star, servo_cfg)
+    theta_achieved, steps_roll = execute_rotation(theta_star, servo_cfg)
 
     # F2 rebuilds the channel at the rolled residual; E1 + E2 steer it.
     command = MechanicalCommand(gamma_hat, psi_hat, theta_achieved)

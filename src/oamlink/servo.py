@@ -13,10 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import PITCH, ROLL, YAW
-
-_AXES = (PITCH, YAW, ROLL)
-
 
 @dataclass(frozen=True)
 class ServoConfig:
@@ -66,15 +62,13 @@ def duty_from_angle(theta_cmd: float, servo: ServoConfig) -> float:
     return (theta_cmd * (servo.pulse_max - servo.pulse_min) / math.pi + servo.pulse_mid) / servo.period_k
 
 
-def execute_rotation(axis: str, target: float, servo: ServoConfig) -> tuple[float, int]:
-    """Rotate one axis toward ``target`` [rad].
+def execute_rotation(target: float, servo: ServoConfig) -> tuple[float, int]:
+    """Rotate one axis toward ``target`` [rad]; every axis has the same servo.
 
     Returns (achieved angle, potentiometer step count).  The achieved angle
     is the target rounded to the nearest multiple of the accuracy (ties to
     even), so the residual never exceeds accuracy_nu / 2.
     """
-    if axis not in _AXES:
-        raise ValueError(f"unknown axis {axis!r}")
     lo, hi = servo.reachable_range
     if not lo <= target <= hi:
         raise ValueError(f"target {target} rad outside reachable range [{lo}, {hi}]")

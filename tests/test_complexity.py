@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from oamlink import ComplexityParams, SaParams, cost_electronic, cost_hybrid, relative_cost
@@ -21,7 +22,7 @@ def test_params_validation():
 
 def test_electronic_unit_case():
     params = ComplexityParams(p_data=1, u_data=1, p_coarse=1, u_coarse=1, p_fine=1, u_fine=1, n_elements=1)
-    assert cost_electronic(params).total == 2.0
+    assert sum(cost_electronic(params).values()) == 2.0
 
 
 def test_degenerate_hybrid_collapse():
@@ -34,13 +35,13 @@ def test_degenerate_hybrid_collapse():
     fine = 8**3 * 8**3
     electronic = params.p_data * params.u_data * params.n_elements**2
     annealer = math.log(0.999) / math.log(0.5)
-    assert cost_hybrid(params).total == pytest.approx(2 * fine + electronic + annealer)
+    assert sum(cost_hybrid(params).values()) == pytest.approx(2 * fine + electronic + annealer)
 
 
 def test_electronic_term_quadratic_in_n():
     params = ComplexityParams()
-    a = cost_electronic(params).terms["electronic_steering"]
-    b = cost_electronic(replace(params, n_elements=20)).terms["electronic_steering"]
+    a = cost_electronic(params)["electronic_steering"]
+    b = cost_electronic(replace(params, n_elements=20))["electronic_steering"]
     assert b == 4 * a
 
 
@@ -67,8 +68,8 @@ def test_ratio_decreases_toward_one_as_link_grows():
 
 def test_hybrid_dominates_whenever_coarse_estimation_costs():
     params = ComplexityParams()
-    assert cost_hybrid(params).total >= cost_electronic(params).total
-    assert all(v >= 0 for v in cost_hybrid(params).terms.values())
+    assert sum(cost_hybrid(params).values()) >= sum(cost_electronic(params).values())
+    assert all(v >= 0 for v in cost_hybrid(params).values())
 
 
 def test_dominant_ratio_structure():
@@ -81,3 +82,23 @@ def test_dominant_ratio_structure():
         params.p_fine**3 * params.u_fine**3 + params.p_data * params.u_data * params.n_elements**2
     )
     assert relative_cost(params) == pytest.approx(predicted, rel=1e-6)
+
+
+def test_grid_call_matches_point_calls():
+    # One call over an (N, P) grid gives the bits of one call per point, up to the count bounds.
+    for n, p in ((np.arange(8, 33), np.arange(4, 17)), (np.arange(9991, 10001), np.arange(9991, 10001))):
+        n_grid, p_grid = np.repeat(n, len(p)), np.tile(p, len(n))
+        base = ComplexityParams(u_data=int(p[-1]), p_fine=int(p[-1]), u_fine=int(p[-1]))
+        grid = replace(base, n_elements=n_grid, p_data=p_grid)
+        for cost in (cost_hybrid, cost_electronic):
+            terms = cost(grid)
+            points = [cost(replace(base, n_elements=int(a), p_data=int(b))) for a, b in zip(n_grid, p_grid)]
+            assert list(terms) == list(points[0])
+            np.testing.assert_array_equal(sum(terms.values()), [sum(t.values()) for t in points])
+
+
+def test_electronic_term_must_fit_int64():
+    # P U N^2 of integer arrays is taken in int64: refuse what would wrap.
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        ComplexityParams(n_elements=np.array([10**6]), p_data=np.array([10**4]), u_data=10**4)
+    ComplexityParams(n_elements=np.array([10**4]), p_data=np.array([10**4]), u_data=10**4)

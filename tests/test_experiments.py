@@ -127,11 +127,16 @@ def test_manifest_reruns_byte_identical(tmp_path):
 
 
 def test_run_rejects_columns_of_unequal_length(tmp_path, monkeypatch):
-    spec = ExperimentSpec.resolve("complexity")
+    spec = ExperimentSpec.resolve("complexity", SMALL["complexity"])
+    earlier = {path.name: path.read_bytes() for path in run(spec, tmp_path / "earlier")}
     monkeypatch.setitem(experiments._RUNNERS, "complexity", lambda spec: {"a": np.arange(2), "b": np.ones(3)})
-    with pytest.raises(ValueError, match="zip"):
-        run(spec, tmp_path)
-    assert not (tmp_path / "manifest.txt").exists()
+    with pytest.raises(ValueError, match="column 'b' has 3 rows"):
+        run(spec, tmp_path / "empty")
+    assert list((tmp_path / "empty").iterdir()) == []
+    # Rerun into the earlier run's directory: its CSV and manifest stay as they were.
+    with pytest.raises(ValueError, match="column 'b' has 3 rows"):
+        run(spec, tmp_path / "earlier")
+    assert {path.name: path.read_bytes() for path in (tmp_path / "earlier").iterdir()} == earlier
 
 
 # Small configs of every experiment, for tests that run each one.
@@ -241,7 +246,7 @@ def test_hybrid_compare_zero_residual_ties_exactly(tmp_path, pose_deg):
         if scheme != "hybrid":
             continue
         target = math.radians(float(angle))
-        if target - execute_rotation("yaw", target, ServoConfig())[0] == 0.0:
+        if target - execute_rotation(target, ServoConfig())[0] == 0.0:
             ties += 1
             assert caps[(angle, snr, "hybrid")] == caps[(angle, snr, "perfect")]
     assert ties >= 3 * 7  # at least three angles, every SNR

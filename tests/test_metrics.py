@@ -15,7 +15,6 @@ from scipy.special import jv
 
 import oamlink
 from oamlink import (
-    ModePair,
     Pose,
     asymptotic_sir,
     capacity,
@@ -190,36 +189,21 @@ def test_aligned_reference_capacity_regression():
             assert capacity(effs, 10 ** (snr_db / 10)) == pytest.approx(value, abs=1e-8)
 
 
-def test_mode_pair_orders():
-    pair = ModePair.from_modes(MODES, u=8, v=4, n_elements=10)  # l_u=4, l_v=0
-    assert pair.t == 4
-    assert pair.tau == 4
-    assert pair.tau_bar == 2
-    assert pair.chi == 2
-    odd = ModePair.from_modes(MODES, u=5, v=4, n_elements=10)  # l_u=1, l_v=0
-    assert odd.t == 1
-    assert odd.tau_bar == 0.5
-    wrapped = ModePair.from_modes((13, -1), u=0, v=1, n_elements=10)  # l_u = 3, t = 14 (mod 10)
-    assert (wrapped.tau, wrapped.tau_bar, wrapped.chi) == (3, 3, 4)
-    for p in (pair, odd, wrapped):
-        assert 0 <= p.tau <= 5 and 0 <= p.tau_bar <= 5 and 0 <= p.chi <= 5
-
-
 def test_asymptotic_sir_infinite_at_zero_yaw():
     # Every even-t interference term of mode 1 carries (1 - cos g)^tau_bar with tau_bar > 0.
-    assert asymptotic_sir(MODES, 5, 10, 0.0, 0.01) == math.inf
+    assert asymptotic_sir(MODES, 0.0, 0.01, 10)[0, 5] == math.inf
 
 
 def test_asymptotic_sir_ignores_odd_differences():
     # t = 1 is the only pair, and its entry vanishes at zero pitch for even N.
-    assert asymptotic_sir((0, 1), 0, 10, math.radians(40), 0.01) == math.inf
+    assert np.all(asymptotic_sir((0, 1), math.radians(40), 0.01, 10) == math.inf)
 
 
 def test_asymptotic_sir_linear_specialization():
     # Modes +-1: tau = tau_bar = 1 and chi = 0, so SIR = ((1 + cos g) / (1 - cos g))^2.
     gamma = math.radians(37)
     expected = ((1 + math.cos(gamma)) / (1 - math.cos(gamma))) ** 2
-    assert asymptotic_sir((1, -1), 0, 10, gamma, 0.01) == pytest.approx(expected, rel=1e-12)
+    assert asymptotic_sir((1, -1), gamma, 0.01, 10)[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_steered_entry_matches_double_sum_at_moderate_coupling():
@@ -288,15 +272,10 @@ def test_steered_entries_match_scalar_lattice(n_elements, modes, s_coupling):
 
 def test_exact_sir_converges_to_asymptotic():
     ratios = []
+    angles = np.radians([10, 30, 60])
     for s in (0.1, 0.01, 0.001):
-        worst = 0.0
-        for u in range(9):
-            for gdeg in (10, 30, 60):
-                g = math.radians(gdeg)
-                exact = steered_sir("yaw", MODES, [g], s, 10)[0, u]
-                asym = asymptotic_sir(MODES, u, 10, g, s)
-                worst = max(worst, abs(exact / asym - 1.0))
-        ratios.append(worst)
+        exact = steered_sir("yaw", MODES, angles, s, 10)
+        ratios.append(np.max(np.abs(exact / asymptotic_sir(MODES, angles, s, 10) - 1.0)))
     assert ratios[0] > ratios[1] > ratios[2]
     assert ratios[2] < 0.05
 
@@ -323,14 +302,25 @@ def test_steered_sirs_finite_at_small_coupling(n, lo, s):
         assert np.all(np.isfinite(sirs)) and np.all(sirs > 0)
 
 
-def _decimal_asymptotic_sir(pairs, cos_gamma: Decimal, s: Decimal) -> Decimal:
+def _fold(x: int, n: int) -> int:
+    """Distance of x from the nearest multiple of n."""
+    return min(abs(x - k * n) for k in (x // n, x // n + 1))
+
+
+def _exponents(l_u: int, l_v: int, n: int) -> tuple[int, int, int]:
+    """tau, tau_bar and chi of an even mode-number difference t = l_u - l_v, from their definitions."""
+    t = l_u - l_v
+    return _fold(l_u, n), _fold(t // 2, n), _fold(l_v + t // 2, n)
+
+
+def _decimal_asymptotic_sir(modes, u: int, n: int, cos_gamma: Decimal, s: Decimal) -> Decimal:
     """The closed forms of ``asymptotic_sir`` in Decimal arithmetic: signal^2 / sum of interference^2."""
-    tau = int(pairs[0].tau)
+    tau = _fold(modes[u], n)
     signal = (s * (1 + cos_gamma)) ** tau / (4**tau * math.factorial(tau))
     interference_power = Decimal(0)
-    for pair in pairs:
-        if pair.t % 2 == 0:  # odd t vanishes at even N
-            tb, chi = int(pair.tau_bar), int(pair.chi)
+    for l_v in modes:
+        if l_v != modes[u] and (modes[u] - l_v) % 2 == 0:  # odd t vanishes at even N
+            _, tb, chi = _exponents(modes[u], l_v, n)
             interference = (
                 s ** (tb + chi)
                 * (1 - cos_gamma) ** tb
@@ -341,22 +331,28 @@ def _decimal_asymptotic_sir(pairs, cos_gamma: Decimal, s: Decimal) -> Decimal:
     return signal**2 / interference_power
 
 
-@pytest.mark.parametrize("n, lo, s", [(48, -23, 1e-8), (64, -31, 1e-4), (10, -4, 1e-40)])
-def test_asymptotic_sir_matches_decimal_closed_forms(n, lo, s):
-    # On these links signal^2 / interference^2 in doubles read inf or 0 in 458
-    # cells, though every SIR is a finite double.  The log domain rounds log S,
+@pytest.mark.parametrize(
+    "n, modes, s",
+    [(48, range(-23, 24), 1e-8), (64, range(-31, 32), 1e-4), (10, range(-4, 5), 1e-40), (10, (13, -1, 4, 0), 0.01)],
+    ids=["48--23-1e-08", "64--31-0.0001", "10--4-1e-40", "10-wrapped-0.01"],
+)
+def test_asymptotic_sir_matches_decimal_closed_forms(n, modes, s):
+    # On the first three links signal^2 / interference^2 in doubles read inf or 0
+    # in 458 cells, though every SIR is a finite double.  The log domain rounds log S,
     # log(1 +- cos), their weighted sum L = ln SIR and exp(-L): about |L| eps from
     # the logs and sum, plus a few eps; measured at most 0.96 of this bound.
-    modes = tuple(range(lo, -lo + 1))
+    assert _exponents(4, 0, 10) == (4, 2, 2)  # the exponents, checked by hand
+    assert _exponents(13, -1, 10) == (3, 3, 4)  # t = 14 wraps modulo 10
+    modes = tuple(modes)
     gammas = np.radians(np.linspace(1, 89, 25))
+    got = asymptotic_sir(modes, gammas, s, n)
+    assert got.shape == (len(gammas), len(modes))
     eps = Decimal(np.finfo(float).eps)
     with localcontext() as ctx:
         ctx.prec = 50
         for u in range(len(modes)):
-            pairs = [ModePair.from_modes(modes, u, v, n) for v in range(len(modes)) if v != u]
-            got = asymptotic_sir(modes, u, n, gammas, s)
-            for value, c in zip(got, np.cos(gammas)):
-                expected = _decimal_asymptotic_sir(pairs, Decimal(float(c)), Decimal(s))
+            for value, c in zip(got[:, u], np.cos(gammas)):
+                expected = _decimal_asymptotic_sir(modes, u, n, Decimal(float(c)), Decimal(s))
                 assert math.isfinite(value)
                 assert abs(Decimal(float(value)) - expected) <= (abs(expected.ln()) + 8) * eps * expected
 
@@ -365,6 +361,17 @@ def test_check_monotonicity_single_point_vacuous():
     cfg = default_link()
     ok, worst = check_monotonicity("yaw", 4, 0.01, [math.radians(10)], cfg)
     assert ok and worst == 0.0
+
+
+def test_check_monotonicity_counts_falls_from_infinity(recwarn):
+    # At zero tilt the SIR is +inf (no interference): a step down from it is a
+    # fall, and a step from +inf to +inf a plateau, so the worst rise stays finite.
+    cfg = default_link()
+    assert steered_sir("yaw", cfg.modes, [0.0], 0.01, cfg.n_elements)[0, 4] == math.inf
+    assert check_monotonicity("yaw", 4, 0.01, [0.0, 0.1, 0.2], cfg) == (True, 0.0)
+    # One mode has no interference: its SIR is +inf at every angle.
+    assert check_monotonicity("pitch", 0, 0.01, [0.0, 0.1, 0.2], default_link(modes=(0,))) == (True, 0.0)
+    assert len(recwarn) == 0
 
 
 def test_check_monotonicity_reports_violation_at_full_coupling():
@@ -386,11 +393,11 @@ def test_check_monotonicity_validates_input():
 
 def test_asymptotic_sir_monotone_decreasing():
     grid = np.radians(np.linspace(1, 89, 50))
-    for u in range(9):
-        vals = [asymptotic_sir(MODES, u, 10, g, 0.01) for g in grid]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-        # one call for the whole grid; array and scalar powers may round an ulp apart
-        np.testing.assert_allclose(asymptotic_sir(MODES, u, 10, grid, 0.01), vals, rtol=1e-14)
+    vals = asymptotic_sir(MODES, grid, 0.01, 10)
+    assert vals.shape == (len(grid), 9) and np.all(vals[1:] < vals[:-1])
+    # one call per angle: numpy may sum a single angle's terms in another order
+    one_by_one = np.concatenate([asymptotic_sir(MODES, [g], 0.01, 10) for g in grid])
+    np.testing.assert_allclose(one_by_one, vals, rtol=1e-14)
 
 
 def test_import_leaves_scipy_special_unloaded():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oamlink import ServoConfig, angle_from_duty, duty_from_angle, execute_rotation
-from oamlink.geometry import ROLL, YAW
 
 SERVO = ServoConfig()
 
@@ -43,9 +42,7 @@ def test_out_of_range_errors():
     with pytest.raises(ValueError):
         duty_from_angle(2.0, SERVO)
     with pytest.raises(ValueError):
-        execute_rotation(YAW, 2.0, SERVO)
-    with pytest.raises(ValueError):
-        execute_rotation("sideways", 0.1, SERVO)
+        execute_rotation(2.0, SERVO)
 
 
 @given(st.floats(-math.pi / 2, math.pi / 2))
@@ -54,30 +51,30 @@ def test_duty_angle_round_trip(theta):
 
 
 def test_execute_rotation_zero_target():
-    achieved, steps = execute_rotation(ROLL, 0.0, SERVO)
+    achieved, steps = execute_rotation(0.0, SERVO)
     assert achieved == 0.0 and steps == 0
 
 
 def test_execute_rotation_exact_multiple():
-    achieved, steps = execute_rotation(YAW, math.radians(60), SERVO)
+    achieved, steps = execute_rotation(math.radians(60), SERVO)
     assert steps == 200
     assert achieved == pytest.approx(math.radians(60), abs=1e-12)
 
 
 def test_execute_rotation_quantization_bound():
-    achieved, steps = execute_rotation(YAW, math.radians(60.1), SERVO)
+    achieved, steps = execute_rotation(math.radians(60.1), SERVO)
     assert abs(achieved - math.radians(60.1)) <= math.radians(0.15) + 1e-15
     assert steps in (200, 201)
 
 
 @given(st.floats(-math.pi / 2, math.pi / 2))
 def test_quantization_error_never_exceeds_half_step(target):
-    achieved, steps = execute_rotation(ROLL, target, SERVO)
+    achieved, steps = execute_rotation(target, SERVO)
     assert abs(achieved - target) <= SERVO.accuracy_nu / 2 + 1e-15
     assert steps == round(abs(achieved) / SERVO.accuracy_nu)
 
 
 def test_step_count_scales_linearly():
-    _, s1 = execute_rotation(YAW, math.radians(30), SERVO)
-    _, s2 = execute_rotation(YAW, math.radians(60), SERVO)
+    _, s1 = execute_rotation(math.radians(30), SERVO)
+    _, s2 = execute_rotation(math.radians(60), SERVO)
     assert abs(s2 - 2 * s1) <= 1
