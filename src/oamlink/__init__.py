@@ -30,7 +30,7 @@ from .optimizer import (
     roll_objective,
 )
 from .pipeline import HybridResult, hybrid_pipeline
-from .servo import ServoConfig, angle_from_duty, duty_from_angle, execute_rotation
+from .servo import ServoConfig, execute_rotation
 from .steering import (
     MechanicalCommand,
     mechanical_pitch_yaw,
@@ -39,6 +39,6 @@ from .steering import (
     phases_e2,
     phases_eo,
 )
-from .complexity import ComplexityParams, cost_electronic, cost_hybrid, relative_cost
+from .complexity import ComplexityParams, cost_electronic, cost_hybrid
 
 __version__ = "0.1.0"

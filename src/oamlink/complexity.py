@@ -83,8 +83,3 @@ def cost_hybrid(params: ComplexityParams) -> dict:
         "refined_aoa_estimation": float(params.p_fine**3 * params.u_fine**3),
         "electronic_steering": np.float64(params.p_data * params.u_data * params.n_elements**2),
     }
-
-
-def relative_cost(params: ComplexityParams):
-    """Hybrid total over electronic-only total."""
-    return sum(cost_hybrid(params).values()) / sum(cost_electronic(params).values())

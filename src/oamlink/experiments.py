@@ -87,6 +87,10 @@ _SEED = _Domain(lambda v: v >= 0, "a non-negative integer")
 # Servo steps and the complexity terms divide angles below 2 pi rad by nu; nu >=
 # 1e-300 degrees (1.7e-302 rad) keeps angle / nu below 4e302, a finite double.
 _ACCURACY = _Domain(lambda v: 1e-300 <= v < math.inf, "an accuracy in [1e-300, inf) degrees")
+# Element and roll angles enter sin/cos as angle + 2 pi j / N, which far beyond a
+# turn loses the element offsets (at 1e17 degrees every element got one angle);
+# every angle equals one within a turn.
+_ANGLE = _Domain(lambda v: abs(v) <= 360.0, "an angle with |angle| <= 360 degrees")
 # Every roll equals one within a half turn (the optimum lies within 180/N).
 _HALF_TURN = _Domain(lambda v: abs(v) <= 180.0, "an angle with |angle| <= 180 degrees")
 _NAME = _Domain(lambda v: v in EXPERIMENT_NAMES, f"one of {', '.join(EXPERIMENT_NAMES)}")
@@ -103,8 +107,8 @@ SCHEMA: dict[str, tuple] = {
     "scenario.radius_rx_wavelengths": (20.0, float, _POSITIVE),
     "scenario.radius_tx_wavelengths": (20.0, float, _POSITIVE),
     "scenario.range_wavelengths": (450.0, float, _POSITIVE),
-    "scenario.rx_initial_angle_deg": (0.0, float, _ANY),
-    "scenario.tx_initial_angle_deg": (0.0, float, _ANY),
+    "scenario.rx_initial_angle_deg": (0.0, float, _ANGLE),
+    "scenario.tx_initial_angle_deg": (0.0, float, _ANGLE),
     "scenario.snr_db": (20.0, float, _SNR),
     "pose.gamma_deg": (60.0, float, _TILT),
     "pose.psi_deg": (60.0, float, _TILT),
@@ -116,8 +120,8 @@ SCHEMA: dict[str, tuple] = {
     "sweep.start_deg": (0.0, float, _TILT),
     "sweep.stop_deg": (85.0, float, _TILT),
     "sweep.count": (18, int, _SWEEP_COUNT),
-    "roll.start_deg": (-180.0, float, _ANY),
-    "roll.stop_deg": (180.0, float, _ANY),
+    "roll.start_deg": (-180.0, float, _ANGLE),
+    "roll.stop_deg": (180.0, float, _ANGLE),
     "roll.count": (1441, int, _ROLL_COUNT),
     "sa.t_init": (100.0, float, _ANY),
     "sa.t_min": (1e-3, float, _ANY),
@@ -295,22 +299,27 @@ class ExperimentSpec:
         """Every angle hybrid-compare commands must be reachable and leave |residual| < pi/2."""
         servo = self.servo_config()
         lo, hi = servo.reachable_range
+        outside = f"outside the reachable range [{lo:.6g}, {hi:.6g}] rad"
+        pulse_keys = "keys 'servo.pulse_min_s', 'servo.pulse_mid_s', 'servo.pulse_max_s'"
 
-        def reachable(target: float) -> float:
-            achieved = execute_rotation(target, servo)[0] if lo <= target <= hi else math.nan
-            if not lo <= achieved <= hi:
+        def reachable(target: float, culprit: str) -> float:
+            if not lo <= target <= hi:
+                raise ConfigError(f"{culprit}: commanded angle {target:.6g} rad {outside}")
+            achieved = execute_rotation(target, servo)[0]
+            if not lo <= achieved <= hi:  # the servo rounds to a multiple of its accuracy
                 raise ConfigError(
-                    "keys 'servo.pulse_min_s', 'servo.pulse_mid_s', 'servo.pulse_max_s': commanded"
-                    f" angle {target:.6g} rad outside the reachable range [{lo:.6g}, {hi:.6g}] rad"
+                    f"key 'servo.accuracy_deg': commanded angle {target:.6g} rad is achieved as"
+                    f" {achieved:.6g} rad, {outside}"
                 )
             return achieved
 
         half = math.pi / self["scenario.n_elements"]
-        reachable(-half)  # the roll search interval
-        reachable(half)
+        reachable(-half, pulse_keys)  # the roll search interval
+        reachable(half, pulse_keys)
         for angle in np.radians(self.hybrid_grid_deg()):
             for key in ("pose.aoa_error_gamma_deg", "pose.aoa_error_psi_deg"):
-                if not abs(angle - reachable(angle + math.radians(self[key]))) < math.pi / 2:
+                culprit = f"key {key!r}" if lo <= angle <= hi else pulse_keys
+                if not abs(angle - reachable(angle + math.radians(self[key]), culprit)) < math.pi / 2:
                     raise ConfigError(f"key {key!r}: residual misalignment must stay below 90 degrees")
 
     def hybrid_grid_deg(self) -> np.ndarray:
@@ -339,8 +348,6 @@ class ExperimentSpec:
         return np.linspace(self["sweep.start_deg"], self["sweep.stop_deg"], count)
 
     def roll_grid_deg(self) -> np.ndarray:
-        if not math.isfinite(self["roll.stop_deg"] - self["roll.start_deg"]):
-            raise ConfigError("keys 'roll.start_deg', 'roll.stop_deg' must span a finite interval")
         return np.linspace(self["roll.start_deg"], self["roll.stop_deg"], self["roll.count"])
 
     def monotonicity_grid_deg(self) -> np.ndarray:
@@ -441,26 +448,22 @@ def _run_roll_profile(spec: ExperimentSpec):
 
 def _run_hybrid_compare(spec: ExperimentSpec):
     cfg = spec.link()
-    servo = spec.servo_config()
-    sa = spec.sa_params()
     angles_deg = spec.hybrid_grid_deg()
     rhos = _rhos(spec)
     # The roll objective does not depend on the pose: anneal once, reuse.
-    theta_star, _ = optimize_roll(cfg, sa)
+    theta_star, _ = optimize_roll(cfg, spec.sa_params())
     aoa_error = (
         math.radians(spec["pose.aoa_error_gamma_deg"]),
         math.radians(spec["pose.aoa_error_psi_deg"]),
     )
     tilt = np.radians(angles_deg)
-    results = [
-        hybrid_pipeline(Pose(a, a), cfg, sa, servo, aoa_error=aoa_error, theta_star=theta_star) for a in tilt
-    ]
-    hybrid = capacity(np.stack([r.effective for r in results]), rhos)
+    result = hybrid_pipeline([Pose(a, a) for a in tilt], cfg, theta_star, spec.servo_config(), aoa_error)
+    hybrid = capacity(result.effective, rhos)
     poses = np.stack([tilt, tilt, np.zeros(len(tilt))], axis=1)
     electronic = capacity(mode_channels(poses, cfg, np.exp(1j * phases_eo(tilt, tilt, cfg))), rhos)
     # Perfect alignment rolled to the achieved angle; the same kernel as the
     # hybrid rows, so a zero residual gives the same bits.
-    perfect = capacity(mode_channels([(0.0, 0.0, results[0].theta_star)], cfg), rhos)
+    perfect = capacity(mode_channels([(0.0, 0.0, result.theta_star)], cfg), rhos)
     return _scheme_columns(angles_deg, spec.snr_grid_db(), {
         "perfect": perfect,
         "hybrid": hybrid,

@@ -30,8 +30,8 @@ _HALF_PI = math.pi / 2.0
 class Pose:
     """Receive-array attitude: yaw ``gamma``, pitch ``psi``, roll about boresight.
 
-    Yaw and pitch live in the open interval (-pi/2, pi/2); the derived
-    boresight tilt ``alpha`` then always lies in [0, pi/2).
+    Yaw and pitch live in the open interval (-pi/2, pi/2); the boresight
+    tilt ``alpha_from(psi, gamma)`` then always lies in [0, pi/2).
     """
 
     gamma: float
@@ -45,11 +45,6 @@ class Pose:
             )
         if not (math.isfinite(self.gamma) and math.isfinite(self.psi) and math.isfinite(self.roll)):
             raise ValueError("pose angles must be finite")
-
-    @property
-    def alpha(self) -> float:
-        """Tilt of the array normal away from boresight."""
-        return alpha_from(self.psi, self.gamma)
 
 
 @dataclass(frozen=True)

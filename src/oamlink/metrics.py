@@ -25,12 +25,11 @@ where the plain double DFT sum cancels at small coupling, and
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
-from .config import CarrierGrid, LinkConfig
+from .config import LinkConfig
 
 # Channels whose capacities are evaluated together.  The per-mode terms are
 # (CAPACITY_CHUNK, SNRs, P, U) floats, 590 KB at 16 SNRs, 8 subcarriers and 9
@@ -237,16 +236,6 @@ def steered_mode_entry(
     plain double sum loses the entry to cancellation at small coupling.
     """
     return complex(steered_entries(axis, modes, [angle], s_coupling, n_elements)[0, u, v])
-
-
-def scaled_coupling_link(cfg: LinkConfig, s_target: float) -> LinkConfig:
-    """Single-carrier copy of ``cfg`` with the range set so the coupling is ``s_target``."""
-    if not s_target > 0:
-        raise ValueError("coupling target must be positive")
-    carriers = CarrierGrid((cfg.carriers.frequencies[0],))
-    k1 = carriers.wavenumbers[0]
-    range_r = k1 * cfg.rx.radius * cfg.tx.radius / s_target
-    return replace(cfg, carriers=carriers, range_r=range_r, beta=None)
 
 
 def check_monotonicity(

@@ -44,24 +44,6 @@ class ServoConfig:
         )
 
 
-def angle_from_duty(duty: float, servo: ServoConfig) -> float:
-    """Angle [rad] commanded by a PWM duty-cycle fraction."""
-    pulse = duty * servo.period_k
-    if not servo.pulse_min <= pulse <= servo.pulse_max:
-        raise ValueError(
-            f"duty {duty} gives pulse {pulse}s outside [{servo.pulse_min}, {servo.pulse_max}]"
-        )
-    return math.pi / (servo.pulse_max - servo.pulse_min) * (pulse - servo.pulse_mid)
-
-
-def duty_from_angle(theta_cmd: float, servo: ServoConfig) -> float:
-    """Duty-cycle fraction that commands ``theta_cmd`` [rad]; inverse of angle_from_duty."""
-    lo, hi = servo.reachable_range
-    if not lo <= theta_cmd <= hi:
-        raise ValueError(f"angle {theta_cmd} rad outside reachable range [{lo}, {hi}]")
-    return (theta_cmd * (servo.pulse_max - servo.pulse_min) / math.pi + servo.pulse_mid) / servo.period_k
-
-
 def execute_rotation(target: float, servo: ServoConfig) -> tuple[float, int]:
     """Rotate one axis toward ``target`` [rad]; every axis has the same servo.
 

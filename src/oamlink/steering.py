@@ -5,11 +5,11 @@ weights; each stage has a closed-form schedule, one (N,) row per subcarrier:
 
 * ``phases_eo`` counters the full pose (electronic-only operation, after
   R. Chen et al., IEEE WCL 2018), (A, P, N) for A poses at once,
-* ``phases_e1`` counters the small residual ``Pose`` left after the
+* ``phases_e1`` counters the small residual yaw/pitch left after the
   pitch/yaw mechanical rotation (accuracy claims assume residuals within a
-  few tenths of a degree up to a few degrees), (P, N),
+  few tenths of a degree up to a few degrees), (A, P, N) for A residuals,
 * ``phases_e2`` re-aims after the roll rotation by supplying exactly the
-  element-angle difference terms the roll introduced, (P, N).
+  element-angle difference terms the roll introduced, (A, P, N).
 
 Mechanical rotation is a non-linear operation on the channel: it moves the
 element positions, so the channel matrices are rebuilt at the new attitude
@@ -48,27 +48,27 @@ def phases_eo(gamma, psi, cfg: LinkConfig) -> np.ndarray:
     return k_rr * (np.sin(theta) * np.sin(psi) * np.cos(gamma) - np.cos(theta) * np.sin(gamma))
 
 
-def phases_e1(residual: Pose, cfg: LinkConfig) -> np.ndarray:
-    """(P, N) post-mechanical schedule: ``phases_eo`` at the residual angles."""
-    return phases_eo([residual.gamma], [residual.psi], cfg)[0]
+def phases_e1(gamma, psi, cfg: LinkConfig) -> np.ndarray:
+    """(A, P, N) post-mechanical schedules: ``phases_eo`` at A residual angles (gamma[a], psi[a])."""
+    return phases_eo(gamma, psi, cfg)
 
 
-def phases_e2(residual: Pose, theta_star: float, cfg: LinkConfig) -> np.ndarray:
-    """(P, N) roll-compensation schedule.
+def phases_e2(gamma, psi, theta_star: float, cfg: LinkConfig) -> np.ndarray:
+    """(A, P, N) roll-compensation schedules of A residual angles (gamma[a], psi[a]).
 
     2 k_p R_r sin(theta*/2) * (cos(gb) cos(theta*/2 + theta_m) sin(pb)
     + sin(gb) sin(theta*/2 + theta_m)), the exact increment that moves the
     phases_e1 correction from element angles theta_m to theta_m + theta*.
     """
+    gb, pb = (np.asarray(x, dtype=float)[:, None, None] for x in (gamma, psi))
     k_rr = (cfg.carriers.wavenumbers * cfg.rx.radius)[:, None]
     theta = cfg.rx.element_angles
     half = 0.5 * theta_star
-    gb, pb = residual.gamma, residual.psi
     return (
         2.0
         * k_rr
         * math.sin(half)
-        * (math.cos(gb) * np.cos(half + theta) * math.sin(pb) + math.sin(gb) * np.sin(half + theta))
+        * (np.cos(gb) * np.cos(half + theta) * np.sin(pb) + np.sin(gb) * np.sin(half + theta))
     )
 
 

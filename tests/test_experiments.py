@@ -400,6 +400,10 @@ def test_all_experiment_names_have_runners():
         ("hybrid-compare", "servo.accuracy_deg", "0"),
         ("hybrid-compare", "servo.pulse_mid_s", "0.0019"),
         ("hybrid-compare", "servo.pulse_mid_s", "0.00195\npose.gamma_deg = 0\npose.psi_deg = 0"),  # roll
+        ("hybrid-compare", "servo.accuracy_deg", "100"),  # 60 degrees rounds to 100, out of reach
+        ("hybrid-compare", "pose.aoa_error_gamma_deg", "1e300"),
+        ("sweep-yaw", "scenario.rx_initial_angle_deg", "1e17"),  # every element at one angle
+        ("roll-profile", "roll.start_deg", "-1e17"),
         ("sweep-pitch", "sweep.start_deg", "nan"),
         ("roll-profile", "roll.start_deg", "inf"),
         ("roll-profile", "roll.start_deg", "-1e308\nroll.stop_deg = 1e308"),

@@ -191,7 +191,8 @@ def test_pose_validation():
         Pose(math.pi / 2, 0.0)
     with pytest.raises(ValueError):
         Pose(0.0, -math.pi / 2)
-    assert Pose(0.1, -0.2, roll=2.5).alpha > 0
+    pose = Pose(0.1, -0.2, roll=2.5)
+    assert alpha_from(pose.psi, pose.gamma) > 0
 
 
 @pytest.mark.parametrize("method", ["exact", "farfield"])

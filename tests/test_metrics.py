@@ -28,7 +28,6 @@ from oamlink import (
 )
 from oamlink.metrics import (
     CAPACITY_CHUNK,
-    scaled_coupling_link,
     steered_entries,
     steered_mode_entry,
     steered_sir,
@@ -207,9 +206,10 @@ def test_asymptotic_sir_linear_specialization():
 
 
 def test_steered_entry_matches_double_sum_at_moderate_coupling():
-    cfg = default_link()
     for s_target in (1.0, 5.585053606381855):
-        scaled = scaled_coupling_link(cfg, s_target)
+        # One carrier at coupling S = k_1 R_r R_t / r = 2 pi * 20 * 20 / (range in wavelengths).
+        scaled = default_link(n_subcarriers=1, range_wavelengths=800 * math.pi / s_target)
+        assert scaled.coupling(0) == pytest.approx(s_target, rel=1e-14)
         for axis in ("yaw", "pitch"):
             angle = math.radians(33)
             pose = Pose(angle, 0.0) if axis == "yaw" else Pose(0.0, angle)

@@ -17,7 +17,6 @@ from oamlink import (
     optimize_roll,
     roll_objective,
 )
-from oamlink.metrics import scaled_coupling_link
 from oamlink.optimizer import _jacobi_anger, _series_orders, _uniform_stream
 
 # Links whose roll model takes the N-element sum instead of the series: the
@@ -25,6 +24,9 @@ from oamlink.optimizer import _jacobi_anger, _series_orders, _uniform_stream
 # subcarrier at 1.567e18 Hz, a value the config fuzz test reaches).
 WIDE_LINK = default_link(radius_rx_wavelengths=50, radius_tx_wavelengths=50, range_wavelengths=1000)
 HUGE_COUPLING_LINK = default_link(freq_stop_hz=1.567e18)
+# One carrier and mode 0 at the coupling S = k_1 R_r R_t / r = 0.2; with the
+# 20-wavelength radii, S = 2 pi * 20 * 20 / (range in wavelengths).
+SMALL_COUPLING_LINK = default_link(n_subcarriers=1, modes=(0,), range_wavelengths=800 * math.pi / 0.2)
 
 
 def _largest_coupling(cfg):
@@ -196,7 +198,7 @@ def test_single_zero_mode_objective_constant():
     # theta-invariance of the mode-0 objective holds where the N-sample sum
     # does not alias the order-N Bessel harmonic, i.e. at small coupling; at
     # the reference coupling (~5.6) the profile genuinely varies with theta
-    cfg = scaled_coupling_link(default_link(modes=(0,)), 0.2)
+    cfg = SMALL_COUPLING_LINK
     theta_star, _ = optimize_roll(cfg, SaParams(rng_seed=1))
     assert abs(capacity_objective(theta_star, cfg) - capacity_objective(0.0, cfg)) <= 1e-12
 
@@ -233,7 +235,7 @@ def test_grid_search_peak_memory_bounded_by_chunk():
 
 
 def test_grid_search_constant_objective():
-    cfg = scaled_coupling_link(default_link(modes=(0,)), 0.2)
+    cfg = SMALL_COUPLING_LINK
     theta, cap = grid_search_roll(cfg, 101)
     assert theta == -math.pi / 10  # first grid point of a flat profile
     assert cap == pytest.approx(capacity_objective(0.0, cfg), rel=1e-12)

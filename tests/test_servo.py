@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from oamlink import ServoConfig, angle_from_duty, duty_from_angle, execute_rotation
+from oamlink import ServoConfig, execute_rotation
 
 SERVO = ServoConfig()
 
@@ -23,31 +23,20 @@ def test_config_validation():
         ServoConfig(accuracy_nu=0.0)
 
 
-def test_angle_from_duty_center_and_max():
-    assert angle_from_duty(SERVO.pulse_mid / SERVO.period_k, SERVO) == pytest.approx(0.0)
-    expected_max = math.pi * (SERVO.pulse_max - SERVO.pulse_mid) / (SERVO.pulse_max - SERVO.pulse_min)
-    assert angle_from_duty(SERVO.pulse_max / SERVO.period_k, SERVO) == pytest.approx(expected_max)
-
-
-def test_duty_from_angle_endpoints():
-    assert duty_from_angle(0.0, SERVO) == pytest.approx(SERVO.pulse_mid / SERVO.period_k)
-    lo, hi = SERVO.reachable_range
-    assert duty_from_angle(hi, SERVO) == pytest.approx(SERVO.pulse_max / SERVO.period_k)
-    assert duty_from_angle(lo, SERVO) == pytest.approx(SERVO.pulse_min / SERVO.period_k)
+def test_reachable_range_is_the_pwm_relation_at_the_pulse_limits():
+    # angle = pi / (pulse_max - pulse_min) * (pulse - pulse_mid): the mid pulse
+    # commands 0 rad and the min/max pulses bound the range, here off-center.
+    servo = ServoConfig(pulse_min=0.0011, pulse_mid=0.0016, pulse_max=0.0019)
+    lo, hi = servo.reachable_range
+    scale = math.pi / (servo.pulse_max - servo.pulse_min)
+    assert lo == pytest.approx(scale * (servo.pulse_min - servo.pulse_mid))
+    assert hi == pytest.approx(scale * (servo.pulse_max - servo.pulse_mid))
+    assert hi - lo == pytest.approx(math.pi)
 
 
 def test_out_of_range_errors():
     with pytest.raises(ValueError):
-        angle_from_duty(0.5 * SERVO.pulse_min / SERVO.period_k, SERVO)
-    with pytest.raises(ValueError):
-        duty_from_angle(2.0, SERVO)
-    with pytest.raises(ValueError):
         execute_rotation(2.0, SERVO)
-
-
-@given(st.floats(-math.pi / 2, math.pi / 2))
-def test_duty_angle_round_trip(theta):
-    assert angle_from_duty(duty_from_angle(theta, SERVO), SERVO) == pytest.approx(theta, abs=1e-12)
 
 
 def test_execute_rotation_zero_target():

@@ -85,7 +85,7 @@ def test_phases_eo_cancels_element_angle_phase_term():
 def test_phases_e1_equals_eo_at_residual():
     cfg = default_link()
     res = Pose(math.radians(0.21), math.radians(-0.13))
-    a = phases_e1(res, cfg)[3]
+    a = phases_e1([res.gamma], [res.psi], cfg)[0, 3]
     b = phases_eo([res.gamma], [res.psi], cfg)[0, 3]
     assert np.array_equal(a, b)
 
@@ -93,8 +93,8 @@ def test_phases_e1_equals_eo_at_residual():
 def test_phases_e2_trivial_zeros():
     cfg = default_link()
     res = Pose(math.radians(0.2), math.radians(0.1))
-    assert np.abs(phases_e2(res, 0.0, cfg)[0]).max() == 0.0
-    assert np.abs(phases_e2(Pose(0.0, 0.0), 0.3, cfg)[0]).max() == 0.0
+    assert np.abs(phases_e2([res.gamma], [res.psi], 0.0, cfg)[0, 0]).max() == 0.0
+    assert np.abs(phases_e2([0.0], [0.0], 0.3, cfg)[0, 0]).max() == 0.0
 
 
 def test_phases_e2_equals_element_angle_difference_form():
@@ -110,8 +110,19 @@ def test_phases_e2_equals_element_angle_difference_form():
         (np.sin(rolled) - np.sin(theta)) * math.sin(res.psi) * math.cos(res.gamma)
         - (np.cos(rolled) - np.cos(theta)) * math.sin(res.gamma)
     )
-    got = phases_e2(res, ts, cfg)[0]
+    got = phases_e2([res.gamma], [res.psi], ts, cfg)[0, 0]
     assert np.abs(got - expected).max() < 1e-12
+
+
+def test_phases_e1_e2_rows_equal_one_residual_calls():
+    # One call over A residuals gives each residual's bits of a call with it alone.
+    cfg = default_link()
+    gamma, psi = np.radians([0.3, -0.1, 0.0, 0.15]), np.radians([-0.2, 0.25, 0.0, 0.1])
+    e1, e2 = phases_e1(gamma, psi, cfg), phases_e2(gamma, psi, 0.21, cfg)
+    assert e1.shape == e2.shape == (4, cfg.n_subcarriers, cfg.n_elements)
+    for a in range(4):
+        assert np.array_equal(e1[a], phases_e1(gamma[a:a + 1], psi[a:a + 1], cfg)[0])
+        assert np.array_equal(e2[a], phases_e2(gamma[a:a + 1], psi[a:a + 1], 0.21, cfg)[0])
 
 
 def test_mechanical_pitch_yaw_perfect_command():
@@ -221,7 +232,7 @@ def test_e1_suppression_bound():
     cfg = default_link()
     res = Pose(math.radians(0.3), math.radians(0.3))
     channels = channel_matrices(res, cfg)
-    e1 = phases_e1(res, cfg)
+    e1 = phases_e1([res.gamma], [res.psi], cfg)[0]
     for p, H in enumerate(channels):
         eff = oam_effective(H.entries, cfg.modes, np.exp(1j * e1[p]))
         assert offdiag_power_db(eff) < -40.0
@@ -230,10 +241,10 @@ def test_e1_suppression_bound():
 def test_hybrid_suppression_bound_over_roll_range():
     cfg = default_link()
     res = Pose(math.radians(0.3), math.radians(-0.3))
-    e1 = phases_e1(res, cfg)
+    e1 = phases_e1([res.gamma], [res.psi], cfg)[0]
     for ts in (-math.pi / 10, -0.1, 0.02, 0.1449, math.pi / 10):
         channels = mechanical_roll(res, ts, cfg)
-        e2 = phases_e2(res, ts, cfg)
+        e2 = phases_e2([res.gamma], [res.psi], ts, cfg)[0]
         for p, H in enumerate(channels):
             eff = oam_effective(H.entries, cfg.modes, np.exp(1j * e1[p]) * np.exp(1j * e2[p]))
             assert offdiag_power_db(eff) < -40.0
@@ -249,7 +260,8 @@ def test_hybrid_diag_closed_form_accuracy():
     ts = 0.11
     channels = mechanical_roll(res, ts, cfg)
     aligned = mechanical_roll(Pose(0.0, 0.0), ts, cfg)
-    rows = np.exp(1j * phases_e1(res, cfg)) * np.exp(1j * phases_e2(res, ts, cfg))
+    e1, e2 = phases_e1([res.gamma], [res.psi], cfg)[0], phases_e2([res.gamma], [res.psi], ts, cfg)[0]
+    rows = np.exp(1j * e1) * np.exp(1j * e2)
     for p in (0, 4, 7):
         eff = oam_effective(channels[p].entries, cfg.modes, rows[p])
         predicted = np.diag(oam_effective(aligned[p].entries, cfg.modes))

@@ -54,3 +54,26 @@ def test_batched_kernels_are_traced_by_name(tmp_path, capsys):
         "metrics.steered_sir",
     ):
         assert calls.get(name, 0) > 0, name
+
+
+def test_hybrid_compare_runs_the_chain_once_for_all_poses(tmp_path, capsys, monkeypatch):
+    # One pipeline call steers every pose: one E1, one E2 and one channel rebuild.
+    rebuilds = []
+    original = oamlink.pipeline.mode_channels
+
+    def counted(angles, *args):
+        rebuilds.append(len(angles))
+        return original(angles, *args)
+
+    monkeypatch.setattr(oamlink.pipeline, "mode_channels", counted)
+    t = tracer.Tracer()
+    restore = tracer.install(t)
+    try:
+        assert oamlink.cli.main(["hybrid-compare", "--out", str(tmp_path)]) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+    calls, _ = tracer.span_totals(t, [t.unit])
+    for name in ("pipeline.hybrid_pipeline", "steering.phases_e1", "steering.phases_e2"):
+        assert calls[name] == 1, name
+    assert rebuilds == [7]  # the seven poses of the hybrid grid
