@@ -313,9 +313,9 @@ class ExperimentSpec:
                 )
             return achieved
 
-        half = math.pi / self["scenario.n_elements"]
-        reachable(-half, pulse_keys)  # the roll search interval
-        reachable(half, pulse_keys)
+        half = math.pi / self["scenario.n_elements"]  # the roll search interval
+        for end in (-half, half):
+            reachable(end, f"{pulse_keys}, 'scenario.n_elements'")
         for angle in np.radians(self.hybrid_grid_deg()):
             for key in ("pose.aoa_error_gamma_deg", "pose.aoa_error_psi_deg"):
                 culprit = f"key {key!r}" if lo <= angle <= hi else pulse_keys
@@ -543,14 +543,12 @@ _LINES_PER_WRITE = 8192
 _QUOTED = frozenset(',"\r\n')
 
 
-def run(spec: ExperimentSpec, out_dir, seed: int | None = None) -> tuple[Path, Path]:
+def run(spec: ExperimentSpec, out_dir) -> tuple[Path, Path]:
     """Execute an experiment; write ``<name>.csv`` and ``manifest.txt``.
 
-    ``seed`` overrides the config's sa.seed.  Returns (csv_path,
-    manifest_path).  Outputs are deterministic for a given resolved spec.
+    Returns (csv_path, manifest_path).  Outputs are deterministic for a given
+    resolved spec.
     """
-    if seed is not None:
-        spec = ExperimentSpec.resolve(spec.name, {**spec.values, "sa.seed": int(seed)})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()

@@ -17,13 +17,11 @@ orders q = kN - l of that sum, so with z = exp(-i N theta)
 a polynomial of a few terms whose period 2 pi / N is built in.  Its
 coefficients come from one FFT, so no Bessel routine is needed.  Where the
 series would need more than N terms (large couplings), the same kernel sums
-the N element terms instead.  ``roll_objective`` builds the terms' exponents and
-the (K, P, U) coefficient table once per annealing run; each candidate angle is
-then K complex exps, a product with the table and its axis-0 sum.
-``capacity_profile`` does the same per angle, one k after another, so both give
-the same bits and the seeded trace the same accept decisions.  BLAS
-(``z @ c``, whose rows change in the last bit with the number of rows) would
-not keep those bits.
+the N element terms instead.  ``roll_objective`` and ``capacity_profile``
+share one kernel, ``_log_terms``, whose sum over k runs in the same order for
+one angle as for a chunk of angles, so both give the same bits and the seeded
+trace the same accept decisions.  BLAS (``z @ c``, whose rows change in the
+last bit with the number of rows) would not keep those bits.
 
 A brute-force grid search over the same interval serves as the optimizer's
 reference; annealing runs are deterministic for a given seed.
@@ -38,9 +36,9 @@ import numpy as np
 
 from .config import LinkConfig
 
-# Roll angles capacity_profile evaluates together.  Its largest temporaries,
-# complex (ANGLE_CHUNK, P, U) sums and products of 74 KB at P = 8, U = 9, stay
-# below glibc's 128 KB mmap threshold and so reuse heap pages.
+# Roll angles capacity_profile evaluates together; its complex (ANGLE_CHUNK, K, P, U)
+# products take 516 KB at the default link.  At P = 6 and 2881 angles, chunks of 8, 16,
+# 64 and 128 took 10.3, 7.6, 6.0 and 5.8 ms, so a larger chunk gains little.
 ANGLE_CHUNK = 64
 
 
@@ -72,7 +70,7 @@ class SaParams:
 
     @property
     def outer_iterations(self) -> int:
-        """Number of temperature levels until t_init * cooling^k <= t_min."""
+        """The annealer's number of temperature levels: the least k with t_init * cooling^k <= t_min."""
         # A difference of logs: t_min / t_init underflows for extreme schedules.
         return math.ceil((math.log(self.t_min) - math.log(self.t_init)) / math.log(self.cooling))
 
@@ -166,25 +164,20 @@ def _roll_model(cfg: LinkConfig):
     return (lambda theta: i_kn * theta), c
 
 
-def capacity_profile(thetas, cfg: LinkConfig) -> np.ndarray:
-    """Diagonal-model capacity [bits/s/Hz] at each roll angle (vectorized).
+def _log_terms(exponent, c: np.ndarray, theta) -> np.ndarray:
+    """The (P, U) log2(1 + rho |h|^2) of the roll model at theta, (T, P, U) at (T, 1, 1, 1) thetas."""
+    h = np.abs(np.add.reduce(c * np.exp(exponent(theta)), axis=-3))
+    return np.log2(1.0 + h * h)
 
-    Walks the angles ANGLE_CHUNK at a time and adds the terms of ``_roll_model``
-    one k after another, in the order of the objective's axis-0 sum, so the
-    temporaries stay (ANGLE_CHUNK, P, U) however many angles are asked for, and
-    every angle gets the objective's bits.
-    """
+
+def capacity_profile(thetas, cfg: LinkConfig) -> np.ndarray:
+    """Diagonal-model capacity [bits/s/Hz] at each roll angle, ANGLE_CHUNK angles at a time."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     exponent, c = _roll_model(cfg)
     caps = np.empty(thetas.shape[0])
     for start in range(0, thetas.shape[0], ANGLE_CHUNK):
         chunk = thetas[start : start + ANGLE_CHUNK, None, None, None]
-        terms = np.exp(exponent(chunk))  # (T, K, P or 1, 1)
-        h = c[0] * terms[:, 0]
-        for k in range(1, len(c)):
-            h += c[k] * terms[:, k]
-        h = np.abs(h)
-        per_mode = np.log2(1.0 + h * h).reshape(len(h), -1)  # (T, P U)
+        per_mode = _log_terms(exponent, c, chunk).reshape(len(chunk), -1)  # (T, P U)
         caps[start : start + ANGLE_CHUNK] = np.add.reduce(per_mode, axis=1)
     return caps / cfg.n_subcarriers
 
@@ -192,16 +185,14 @@ def capacity_profile(thetas, cfg: LinkConfig) -> np.ndarray:
 def roll_objective(cfg: LinkConfig):
     """The annealer's objective: theta -> ``capacity_profile([theta], cfg)[0]``, bit for bit.
 
-    The roll model is built once; each call is one exp of the K exponents,
-    the product with the coefficient table, its sum over k, and one pairwise
-    sum of the P U capacities, the profile's operations per angle.
+    The roll model is built once; each call is one ``_log_terms`` and one
+    pairwise sum of its P U capacities, the profile's operations per angle.
     """
     exponent, c = _roll_model(cfg)
     n_sub = cfg.n_subcarriers
 
     def objective(theta: float) -> float:
-        h = np.abs(np.add.reduce(c * np.exp(exponent(theta)), axis=0))  # (P, U)
-        return float(np.add.reduce(np.log2(1.0 + h * h), axis=None)) / n_sub
+        return float(np.add.reduce(_log_terms(exponent, c, theta), axis=None)) / n_sub
 
     return objective
 
@@ -233,12 +224,8 @@ def _uniform_stream(rng: np.random.Generator, block: int = 1024):
         yield from rng.random(block).tolist()
 
 
-def optimize_roll(
-    cfg: LinkConfig,
-    sa: SaParams,
-    theta_init: float | None = None,
-) -> tuple[float, SaTrace]:
-    """Anneal the roll angle over [-pi/N, pi/N].
+def optimize_roll(cfg: LinkConfig, sa: SaParams) -> tuple[float, SaTrace]:
+    """Anneal the roll angle over [-pi/N, pi/N], starting at -pi/N.
 
     Per inner iteration a signed perturbation ``e`` (uniform over
     [-step, step] scaled by temperature) proposes theta + e, reflected to
@@ -250,15 +237,13 @@ def optimize_roll(
     half = math.pi / cfg.n_elements
     step0 = sa.step_scale if sa.step_scale is not None else half / 10.0
     draw = _uniform_stream(np.random.default_rng(sa.rng_seed)).__next__
-    theta = -half if theta_init is None else float(theta_init)
-    if not -half <= theta <= half:
-        raise ValueError(f"theta_init {theta} outside [-pi/N, pi/N]")
+    theta = -half
     objective = roll_objective(cfg)
     cap = objective(theta)
     theta_best, cap_best = theta, cap
     temperature = sa.t_init
     trace = SaTrace()
-    while temperature > sa.t_min:
+    for _ in range(sa.outer_iterations):
         accepted = 0
         step = step0 * temperature / sa.t_init
         for _ in range(sa.inner_iters):

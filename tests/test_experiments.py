@@ -202,10 +202,9 @@ def test_rerun_into_same_directory_replaces_outputs(tmp_path):
 
 
 def test_seed_override_changes_trace(tmp_path):
-    spec = ExperimentSpec.resolve("sa-trace")
-    c1, _ = run(spec, tmp_path / "a", seed=1)
-    c2, _ = run(spec, tmp_path / "b", seed=2)
-    c3, _ = run(spec, tmp_path / "c", seed=1)
+    c1, _ = run(ExperimentSpec.resolve("sa-trace", {"sa.seed": 1}), tmp_path / "a")
+    c2, _ = run(ExperimentSpec.resolve("sa-trace", {"sa.seed": 2}), tmp_path / "b")
+    c3, _ = run(ExperimentSpec.resolve("sa-trace", {"sa.seed": 1}), tmp_path / "c")
     assert c1.read_bytes() == c3.read_bytes()
     assert c1.read_bytes() != c2.read_bytes()
 
@@ -402,6 +401,7 @@ def test_all_experiment_names_have_runners():
         ("hybrid-compare", "servo.pulse_mid_s", "0.00195\npose.gamma_deg = 0\npose.psi_deg = 0"),  # roll
         ("hybrid-compare", "servo.accuracy_deg", "100"),  # 60 degrees rounds to 100, out of reach
         ("hybrid-compare", "pose.aoa_error_gamma_deg", "1e300"),
+        ("hybrid-compare", "scenario.n_elements", "1\nscenario.mode_min = 0\nscenario.mode_max = 0"),  # roll +-pi
         ("sweep-yaw", "scenario.rx_initial_angle_deg", "1e17"),  # every element at one angle
         ("roll-profile", "roll.start_deg", "-1e17"),
         ("sweep-pitch", "sweep.start_deg", "nan"),

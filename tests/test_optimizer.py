@@ -49,6 +49,11 @@ def test_outer_iteration_count():
     assert sa.outer_iterations == math.ceil(math.log(1e-5) / math.log(0.9))
     _, trace = optimize_roll(default_link(n_subcarriers=1), SaParams(inner_iters=1))
     assert len(trace) == SaParams().outer_iterations
+    # The temperature product reaches 0.0010000000000000002 > t_min after three
+    # levels; the annealer still runs the schedule's three, not a fourth.
+    sa = SaParams(t_init=1.0, t_min=1e-3, cooling=0.1)
+    _, trace = optimize_roll(default_link(n_subcarriers=1), sa)
+    assert len(trace) == sa.outer_iterations == 3
     # t_min / t_init underflows to 0 here; the level count must not
     extreme = SaParams(t_init=1e308, t_min=1e-308, cooling=0.9)
     assert extreme.outer_iterations == math.ceil((math.log(1e-308) - math.log(1e308)) / math.log(0.9))
@@ -116,8 +121,10 @@ def test_jacobi_anger_coefficients_match_jv():
         default_link(n_subcarriers=1),
         default_link(n_elements=16, modes=tuple(range(-7, 8))),
         default_link(n_subcarriers=6),
+        WIDE_LINK,
+        HUGE_COUPLING_LINK,
     ],
-    ids=["default", "P1", "N16", "P6"],
+    ids=["default", "P1", "N16", "P6", "wide", "S2e9"],
 )
 def test_roll_objective_bit_identical_to_profile(cfg):
     # the annealer's objective against the batched roll-profile path: equal
