@@ -19,7 +19,7 @@ from .geometry import (
     psi_from,
     rotation_matrix,
 )
-from .metrics import asymptotic_sir, capacity, check_monotonicity, sinr, sir
+from .metrics import asymptotic_sir, capacity, sinr, sir
 from .optimizer import (
     SaParams,
     SaTrace,
@@ -32,7 +32,6 @@ from .optimizer import (
 from .pipeline import HybridResult, hybrid_pipeline
 from .servo import ServoConfig, execute_rotation
 from .steering import (
-    MechanicalCommand,
     mechanical_pitch_yaw,
     mechanical_roll,
     phases_e1,

@@ -4,9 +4,9 @@ Each pipeline stage contributes one big-O term evaluated with unit
 constants: cubic terms for the eigendecomposition-based arrival-angle
 estimation at the coarse (P_bar, U_bar) and refined (P_tilde, U_tilde)
 grids, angle/accuracy ratios for the mechanical rotations, the annealer's
-total inner-iteration count, and P*U*N^2 for applying the electronic
-weights.  This is a cost *model* matching how such comparisons are usually
-plotted, not a cycle-accurate measurement.
+continuous level count times its inner iterations, and P*U*N^2 for applying
+the electronic weights.  This is a cost *model* matching how such
+comparisons are usually plotted, not a cycle-accurate measurement.
 
 ``cost_hybrid`` and ``cost_electronic`` return a dict of stage name -> count;
 its values, summed in order, are the scheme's total.
@@ -59,7 +59,7 @@ class ComplexityParams:
 
 
 def _annealer_evals(params: ComplexityParams) -> float:
-    """inner_iters * log_cooling(t_min / t_init): total candidate evaluations."""
+    """inner_iters times the continuous level count log_cooling(t_min/t_init), whose ceiling is sa.outer_iterations."""
     sa = params.sa
     return sa.inner_iters * (math.log(sa.t_min) - math.log(sa.t_init)) / math.log(sa.cooling)
 

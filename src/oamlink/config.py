@@ -107,7 +107,7 @@ class LinkConfig:
         if self.range_r < 10.0 * (self.tx.radius + self.rx.radius):
             warnings.warn(
                 "range below 10x the summed radii; far-field channel model degrades",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to the caller of LinkConfig(...)
             )
 
     @property

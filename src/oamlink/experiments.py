@@ -305,13 +305,10 @@ class ExperimentSpec:
         def reachable(target: float, culprit: str) -> float:
             if not lo <= target <= hi:
                 raise ConfigError(f"{culprit}: commanded angle {target:.6g} rad {outside}")
-            achieved = execute_rotation(target, servo)[0]
-            if not lo <= achieved <= hi:  # the servo rounds to a multiple of its accuracy
-                raise ConfigError(
-                    f"key 'servo.accuracy_deg': commanded angle {target:.6g} rad is achieved as"
-                    f" {achieved:.6g} rad, {outside}"
-                )
-            return achieved
+            try:
+                return execute_rotation(target, servo)[0]
+            except ValueError as exc:  # the servo rounds to a multiple of its accuracy, past the range
+                raise ConfigError(f"key 'servo.accuracy_deg': {exc}") from None
 
         half = math.pi / self["scenario.n_elements"]  # the roll search interval
         for end in (-half, half):

@@ -8,8 +8,7 @@ log2(1 + SINR) over subcarriers and sums over modes.
 The small-coupling closed forms give the leading-order magnitude of the
 diagonal (signal) and off-diagonal (interference) entries when the pitch is
 zero; ``asymptotic_sir`` gives their (A, U) SIRs of every mode at every yaw
-angle in one call, the reference for the monotonicity checks of SIR versus
-yaw/pitch.
+angle in one call, which ``monotonicity`` writes beside the exact SIR.
 
 The exact steered entries of a single-axis tilt come from the Jacobi-Anger
 expansion e^{iS cos d} = sum_q i^q J_q(S) e^{iqd} (DLMF 10.12).  Two Bessel
@@ -28,8 +27,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-
-from .config import LinkConfig
 
 # Channels whose capacities are evaluated together.  The per-mode terms are
 # (CAPACITY_CHUNK, SNRs, P, U) floats, 590 KB at 16 SNRs, 8 subcarriers and 9
@@ -237,28 +234,3 @@ def steered_mode_entry(
     """
     return complex(steered_entries(axis, modes, [angle], s_coupling, n_elements)[0, u, v])
 
-
-def check_monotonicity(
-    axis: str,
-    u: int,
-    s_target: float,
-    grid: Sequence[float],
-    cfg: LinkConfig,
-) -> tuple[bool, float]:
-    """Is electronically steered SIR strictly decreasing along a tilt axis?
-
-    Evaluates SIR on mode index ``u`` at every grid angle (yaw sweep with
-    zero pitch, or pitch sweep with zero yaw) with the coupling pinned to
-    ``s_target``, using the cancellation-free entry evaluation.  Returns
-    (monotone, worst adjacent relative increase); a relative increase up to
-    1e-12 is treated as a plateau, not a violation.  A step from +inf (the
-    interference-free SIR at zero tilt) to a finite value is a decrease
-    (relative change -1), and a step from +inf to +inf a plateau.
-    """
-    grid = list(grid)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly increasing")
-    values = steered_sir(axis, cfg.modes, grid, s_target, cfg.n_elements)[:, u]
-    with np.errstate(invalid="ignore"):  # a step from +inf is nan, which fmax passes over
-        worst = float(np.fmax.reduce((values[1:] - values[:-1]) / values[:-1], initial=0.0))
-    return worst <= 1e-12, worst

@@ -27,7 +27,7 @@ from .channel import mode_channels
 from .config import LinkConfig
 from .geometry import Pose
 from .servo import ServoConfig, execute_rotation
-from .steering import MechanicalCommand, mechanical_pitch_yaw, phases_e1, phases_e2
+from .steering import mechanical_pitch_yaw, phases_e1, phases_e2
 
 
 @dataclass
@@ -39,7 +39,7 @@ class HybridResult:
     """
 
     effective: np.ndarray  # (A, P, U, U) steered mode-domain channels, one per pose and subcarrier
-    commands: list[MechanicalCommand]
+    commands: np.ndarray  # (A, 3) achieved servo (yaw, pitch, roll) rows, the layout mode_channels takes
     phases: np.ndarray  # (A, P, N) summed E1 + E2 schedules, one row per pose and subcarrier
     residuals: list[Pose]
     theta_star: float
@@ -66,7 +66,7 @@ def hybrid_pipeline(
         gamma_hat, yaw = execute_rotation(pose.gamma + aoa_error[0], servo_cfg)
         psi_hat, pitch = execute_rotation(pose.psi + aoa_error[1], servo_cfg)
         hats.append((gamma_hat, psi_hat))
-        residuals.append(mechanical_pitch_yaw(pose, MechanicalCommand(gamma_hat, psi_hat), servo=servo_cfg))
+        residuals.append(mechanical_pitch_yaw(pose, gamma_hat, psi_hat))
         steps_yaw.append(yaw)
         steps_pitch.append(pitch)
 
@@ -82,7 +82,7 @@ def hybrid_pipeline(
     angles = np.stack([gamma, psi, np.full(len(gamma), theta_achieved)], axis=1)
     return HybridResult(
         effective=mode_channels(angles, cfg, rows),
-        commands=[MechanicalCommand(g, p, theta_achieved) for g, p in hats],
+        commands=np.array([(g, p, theta_achieved) for g, p in hats]).reshape(-1, 3),
         phases=e1 + e2,
         residuals=residuals,
         theta_star=theta_achieved,

@@ -49,10 +49,17 @@ def execute_rotation(target: float, servo: ServoConfig) -> tuple[float, int]:
 
     Returns (achieved angle, potentiometer step count).  The achieved angle
     is the target rounded to the nearest multiple of the accuracy (ties to
-    even), so the residual never exceeds accuracy_nu / 2.
+    even), so the residual never exceeds accuracy_nu / 2.  Both the target
+    and the achieved angle must lie in the reachable range.
     """
     lo, hi = servo.reachable_range
     if not lo <= target <= hi:
         raise ValueError(f"target {target} rad outside reachable range [{lo}, {hi}]")
     steps = round(target / servo.accuracy_nu)
-    return steps * servo.accuracy_nu, abs(steps)
+    achieved = steps * servo.accuracy_nu
+    if not lo <= achieved <= hi:  # a coarse accuracy rounds a target near the edge past it
+        raise ValueError(
+            f"commanded angle {target:.6g} rad is achieved as {achieved:.6g} rad,"
+            f" outside the reachable range [{lo:.6g}, {hi:.6g}] rad"
+        )
+    return achieved, abs(steps)

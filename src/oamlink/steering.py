@@ -19,22 +19,13 @@ rather than multiplied by anything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .channel import ChannelMatrix, channel_matrices
 from .config import LinkConfig
 from .geometry import Pose
-
-
-@dataclass(frozen=True)
-class MechanicalCommand:
-    """Commanded mechanical rotation angles [rad] per axis."""
-
-    yaw_cmd: float
-    pitch_cmd: float
-    roll_cmd: float = 0.0
 
 
 def phases_eo(gamma, psi, cfg: LinkConfig) -> np.ndarray:
@@ -72,14 +63,9 @@ def phases_e2(gamma, psi, theta_star: float, cfg: LinkConfig) -> np.ndarray:
     )
 
 
-def mechanical_pitch_yaw(pose: Pose, command: MechanicalCommand, servo=None) -> Pose:
-    """Rotate the array in yaw and pitch; return the residual pose, roll 0 (``channel_matrices`` builds its channel)."""
-    if servo is not None:
-        lo, hi = servo.reachable_range
-        for cmd in (command.yaw_cmd, command.pitch_cmd):
-            if not lo <= cmd <= hi:
-                raise ValueError(f"command {cmd} rad outside servo range [{lo}, {hi}]")
-    return Pose(pose.gamma - command.yaw_cmd, pose.psi - command.pitch_cmd)
+def mechanical_pitch_yaw(pose: Pose, yaw: float, pitch: float) -> Pose:
+    """Rotate by the achieved yaw and pitch; return the residual, roll 0 (``channel_matrices`` builds its channel)."""
+    return Pose(pose.gamma - yaw, pose.psi - pitch)
 
 
 def mechanical_roll(residual: Pose, theta_star: float, cfg: LinkConfig) -> list[ChannelMatrix]:

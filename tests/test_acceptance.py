@@ -20,7 +20,6 @@ from oamlink import (
     capacity_profile,
     channel_matrices,
     channel_matrix,
-    check_monotonicity,
     default_link,
     distances,
     grid_search_roll,
@@ -185,9 +184,10 @@ def test_criterion_6_small_coupling_monotonicity():
     grid = np.radians(np.linspace(1, 89, 50))
     worst_increase = 0.0
     for axis in ("yaw", "pitch"):
-        for u in range(cfg.n_modes):
-            ok_mode, worst = check_monotonicity(axis, u, 0.01, grid, cfg)
-            worst_increase = max(worst_increase, worst)
+        sirs = steered_sir(axis, cfg.modes, grid, 0.01, cfg.n_elements)
+        with np.errstate(invalid="ignore"):  # a step from +inf is nan, which fmax passes over
+            worst = np.fmax.reduce((sirs[1:] - sirs[:-1]) / sirs[:-1], axis=None, initial=0.0)
+        worst_increase = max(worst_increase, float(worst))
     angles = np.radians([10, 30, 60, 85])
     exact = steered_sir("yaw", cfg.modes, angles, 0.001, cfg.n_elements)
     asym = asymptotic_sir(cfg.modes, angles, 0.001, cfg.n_elements)

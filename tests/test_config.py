@@ -63,8 +63,9 @@ def test_link_validation():
 def test_near_field_range_warns():
     arr = ArrayGeometry(10, 1.5)
     carriers = CarrierGrid.linspace(4e9, 4.2e9, 2)
-    with pytest.warns(UserWarning, match="far-field"):
+    with pytest.warns(UserWarning, match="far-field") as record:
         LinkConfig(range_r=20.0, tx=arr, rx=arr, carriers=carriers)
+    assert record[0].filename == __file__  # the warning names the caller, not the dataclass __init__
 
 
 def test_array_geometry_validation():

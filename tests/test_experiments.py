@@ -500,6 +500,8 @@ def _fuzz_value(key):
     return st.floats() | st.floats(-near, near)
 
 
+# The fuzz draws near-field links on purpose; only their far-field warning is expected.
+@pytest.mark.filterwarnings("ignore:range below 10x the summed radii:UserWarning")
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_config_fuzz_exits_0_or_1_without_nan(tmp_path_factory, data):

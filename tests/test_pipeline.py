@@ -35,8 +35,8 @@ def theta_star(cfg):
 
 def test_zero_pose_recovers_aligned_up_to_roll(cfg, theta_star):
     result = hybrid_pipeline([Pose(0.0, 0.0)], cfg, theta_star, SERVO)
-    assert result.commands[0].yaw_cmd == 0.0
-    assert result.commands[0].pitch_cmd == 0.0
+    assert result.commands[0, 0] == 0.0
+    assert result.commands[0, 1] == 0.0
     assert result.residuals[0].gamma == 0.0 and result.residuals[0].psi == 0.0
     # effective matrices are diagonal (aligned link rolled to the optimum)
     for eff in result.effective[0]:
@@ -50,7 +50,7 @@ def test_residual_bounded_by_servo_accuracy(cfg, theta_star):
     result = hybrid_pipeline([pose], cfg, theta_star, SERVO)
     assert abs(result.residuals[0].gamma) <= SERVO.accuracy_nu / 2 + 1e-15
     assert abs(result.residuals[0].psi) <= SERVO.accuracy_nu / 2 + 1e-15
-    assert result.servo_steps["yaw"][0] == round(abs(result.commands[0].yaw_cmd) / SERVO.accuracy_nu)
+    assert result.servo_steps["yaw"][0] == round(abs(result.commands[0, 0]) / SERVO.accuracy_nu)
 
 
 def test_aoa_error_shifts_residual(cfg, theta_star):
@@ -68,11 +68,13 @@ def test_poses_in_one_call_equal_one_call_per_pose(cfg, theta_star):
     result = hybrid_pipeline(poses, cfg, theta_star, SERVO, aoa_error=(0.01, -0.02))
     assert result.effective.shape == (4, cfg.n_subcarriers, cfg.n_modes, cfg.n_modes)
     assert result.phases.shape == (4, cfg.n_subcarriers, cfg.n_elements)
+    assert result.commands.shape == (4, 3)
     for a, pose in enumerate(poses):
         one = hybrid_pipeline([pose], cfg, theta_star, SERVO, aoa_error=(0.01, -0.02))
         assert np.array_equal(result.effective[a], one.effective[0])
         assert np.array_equal(result.phases[a], one.phases[0])
-        assert (result.commands[a], result.residuals[a]) == (one.commands[0], one.residuals[0])
+        assert np.array_equal(result.commands[a], one.commands[0])
+        assert result.residuals[a] == one.residuals[0]
         assert result.servo_steps["yaw"][a] == one.servo_steps["yaw"][0]
         assert result.servo_steps["pitch"][a] == one.servo_steps["pitch"][0]
     assert result.servo_steps["roll"] == one.servo_steps["roll"]
@@ -95,7 +97,13 @@ def test_orderings_agree(cfg, theta_star):
 def test_theta_star_within_search_interval(cfg, theta_star):
     result = hybrid_pipeline([Pose(math.radians(30), math.radians(30))], cfg, theta_star, SERVO)
     assert abs(result.theta_star) <= math.pi / 10 + 1e-12
-    assert result.commands[0].roll_cmd == result.theta_star
+    assert result.commands[0, 2] == result.theta_star
+
+
+def test_roll_rounded_out_of_reach_errors(cfg):
+    # the servo checks the roll it achieves as it checks yaw and pitch
+    with pytest.raises(ValueError, match="achieved as 2 rad"):
+        hybrid_pipeline([Pose(0.0, 0.0)], cfg, 1.56, ServoConfig(accuracy_nu=1.0))
 
 
 def test_capacity_close_to_roll_matched_reference(cfg, theta_star):

@@ -39,6 +39,14 @@ def test_out_of_range_errors():
         execute_rotation(2.0, SERVO)
 
 
+def test_achieved_angle_out_of_range_errors():
+    # 1.56 rad lies inside +-pi/2, but a 1 rad accuracy rounds it to 2 rad
+    coarse = ServoConfig(accuracy_nu=1.0)
+    with pytest.raises(ValueError, match="achieved as 2 rad"):
+        execute_rotation(1.56, coarse)
+    assert execute_rotation(1.4, coarse) == (1.0, 1)
+
+
 def test_execute_rotation_zero_target():
     achieved, steps = execute_rotation(0.0, SERVO)
     assert achieved == 0.0 and steps == 0

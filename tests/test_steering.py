@@ -8,9 +8,7 @@ import pytest
 
 from oamlink import (
     CarrierGrid,
-    MechanicalCommand,
     Pose,
-    ServoConfig,
     capacity_profile,
     channel_matrices,
     channel_matrix,
@@ -128,7 +126,7 @@ def test_phases_e1_e2_rows_equal_one_residual_calls():
 def test_mechanical_pitch_yaw_perfect_command():
     cfg = default_link()
     pose = Pose(math.radians(40), math.radians(30))
-    residual = mechanical_pitch_yaw(pose, MechanicalCommand(pose.gamma, pose.psi))
+    residual = mechanical_pitch_yaw(pose, pose.gamma, pose.psi)
     channels = channel_matrices(residual, cfg)
     assert residual.gamma == 0.0 and residual.psi == 0.0
     aligned = channel_matrix(0, Pose(0.0, 0.0), cfg).entries
@@ -139,20 +137,16 @@ def test_mechanical_pitch_yaw_perfect_command():
 def test_mechanical_pitch_yaw_null_command():
     cfg = default_link()
     pose = Pose(math.radians(40), math.radians(30))
-    residual = mechanical_pitch_yaw(pose, MechanicalCommand(0.0, 0.0))
+    residual = mechanical_pitch_yaw(pose, 0.0, 0.0)
     channels = channel_matrices(residual, cfg)
     original = channel_matrix(0, pose, cfg).entries
     assert np.abs(channels[0].entries - original).max() == 0.0
 
 
-def test_mechanical_pitch_yaw_servo_range_check():
-    cfg = default_link()
-    servo = ServoConfig()
-    with pytest.raises(ValueError):
-        mechanical_pitch_yaw(Pose(0.0, 0.0), MechanicalCommand(2.0, 0.0), servo=servo)
-    # a residual of pi/2 or more is no Pose
+def test_mechanical_pitch_yaw_rejects_residual_of_pi_2():
+    # a residual of pi/2 or more is no Pose; the servo checks its own reach
     with pytest.raises(ValueError, match="pi/2"):
-        mechanical_pitch_yaw(Pose(1.0, 0.0), MechanicalCommand(-1.0, 0.0))
+        mechanical_pitch_yaw(Pose(1.0, 0.0), -1.0, 0.0)
 
 
 def test_mechanical_roll_zero_equals_residual_stage():
