@@ -63,8 +63,9 @@ _POSITIVE = _Domain(lambda v: 0 < v < math.inf, "positive and finite")
 _TILT = _Domain(lambda v: abs(v) < 90.0, "an angle with |angle| < 90 degrees")
 # Keeps 10^(dB/10) and the capacity arithmetic finite and non-zero.
 _SNR = _Domain(lambda v: abs(v) <= 1000.0, "a level with |dB| <= 1000")
-# The steered-SIR Bessel lattice has about 2 S orders per angle; the
-# experiment studies small coupling (the reference link's is 5.6).
+# The steered-SIR Bessel lattice takes the orders |q| <= q_max of its tail bound per
+# angle, q_max = 10 at S = 0.01 and 168 at S = 100 (N = 10); the experiment studies
+# small coupling (the reference link's is 5.6).
 _COUPLING = _Domain(lambda v: 0 < v <= 100.0, "a coupling in (0, 100]")
 # Elements N and subcarriers P: mode_channels holds POSE_CHUNK = 8 poses of P N^2
 # complex entries per temporary, 34 MB at 64 and 64.  The paper has N <= 32, P = 8.
@@ -76,7 +77,7 @@ _MODE = _Domain(lambda v: abs(v) <= 64, "a mode index with |mode| <= 64")
 # channels (7.8 KB per angle at 6 subcarriers, 9 modes: 78 MB at the bound),
 # the roll profile's grid, capacities and CSV columns (0.75 s and 47 MB per 10^5 angles, 0.4 s of it the CSV)
 # and the monotonicity run's Bessel lattice and (V, A, U) closed-form terms: 1000 angles with
-# 64 modes (N = 64) peak at 195 MB RSS in 3.6 s at S = 0.01, and at 201 MB in 8.8 s at S = 100.
+# 63 modes (N = 64) peak at 188 MB RSS in 2.3-3.6 s at S = 0.01, and at 211 MB in 3.8-4.6 s at S = 100.
 _SWEEP_COUNT, _ROLL_COUNT, _MONOTONICITY_COUNT = _count(10_000), _count(100_000), _count(1_000)
 # Complexity-model counts: the estimation grids enter cubed, so p^3 u^3 <= 10^24,
 # and the steering term is P U N^2 <= 10^16, all finite doubles (p_fine = 10^103
@@ -243,7 +244,7 @@ class ExperimentSpec:
         spec = cls(name, values)
         # Build every derived object now, so an out-of-domain value exits as
         # a config error naming its key instead of failing inside the run.
-        spec.link()
+        link = spec.link()
         spec.sweep_grid_deg()  # and the SNR grid
         spec.roll_grid_deg()
         spec.monotonicity_grid_deg()
@@ -252,6 +253,11 @@ class ExperimentSpec:
         spec.servo_config()
         if name == "hybrid-compare":
             spec._check_servo_commands()
+        if name == "monotonicity":
+            try:  # builds the closed form's pair tables, which the run reads from their cache
+                asymptotic_sir(link.modes, (), 1.0, link.n_elements)
+            except ValueError as exc:
+                raise ConfigError(f"keys 'scenario.n_elements', 'scenario.mode_min', 'scenario.mode_max': {exc}") from None
         return spec
 
     def __getitem__(self, key: str):

@@ -7,8 +7,10 @@ log2(1 + SINR) over subcarriers and sums over modes.
 
 The small-coupling closed forms give the leading-order magnitude of the
 diagonal (signal) and off-diagonal (interference) entries when the pitch is
-zero; ``asymptotic_sir`` gives their (A, U) SIRs of every mode at every yaw
-angle in one call, which ``monotonicity`` writes beside the exact SIR.
+zero, on links with an even element count N and no mode at N/2 (mod N);
+``asymptotic_sir`` gives their (A, U) SIRs of every mode at every yaw angle in
+one call, from pair tables built once per mode set and N, and ``monotonicity``
+writes them beside the exact SIR.
 
 The exact steered entries of a single-axis tilt come from the Jacobi-Anger
 expansion e^{iS cos d} = sum_q i^q J_q(S) e^{iqd} (DLMF 10.12).  Two Bessel
@@ -16,14 +18,16 @@ sequences, A_q = i^q J_q(S (1+cos)/2) and B_w = (i sigma)^w J_w(S (1-cos)/2),
 are folded by residue mod N into A^_r and B^_s; every entry is then
 sum over r with 2r = l_u + l_v (mod N) of A^_r B^_{(l_u - r) mod N}, at most
 two products.  ``steered_entries`` evaluates all angles and mode pairs of
-one tilt axis from one array ``jv`` call per sequence; it stays accurate
-where the plain double DFT sum cancels at small coupling, and
+one tilt axis from one array ``jv`` call for both sequences, over the orders
+|q| <= q_max that the tail bound |J_q(x)| <= (x/2)^|q| / |q|! asks for; it
+stays accurate where the plain double DFT sum cancels at small coupling, and
 ``steered_sir`` gives their (A, U) SIRs.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -96,6 +100,35 @@ def capacity(effectives, rho):
     return float(total) if total.ndim == 0 else total
 
 
+@lru_cache(maxsize=16)
+def _closed_form_pairs(modes: tuple[int, ...], n: int) -> tuple[np.ndarray, ...]:
+    """Read-only (V, 1, U) pair tables of ``asymptotic_sir``, built once per mode set and N.
+
+    Returns e = tb + chi - tau, tb, chi - tau, the log of each pair's factorial
+    quotient and the mask of interfering pairs.
+    """
+    if n % 2:
+        raise ValueError(f"the closed forms need an even element count, got N = {n}")
+    if any(l % n == n // 2 for l in modes):
+        raise ValueError(f"the closed forms need no mode at N/2 = {n // 2} (mod N), got modes {modes}")
+    lu = np.array(modes, dtype=int)
+    lv = lu[:, None, None]  # the pair tables are (V, 1, U), indexed v first, against (A, 1) angles
+    t = lu - lv
+    tau, tb, chi = (np.minimum(x % n, -x % n) for x in np.broadcast_arrays(lu, t // 2, lv + t // 2))
+    e = tb + chi - tau
+    interferes = (t % 2 == 0) & (t != 0)
+    # One correctly rounded quotient of factorials per pair, scaled exactly by 4^-e
+    # (differences of lgamma lose up to 150 eps).
+    log_factor = np.zeros(t.shape)
+    for pair in zip(*np.nonzero(interferes)):
+        a, b, c, d = (int(x[pair]) for x in (tau, tb, chi, e))
+        log_factor[pair] = math.log(math.ldexp(math.factorial(a) / (math.factorial(b) * math.factorial(c)), -2 * d))
+    tables = (e, tb, chi - tau, log_factor, interferes)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def asymptotic_sir(
     modes: Sequence[int],
     angles,
@@ -111,39 +144,30 @@ def asymptotic_sir(
     interference_uv ~ S^(tb+chi) (1-cos g)^tb (1+cos g)^chi / (4^(tb+chi) tb! chi!)
 
     where, with t = l_u - l_v and |x|_N the distance of x from the nearest
-    multiple of N, tau = |l_u|_N, tb = |t/2|_N and chi = |l_v + t/2|_N.  For an
-    even element count, entries whose mode-number difference t is odd vanish
-    identically at zero pitch (shifting both element indices by N/2 flips the
-    summand sign), so only pairs with even t count, and their exponents are
-    integers.  The powers S^tau under- and overflow a double, so each ratio
+    multiple of N, tau = |l_u|_N, tb = |t/2|_N and chi = |l_v + t/2|_N.  They
+    are derived for an even element count N, where entries whose mode-number
+    difference t is odd vanish identically at zero pitch (shifting both element
+    indices by N/2 flips the summand sign), so only pairs with even t count, and
+    their exponents are integers.  A mode at N/2 (mod N) has two leading orders,
+    J_{+-N/2}, which the forms do not sum; odd N or such a mode raises
+    ValueError.  The powers S^tau under- and overflow a double, so each ratio
     r_uv = interference_uv / signal_u is taken in the log domain and
     SIR = 1 / sum_v r_uv^2 = exp(-logsumexp(2 log r_uv)); +inf with no
     interference.
     """
-    lu = np.asarray(modes, dtype=int)
-    lv = lu[:, None, None]  # the pair tables are (V, 1, U), indexed v first, against (A, 1) angles
-    t = lu - lv
-    tau, tb, chi = (np.minimum(x % n_elements, -x % n_elements) for x in np.broadcast_arrays(lu, t // 2, lv + t // 2))
-    e = tb + chi - tau
-    interferes = (t % 2 == 0) & (t != 0)
-    # One correctly rounded quotient of factorials per pair, scaled exactly by 4^-e
-    # (differences of lgamma lose up to 150 eps).
-    log_factor = np.zeros(t.shape)
-    for pair in zip(*np.nonzero(interferes)):
-        a, b, c, d = (int(x[pair]) for x in (tau, tb, chi, e))
-        log_factor[pair] = math.log(math.ldexp(math.factorial(a) / (math.factorial(b) * math.factorial(c)), -2 * d))
+    e, tb, chi_tau, log_factor, interferes = _closed_form_pairs(tuple(map(int, modes)), n_elements)
     cg = np.cos(np.atleast_1d(np.asarray(angles, dtype=float)))[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):  # log(0) = -inf: a factor that vanishes
         log_plus, log_minus = np.log1p(cg), np.log1p(-cg)
         # Skip the angle factors with exponent 0: 0^0 = 1, where 0 * log(0) is nan.
         log_r = e * math.log(s_coupling) + log_factor + np.where(tb != 0, tb * log_minus, 0.0)
-        log_r += np.where(chi != tau, (chi - tau) * log_plus, 0.0)
+        log_r += np.where(chi_tau != 0, chi_tau * log_plus, 0.0)
     # logsumexp over v from the largest term (a running logaddexp rounds at each
     # step), summed in v order; a pair that does not interfere has r = 0.
     x = np.where(interferes, 2.0 * log_r, -math.inf)  # (V, A, U)
     top = x.max(axis=0)
     shift = np.where(np.isfinite(top), top, 0.0)
-    x -= shift  # in place: x is (V, A, U), 33 MB at 1000 angles and 64 modes
+    x -= shift  # in place: x is (V, A, U), 32 MB at 1000 angles and 63 modes
     with np.errstate(divide="ignore", over="ignore"):
         return np.exp(-(shift + np.log(np.exp(x, out=x).sum(axis=0))))
 
@@ -154,15 +178,50 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 _AXIS_I_POWER = {"yaw": 3, "pitch": 1}
 
 
-def _residue_fold(seq: np.ndarray, q_max: int, n: int) -> np.ndarray:
-    """Sum the orders -q_max..q_max on the last axis of ``seq`` by residue mod ``n``.
+def _order_max(x: float, n: int) -> int:
+    """The largest Bessel order |q| the lattice keeps for arguments up to ``x``.
 
-    Column r of the result holds the sum over every order q = r (mod n).
+    |J_q(x)| <= (x/2)^|q| / |q|! (DLMF 10.14.4), and once q + 2 >= x successive
+    bounds shrink by at least half, so the orders beyond |q| > q_max add at most
+    4 (x/2)^(q_max+1) / (q_max+1)! to a folded residue.  Every residue has a
+    leading order |q| <= N//2, of size about (x/2)^(N//2) / (N//2)! or more at
+    small x.  q_max is the first order from N//2 where that tail is below 2^-56
+    of the smaller of 1 and that leading size: an eighth of a double's rounding,
+    relative at small coupling and absolute where |J| is of order 1.  The terms
+    are compared as logs, so no subnormal x underflows them, and the search ends
+    within 0.4 x + 31 steps (70 at x = 100).
     """
-    lead = (-q_max) % n  # zero-pad so the first order is a multiple of n
-    tail = -(lead + seq.shape[-1]) % n
-    padded = np.pad(seq, ((0, 0), (lead, tail)))
-    return padded.reshape(seq.shape[0], -1, n).sum(axis=1)
+    h = n // 2
+    if x == 0.0:  # J_q(0) = 0 for every q != 0
+        return h
+    log_half = math.log(x) - math.log(2.0)
+    limit = -56.0 * math.log(2.0) + min(0.0, h * log_half - math.lgamma(h + 1))
+    q = max(h, math.ceil(x) - 2)
+    while math.log(4.0) + (q + 1) * log_half - math.lgamma(q + 2) > limit:
+        q += 1
+    return q
+
+
+def _folded_sequences(args: np.ndarray, axis_power: int, n: int) -> np.ndarray:
+    """(2, A, N) folded sequences A^ and B^ of the (2, A) arguments ``args`` = (a, b).
+
+    A_q = i^q J_q(a) and B_w = i^(k w) J_w(b), i^k = i sigma, over the orders
+    |q| <= q_max of ``_order_max``; column r sums every order q = r (mod N).
+    One array ``jv`` call evaluates both arguments at the orders 0..q_max, and
+    J_{-q} = (-1)^q J_q gives the negative orders the bits scipy gives them.
+    """
+    from scipy.special import jv  # imported here: scipy.special dominates ``import oamlink``
+
+    q_max = _order_max(float(np.max(args)), n)
+    orders = np.arange(-q_max, q_max + 1)
+    j = jv(orders[q_max:], args[..., None])
+    j = np.concatenate([j[..., :0:-1] * np.where(orders[:q_max] % 2, -1.0, 1.0), j], axis=-1)
+    # Zero-pad so the first order is a multiple of N (np.pad takes 15 times as long here).
+    lead = -q_max % n
+    end = lead + len(orders)
+    seq = np.zeros(args.shape + (end + -end % n,), complex)
+    np.multiply(_I_POWERS[np.outer([1, axis_power], orders) % 4][:, None], j, out=seq[..., lead:end])
+    return seq.reshape(args.shape + (-1, n)).sum(axis=-2)
 
 
 def steered_entries(
@@ -175,23 +234,16 @@ def steered_entries(
     """Steered mode-domain matrices for a single-axis tilt, in units of eta * N^2.
 
     Returns an (A, U, U) array: entry [k, u, v] belongs to ``angles[k]``.
-    Both arrays' reference elements sit at angle zero.  Each sequence is
-    built with one array ``jv`` call of shape (A, 2 q_max + 1); nothing
-    scales with angles times the (q, w) lattice.  The module docstring gives
-    the folded-residue form it evaluates (sigma = -1 for yaw, +1 for pitch).
+    Both arrays' reference elements sit at angle zero.  Both sequences come
+    from one array ``jv`` call of shape (2, A, q_max + 1); nothing scales with
+    angles times the (q, w) lattice.  The module docstring gives the
+    folded-residue form it evaluates (sigma = -1 for yaw, +1 for pitch).
     """
-    from scipy.special import jv  # imported here: scipy.special dominates ``import oamlink``
-
     if axis not in _AXIS_I_POWER:
         raise ValueError(f"axis must be 'yaw' or 'pitch', got {axis!r}")
     c = np.cos(np.atleast_1d(np.asarray(angles, dtype=float)))
-    a = s_coupling * (1.0 + c) / 2.0
-    b = s_coupling * (1.0 - c) / 2.0
     n = n_elements
-    q_max = int(math.ceil(np.max(a + b))) + 2 * n + 25
-    orders = np.arange(-q_max, q_max + 1)
-    a_hat = _residue_fold(_I_POWERS[orders % 4] * jv(orders, a[:, None]), q_max, n)
-    b_hat = _residue_fold(_I_POWERS[orders * _AXIS_I_POWER[axis] % 4] * jv(orders, b[:, None]), q_max, n)
+    a_hat, b_hat = _folded_sequences(s_coupling * np.array([1.0 + c, 1.0 - c]) / 2.0, _AXIS_I_POWER[axis], n)
     lu = np.asarray(modes, dtype=int)[:, None]
     r = np.arange(n)
     hit = (2 * r - lu[:, :, None] - lu.T[:, :, None]) % n == 0  # (U, U, N): 2r = l_u + l_v

@@ -197,6 +197,33 @@ def test_asymptotic_sir_ignores_odd_differences():
     assert np.all(asymptotic_sir((0, 1), math.radians(40), 0.01, 10) == math.inf)
 
 
+def _contiguous_mode_sets(n: int):
+    """Every mode range through 0 of 2 to N modes, none beyond N - 1 from 0."""
+    for lo in range(1 - n, 1):
+        for hi in range(max(0, lo + 1), min(n - 1, lo + n - 1) + 1):
+            yield tuple(range(lo, hi + 1))
+
+
+def test_asymptotic_sir_holds_where_derived_and_raises_elsewhere():
+    # The closed forms hold for even N with no mode at N/2 (mod N): there they
+    # meet the exact SIR within S^2 on every range scanned (0.67 S^2 at worst
+    # over 89 angles).  A mode at N/2 has two leading orders J_{+-N/2} and odd N
+    # keeps odd differences, so those ranges miss it (by a factor 32.4 at N = 10,
+    # modes -4..5, 89 degrees) and raise.
+    grid = np.radians(np.linspace(1, 89, 12))
+    for n in range(2, 17):
+        for modes in _contiguous_mode_sets(n):
+            if n % 2 or any(l % n == n // 2 for l in modes):
+                with pytest.raises(ValueError, match="closed forms"):
+                    asymptotic_sir(modes, grid, 0.01, n)
+                continue
+            for s in (1e-3, 1e-2):
+                exact, closed = steered_sir("yaw", modes, grid, s, n), asymptotic_sir(modes, grid, s, n)
+                finite = np.isfinite(closed)  # +inf where a mode has no interference
+                assert np.array_equal(np.isfinite(exact), finite), (n, modes)
+                assert np.all(np.abs(exact[finite] / closed[finite] - 1.0) <= s * s), (n, modes, s)
+
+
 def test_asymptotic_sir_linear_specialization():
     # Modes +-1: tau = tau_bar = 1 and chi = 0, so SIR = ((1 + cos g) / (1 - cos g))^2.
     gamma = math.radians(37)
@@ -267,6 +294,54 @@ def test_steered_entries_match_scalar_lattice(n_elements, modes, s_coupling):
                         assert got == 0, (axis, angle, u, v)
                     else:
                         assert abs(got - oracle) <= 1e-13 * abs(oracle), (axis, angle, u, v)
+
+
+def folded_lattice(axis, modes, angles, s_coupling, n_elements, q_max):
+    """The (A, U, U) entries of the folded lattice over the orders |q| <= q_max, and its (A, N) A^ and B^.
+
+    The residues are summed chunk by chunk from a multiple of N, as
+    ``steered_entries`` sums them, so two order counts differ only by the
+    orders one of them drops.
+    """
+    c = np.cos(angles)
+    args = np.concatenate([s_coupling * (1 + c) / 2, s_coupling * (1 - c) / 2])
+    orders = np.arange(-q_max, q_max + 1)
+    powers = np.repeat([1, 3 if axis == "yaw" else 1], len(c))[:, None] * orders
+    lead = -q_max % n_elements
+    seq = np.array([1, 1j, -1, -1j])[powers % 4] * jv(orders, args[:, None])
+    seq = np.pad(seq, ((0, 0), (lead, -(lead + len(orders)) % n_elements)))
+    a_hat, b_hat = np.split(seq.reshape(len(args), -1, n_elements).sum(axis=1), 2)
+    lu = np.asarray(modes)[:, None]
+    r = np.arange(n_elements)
+    hit = (2 * r - lu[:, :, None] - lu.T[:, :, None]) % n_elements == 0
+    return np.einsum("uvr,ar,aur->auv", hit, a_hat, b_hat[:, (lu - r) % n_elements]), a_hat, b_hat
+
+
+@pytest.mark.parametrize("n_elements", [3, 4, 10, 16, 64])
+@pytest.mark.parametrize("s_coupling", [5e-324, 1e-300, 1e-3, 0.01, 1.0, 5.6, 20.0, 100.0])
+def test_steered_entries_orders_cover_the_tail_bound(n_elements, s_coupling):
+    # steered_entries drops the orders past q_max, which its tail bound
+    # (metrics._order_max) puts where each folded factor stays within
+    # t = 2^-56 min(1, (S/2)^h / h!), h = N // 2, of its full sum.  An entry is
+    # at most two products A^ B^, so it moves by at most 2 t (|A^| + |B^| + t).
+    # The reference sums at least 200 orders more than the bound keeps anywhere
+    # here (168 at S = 100).
+    n, h = n_elements, n_elements // 2
+    modes = tuple(range(-((n - 1) // 2), n // 2 + 1))  # every residue mod N
+    angles = np.radians([0.0, 1.0, 33.0, 60.0, 89.0])  # 0 puts S itself in the lattice
+    t = 2.0**-56 * math.exp(min(0.0, h * (math.log(s_coupling) - math.log(2.0)) - math.lgamma(h + 1)))
+    for axis in ("yaw", "pitch"):
+        got = steered_entries(axis, modes, angles, s_coupling, n)
+        ref, a_hat, b_hat = folded_lattice(axis, modes, angles, s_coupling, n, 2 * math.ceil(s_coupling) + n + 250)
+        tol = 2 * t * (np.abs(a_hat).max(axis=1) + np.abs(b_hat).max(axis=1) + t)
+        excess = np.abs(got - ref) - tol[:, None, None]
+        assert excess.max() <= 0.0, (axis, excess.max())
+
+
+def test_steered_entries_at_zero_arguments():
+    # At 90 degrees S (1 +- cos) / 2 rounds to 0 for S = 5e-324, and J_q(0) is 1 at q = 0 only.
+    got = steered_entries("yaw", (0, 1), [math.pi / 2], 5e-324, 10)
+    assert np.array_equal(got, [[[1.0, 0.0], [0.0, 0.0]]])
 
 
 def test_exact_sir_converges_to_asymptotic():
@@ -411,8 +486,12 @@ def test_asymptotic_sir_monotone_decreasing():
 
 
 def test_import_leaves_scipy_special_unloaded():
-    # only steered_entries needs jv; scipy.special would dominate import time
-    code = "import sys, oamlink.experiments; print('scipy.special' in sys.modules)"
+    # only steered_entries needs jv; scipy.special would dominate import time,
+    # and resolve, which checks the closed form's link and builds its tables
+    code = (
+        "import sys; from oamlink.experiments import ExperimentSpec; ExperimentSpec.resolve('monotonicity');"
+        " print('scipy.special' in sys.modules)"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(oamlink.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
