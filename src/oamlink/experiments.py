@@ -26,7 +26,7 @@ from . import __version__
 from .channel import mode_channels
 from .config import LinkConfig, default_link
 from .geometry import Pose
-from .metrics import asymptotic_sir, capacity, steered_sir
+from .metrics import asymptotic_sir, capacity, check_closed_form_domain, steered_sir
 from .optimizer import SaParams, capacity_profile, optimize_roll
 from .pipeline import hybrid_pipeline
 from .servo import ServoConfig, execute_rotation
@@ -254,8 +254,8 @@ class ExperimentSpec:
         if name == "hybrid-compare":
             spec._check_servo_commands()
         if name == "monotonicity":
-            try:  # builds the closed form's pair tables, which the run reads from their cache
-                asymptotic_sir(link.modes, (), 1.0, link.n_elements)
+            try:
+                check_closed_form_domain(link.modes, link.n_elements)
             except ValueError as exc:
                 raise ConfigError(f"keys 'scenario.n_elements', 'scenario.mode_min', 'scenario.mode_max': {exc}") from None
         return spec

@@ -9,8 +9,7 @@ The small-coupling closed forms give the leading-order magnitude of the
 diagonal (signal) and off-diagonal (interference) entries when the pitch is
 zero, on links with an even element count N and no mode at N/2 (mod N);
 ``asymptotic_sir`` gives their (A, U) SIRs of every mode at every yaw angle in
-one call, from pair tables built once per mode set and N, and ``monotonicity``
-writes them beside the exact SIR.
+one call, which ``monotonicity`` writes beside the exact SIR.
 
 The exact steered entries of a single-axis tilt come from the Jacobi-Anger
 expansion e^{iS cos d} = sum_q i^q J_q(S) e^{iqd} (DLMF 10.12).  Two Bessel
@@ -27,7 +26,6 @@ stays accurate where the plain double DFT sum cancels at small coupling, and
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -100,33 +98,17 @@ def capacity(effectives, rho):
     return float(total) if total.ndim == 0 else total
 
 
-@lru_cache(maxsize=16)
-def _closed_form_pairs(modes: tuple[int, ...], n: int) -> tuple[np.ndarray, ...]:
-    """Read-only (V, 1, U) pair tables of ``asymptotic_sir``, built once per mode set and N.
+def check_closed_form_domain(modes: Sequence[int], n_elements: int) -> None:
+    """Raise ValueError unless ``asymptotic_sir``'s closed forms hold for the link.
 
-    Returns e = tb + chi - tau, tb, chi - tau, the log of each pair's factorial
-    quotient and the mask of interfering pairs.
+    They are derived for an even element count N and no mode at N/2 (mod N);
+    the rule is decided in integers.
     """
+    n = n_elements
     if n % 2:
         raise ValueError(f"the closed forms need an even element count, got N = {n}")
-    if any(l % n == n // 2 for l in modes):
-        raise ValueError(f"the closed forms need no mode at N/2 = {n // 2} (mod N), got modes {modes}")
-    lu = np.array(modes, dtype=int)
-    lv = lu[:, None, None]  # the pair tables are (V, 1, U), indexed v first, against (A, 1) angles
-    t = lu - lv
-    tau, tb, chi = (np.minimum(x % n, -x % n) for x in np.broadcast_arrays(lu, t // 2, lv + t // 2))
-    e = tb + chi - tau
-    interferes = (t % 2 == 0) & (t != 0)
-    # One correctly rounded quotient of factorials per pair, scaled exactly by 4^-e
-    # (differences of lgamma lose up to 150 eps).
-    log_factor = np.zeros(t.shape)
-    for pair in zip(*np.nonzero(interferes)):
-        a, b, c, d = (int(x[pair]) for x in (tau, tb, chi, e))
-        log_factor[pair] = math.log(math.ldexp(math.factorial(a) / (math.factorial(b) * math.factorial(c)), -2 * d))
-    tables = (e, tb, chi - tau, log_factor, interferes)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    if any(int(l) % n == n // 2 for l in modes):
+        raise ValueError(f"the closed forms need no mode at N/2 = {n // 2} (mod N), got modes {tuple(map(int, modes))}")
 
 
 def asymptotic_sir(
@@ -149,19 +131,31 @@ def asymptotic_sir(
     difference t is odd vanish identically at zero pitch (shifting both element
     indices by N/2 flips the summand sign), so only pairs with even t count, and
     their exponents are integers.  A mode at N/2 (mod N) has two leading orders,
-    J_{+-N/2}, which the forms do not sum; odd N or such a mode raises
-    ValueError.  The powers S^tau under- and overflow a double, so each ratio
-    r_uv = interference_uv / signal_u is taken in the log domain and
-    SIR = 1 / sum_v r_uv^2 = exp(-logsumexp(2 log r_uv)); +inf with no
-    interference.
+    J_{+-N/2}, which the forms do not sum; ``check_closed_form_domain`` raises
+    ValueError for odd N or such a mode.  The powers S^tau under- and overflow
+    a double, so each ratio r_uv = interference_uv / signal_u is taken in the
+    log domain and SIR = 1 / sum_v r_uv^2 = exp(-logsumexp(2 log r_uv)); +inf
+    with no interference.
     """
-    e, tb, chi_tau, log_factor, interferes = _closed_form_pairs(tuple(map(int, modes)), n_elements)
+    check_closed_form_domain(modes, n_elements)
+    lu = np.asarray(modes, dtype=int)
+    lv = lu[:, None, None]  # the pair tables are (V, 1, U), indexed v first, against (A, 1) angles
+    t = lu - lv
+    tau, tb, chi = (np.minimum(x % n_elements, -x % n_elements) for x in np.broadcast_arrays(lu, t // 2, lv + t // 2))
+    e = tb + chi - tau
+    interferes = (t % 2 == 0) & (t != 0)
+    # One correctly rounded quotient of factorials per pair, scaled exactly by 4^-e
+    # (differences of lgamma lose up to 150 eps).
+    log_factor = np.zeros(t.shape)
+    for pair in zip(*np.nonzero(interferes)):
+        a, b, c, d = (int(x[pair]) for x in (tau, tb, chi, e))
+        log_factor[pair] = math.log(math.ldexp(math.factorial(a) / (math.factorial(b) * math.factorial(c)), -2 * d))
     cg = np.cos(np.atleast_1d(np.asarray(angles, dtype=float)))[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):  # log(0) = -inf: a factor that vanishes
         log_plus, log_minus = np.log1p(cg), np.log1p(-cg)
         # Skip the angle factors with exponent 0: 0^0 = 1, where 0 * log(0) is nan.
         log_r = e * math.log(s_coupling) + log_factor + np.where(tb != 0, tb * log_minus, 0.0)
-        log_r += np.where(chi_tau != 0, chi_tau * log_plus, 0.0)
+        log_r += np.where(chi != tau, (chi - tau) * log_plus, 0.0)
     # logsumexp over v from the largest term (a running logaddexp rounds at each
     # step), summed in v order; a pair that does not interfere has r = 0.
     x = np.where(interferes, 2.0 * log_r, -math.inf)  # (V, A, U)
@@ -207,15 +201,13 @@ def _folded_sequences(args: np.ndarray, axis_power: int, n: int) -> np.ndarray:
 
     A_q = i^q J_q(a) and B_w = i^(k w) J_w(b), i^k = i sigma, over the orders
     |q| <= q_max of ``_order_max``; column r sums every order q = r (mod N).
-    One array ``jv`` call evaluates both arguments at the orders 0..q_max, and
-    J_{-q} = (-1)^q J_q gives the negative orders the bits scipy gives them.
+    One array ``jv`` call evaluates both arguments at every order.
     """
     from scipy.special import jv  # imported here: scipy.special dominates ``import oamlink``
 
     q_max = _order_max(float(np.max(args)), n)
     orders = np.arange(-q_max, q_max + 1)
-    j = jv(orders[q_max:], args[..., None])
-    j = np.concatenate([j[..., :0:-1] * np.where(orders[:q_max] % 2, -1.0, 1.0), j], axis=-1)
+    j = jv(orders, args[..., None])
     # Zero-pad so the first order is a multiple of N (np.pad takes 15 times as long here).
     lead = -q_max % n
     end = lead + len(orders)
@@ -235,7 +227,7 @@ def steered_entries(
 
     Returns an (A, U, U) array: entry [k, u, v] belongs to ``angles[k]``.
     Both arrays' reference elements sit at angle zero.  Both sequences come
-    from one array ``jv`` call of shape (2, A, q_max + 1); nothing scales with
+    from one array ``jv`` call of shape (2, A, 2 q_max + 1); nothing scales with
     angles times the (q, w) lattice.  The module docstring gives the
     folded-residue form it evaluates (sigma = -1 for yaw, +1 for pitch).
     """
