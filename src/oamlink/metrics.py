@@ -147,11 +147,9 @@ def asymptotic_sir(
     # One correctly rounded quotient of factorials per pair, scaled exactly by 4^-e
     # (differences of lgamma lose up to 150 eps).
     log_factor = np.zeros(t.shape)
-    pairs = np.nonzero(interferes)
-    log_factor[pairs] = [
-        math.log(math.ldexp(math.factorial(a) / (math.factorial(b) * math.factorial(c)), -2 * d))
-        for a, b, c, d in zip(*(x[pairs].tolist() for x in (tau, tb, chi, e)))
-    ]
+    for pair in zip(*np.nonzero(interferes)):
+        a, b, c, d = (int(x[pair]) for x in (tau, tb, chi, e))
+        log_factor[pair] = math.log(math.ldexp(math.factorial(a) / (math.factorial(b) * math.factorial(c)), -2 * d))
     cg = np.cos(np.atleast_1d(np.asarray(angles, dtype=float)))[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):  # log(0) = -inf: a factor that vanishes
         log_plus, log_minus = np.log1p(cg), np.log1p(-cg)
