@@ -201,16 +201,13 @@ def _folded_sequences(args: np.ndarray, axis_power: int, n: int) -> np.ndarray:
 
     A_q = i^q J_q(a) and B_w = i^(k w) J_w(b), i^k = i sigma, over the orders
     |q| <= q_max of ``_order_max``; column r sums every order q = r (mod N).
-    One array ``jv`` call evaluates both arguments at the orders 0..q_max, and
-    J_{-q} = (-1)^q J_q gives the negative orders: the bits scipy gives them,
-    in half the time, since it evaluates a negative order as a separate one.
+    One array ``jv`` call evaluates both arguments at every order.
     """
     from scipy.special import jv  # imported here: scipy.special dominates ``import oamlink``
 
     q_max = _order_max(float(np.max(args)), n)
     orders = np.arange(-q_max, q_max + 1)
-    j = jv(orders[q_max:], args[..., None])
-    j = np.concatenate([j[..., :0:-1] * np.where(orders[:q_max] % 2, -1.0, 1.0), j], axis=-1)
+    j = jv(orders, args[..., None])
     # Zero-pad so the first order is a multiple of N (np.pad takes 15 times as long here).
     lead = -q_max % n
     end = lead + len(orders)
@@ -230,7 +227,7 @@ def steered_entries(
 
     Returns an (A, U, U) array: entry [k, u, v] belongs to ``angles[k]``.
     Both arrays' reference elements sit at angle zero.  Both sequences come
-    from one array ``jv`` call of shape (2, A, q_max + 1); nothing scales with
+    from one array ``jv`` call of shape (2, A, 2 q_max + 1); nothing scales with
     angles times the (q, w) lattice.  The module docstring gives the
     folded-residue form it evaluates (sigma = -1 for yaw, +1 for pitch).
     """

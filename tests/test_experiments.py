@@ -419,7 +419,7 @@ def test_all_experiment_names_have_runners():
         ("sweep-pitch", "sweep.count", "10001"),
         ("roll-profile", "roll.count", "100000000"),  # minutes in bounded memory
         ("roll-profile", "roll.count", "100001"),
-        ("monotonicity", "monotonicity.count", "10000000"),  # (A, 93) jv arrays: 6.9 GiB
+        ("monotonicity", "monotonicity.count", "10000000"),  # (2A, 21) jv arrays: 3.1 GiB
         ("monotonicity", "monotonicity.count", "1001"),
         ("sa-trace", "sa.seed", "-1"),  # numpy's default_rng exited 2
         ("complexity", "complexity.theta_star_deg", "1e308"),  # inf costs
@@ -449,6 +449,18 @@ def test_cli_out_of_domain_value_exits_1_naming_key(tmp_path, capsys, experiment
         assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert key in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["scenario.mode_max = 5", "scenario.n_elements = 9"])
+def test_cli_monotonicity_outside_the_closed_form_exits_1_naming_keys(tmp_path, capsys, line):
+    # asymptotic_sir holds for even N with no mode at N/2 (mod N); with mode 5
+    # at N = 10, sir_linear / sir_asymptotic reached 32.4 at 89 degrees yaw.
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["monotonicity", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("scenario.n_elements", "scenario.mode_min", "scenario.mode_max")), err
     assert not (tmp_path / "out").exists()
 
 
