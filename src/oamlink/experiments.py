@@ -77,7 +77,7 @@ _MODE = _Domain(lambda v: abs(v) <= 64, "a mode index with |mode| <= 64")
 # channels (7.8 KB per angle at 6 subcarriers, 9 modes: 78 MB at the bound),
 # the roll profile's grid, capacities and CSV columns (0.75 s and 47 MB per 10^5 angles, 0.4 s of it the CSV)
 # and the monotonicity run's Bessel lattice and (V, A, U) closed-form terms: 1000 angles with
-# 63 modes (N = 64) peak at 188 MB RSS in 2.3-3.6 s at S = 0.01, and at 211 MB in 3.8-4.6 s at S = 100.
+# 63 modes (N = 64) peak at 185 MB RSS in 2.4-3.1 s at S = 0.01, and at 198 MB in 6.7-7.1 s at S = 100.
 _SWEEP_COUNT, _ROLL_COUNT, _MONOTONICITY_COUNT = _count(10_000), _count(100_000), _count(1_000)
 # Complexity-model counts: the estimation grids enter cubed, so p^3 u^3 <= 10^24,
 # and the steering term is P U N^2 <= 10^16, all finite doubles (p_fine = 10^103
