@@ -29,7 +29,7 @@ from .optimizer import (
     optimize_roll,
     roll_objective,
 )
-from .pipeline import HybridResult, hybrid_pipeline
+from .pipeline import HybridResult, align_pitch_yaw, hybrid_pipeline
 from .servo import ServoConfig, execute_rotation
 from .steering import (
     mechanical_pitch_yaw,

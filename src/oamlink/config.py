@@ -9,6 +9,7 @@ wavelengths, multiplexing the nine modes -4..4 on 8 subcarriers between
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,14 +66,7 @@ class CarrierGrid:
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """Full boresight link description.
-
-    ``beta`` is the lumped amplitude constant of the per-element channel
-    coefficient.  The default 2 * k_1 * range_r normalizes the far-field
-    coefficient magnitude to ~1 at the first subcarrier, so ``snr_rho``
-    plays the role of receive SNR directly; set it explicitly for
-    absolute-units studies.
-    """
+    """Full boresight link description."""
 
     range_r: float
     tx: ArrayGeometry
@@ -80,7 +74,6 @@ class LinkConfig:
     carriers: CarrierGrid
     modes: tuple[int, ...] = DEFAULT_MODES
     snr_rho: float = 10.0 ** (DEFAULT_SNR_DB / 10.0)
-    beta: float | None = None
 
     def __post_init__(self):
         if not self.range_r > 0:
@@ -96,8 +89,6 @@ class LinkConfig:
         if not self.snr_rho > 0:
             raise ValueError("snr_rho must be positive")
         object.__setattr__(self, "modes", modes)
-        if self.beta is None:
-            object.__setattr__(self, "beta", 2.0 * self.wavenumber(0) * self.range_r)
         k = self.carriers.wavenumbers
         with np.errstate(over="ignore", invalid="ignore"):  # inf or nan is what the check looks for
             coupling = k * self.rx.radius * self.tx.radius / self.range_r
@@ -105,10 +96,23 @@ class LinkConfig:
         if not (math.isfinite(self.beta) and finite):
             raise ValueError("beta, k_p * range and the coupling k_p * R_r * R_t / range must be finite")
         if self.range_r < 10.0 * (self.tx.radius + self.rx.radius):
+            # Name the first frame outside the package, past the dataclass __init__ and
+            # default_link (Python 3.12's skip_file_prefixes does this).
+            frame, level = sys._getframe(), 1
+            while frame.f_back is not None and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+                frame, level = frame.f_back, level + 1
             warnings.warn(
                 "range below 10x the summed radii; far-field channel model degrades",
-                stacklevel=3,  # past the dataclass __init__ to the caller of LinkConfig(...)
+                stacklevel=level,
             )
+
+    @property
+    def beta(self) -> float:
+        """Lumped amplitude constant of the per-element channel coefficient, 2 * k_1 * range_r.
+
+        It makes the far-field coefficient magnitude ~1 at the first subcarrier, so ``snr_rho`` is the receive SNR.
+        """
+        return 2.0 * self.wavenumber(0) * self.range_r
 
     @property
     def n_elements(self) -> int:

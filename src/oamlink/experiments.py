@@ -28,7 +28,7 @@ from .config import LinkConfig, default_link
 from .geometry import Pose
 from .metrics import asymptotic_sir, capacity, check_closed_form_domain, steered_sir
 from .optimizer import SaParams, capacity_profile, optimize_roll
-from .pipeline import hybrid_pipeline
+from .pipeline import align_pitch_yaw, hybrid_pipeline
 from .servo import ServoConfig, execute_rotation
 from .steering import phases_eo
 from .complexity import ComplexityParams, cost_electronic, cost_hybrid
@@ -128,9 +128,7 @@ SCHEMA: dict[str, tuple] = {
     "sa.t_min": (1e-3, float, _ANY),
     "sa.cooling": (0.9, float, _ANY),
     "sa.inner_iters": (20, int, _POSITIVE),
-    "sa.step_scale_rad": (0.0, float, _ANY),  # 0 = automatic (pi/N)/10
     "sa.seed": (0, int, _SEED),
-    "servo.period_s": (0.020, float, _ANY),
     "servo.pulse_min_s": (0.001, float, _ANY),
     "servo.pulse_mid_s": (0.0015, float, _ANY),
     "servo.pulse_max_s": (0.002, float, _ANY),
@@ -250,21 +248,24 @@ class ExperimentSpec:
         spec.monotonicity_grid_deg()
         spec.complexity_grid()
         spec.sa_params()
-        spec.servo_config()
-        if name == "hybrid-compare":
-            spec._check_servo_commands()
+        servo = spec.servo_config()
+        if name == "hybrid-compare":  # the servo stages of the run, on its own poses
+            poses, aoa_error = spec.hybrid_poses()
+            with _cited_keys(_F1_KEYS):
+                align_pitch_yaw(poses, servo, aoa_error)
+            with _cited_keys(_ROLL_KEYS):  # the annealer's theta* lies in [-pi/N, pi/N]
+                for end in (-math.pi / link.n_elements, math.pi / link.n_elements):
+                    execute_rotation(end, servo)
         if name == "monotonicity":
-            try:
+            with _cited_keys(("scenario.n_elements", "scenario.mode_min", "scenario.mode_max")):
                 check_closed_form_domain(link.modes, link.n_elements)
-            except ValueError as exc:
-                raise ConfigError(f"keys 'scenario.n_elements', 'scenario.mode_min', 'scenario.mode_max': {exc}") from None
         return spec
 
     def __getitem__(self, key: str):
         return self.values[key]
 
     def link(self) -> LinkConfig:
-        try:
+        with _cited_keys(_LINK_KEYS):
             return default_link(
                 n_elements=self["scenario.n_elements"],
                 n_subcarriers=self["scenario.n_subcarriers"],
@@ -278,13 +279,9 @@ class ExperimentSpec:
                 freq_start_hz=self["scenario.freq_start_hz"],
                 freq_stop_hz=self["scenario.freq_stop_hz"],
             )
-        except ValueError as exc:
-            cited = [f"'scenario.{key}'" for word, keys in _LINK_KEYS.items() if word in str(exc) for key in keys]
-            raise ConfigError(f"keys {', '.join(dict.fromkeys(cited))}: {exc}") from None
 
     def sa_params(self) -> SaParams:
         fields = {field: self[key] for field, key in _SA_KEYS.items()}
-        fields["step_scale"] = fields["step_scale"] or None  # 0 = automatic
         with _cited_keys(_SA_KEYS):
             sa = SaParams(**fields, rng_seed=self["sa.seed"])
         evaluations = sa.outer_iterations * sa.inner_iters
@@ -301,33 +298,14 @@ class ExperimentSpec:
         with _cited_keys(_SERVO_KEYS):
             return ServoConfig(**fields)
 
-    def _check_servo_commands(self) -> None:
-        """Every angle hybrid-compare commands must be reachable and leave |residual| < pi/2."""
-        servo = self.servo_config()
-        lo, hi = servo.reachable_range
-        outside = f"outside the reachable range [{lo:.6g}, {hi:.6g}] rad"
-        pulse_keys = "keys 'servo.pulse_min_s', 'servo.pulse_mid_s', 'servo.pulse_max_s'"
-
-        def reachable(target: float, culprit: str) -> float:
-            if not lo <= target <= hi:
-                raise ConfigError(f"{culprit}: commanded angle {target:.6g} rad {outside}")
-            try:
-                return execute_rotation(target, servo)[0]
-            except ValueError as exc:  # the servo rounds to a multiple of its accuracy, past the range
-                raise ConfigError(f"key 'servo.accuracy_deg': {exc}") from None
-
-        half = math.pi / self["scenario.n_elements"]  # the roll search interval
-        for end in (-half, half):
-            reachable(end, f"{pulse_keys}, 'scenario.n_elements'")
-        for angle in np.radians(self.hybrid_grid_deg()):
-            for key in ("pose.aoa_error_gamma_deg", "pose.aoa_error_psi_deg"):
-                culprit = f"key {key!r}" if lo <= angle <= hi else pulse_keys
-                if not abs(angle - reachable(angle + math.radians(self[key]), culprit)) < math.pi / 2:
-                    raise ConfigError(f"key {key!r}: residual misalignment must stay below 90 degrees")
-
     def hybrid_grid_deg(self) -> np.ndarray:
         """Equal yaw and pitch swept together from alignment up to the config pose."""
         return np.linspace(0.0, max(self["pose.gamma_deg"], self["pose.psi_deg"]), 7)
+
+    def hybrid_poses(self) -> tuple[list[Pose], tuple[float, float]]:
+        """The poses of the hybrid grid and the (yaw, pitch) arrival-angle error [rad] F1 adds to them."""
+        aoa_error = (math.radians(self["pose.aoa_error_gamma_deg"]), math.radians(self["pose.aoa_error_psi_deg"]))
+        return [Pose(a, a) for a in np.radians(self.hybrid_grid_deg())], aoa_error
 
     def snr_grid_db(self) -> np.ndarray:
         start, stop, step = self["snr.start_db"], self["snr.stop_db"] + 1e-9, self["snr.step_db"]
@@ -371,11 +349,12 @@ class ExperimentSpec:
 # A word of each message of default_link's checks -> the scenario keys that set what it
 # checks.  Lengths are in first-carrier wavelengths, so freq_start_hz scales all of them.
 _LINK_KEYS = {
-    "frequencies": ("freq_start_hz", "freq_stop_hz", "n_subcarriers"),
-    "modes": ("mode_min", "mode_max", "n_elements"),
-    "finite": ("freq_start_hz", "freq_stop_hz", "radius_rx_wavelengths", "radius_tx_wavelengths", "range_wavelengths"),
-    "range": ("freq_start_hz", "range_wavelengths"),
-    "radius": ("freq_start_hz", "radius_rx_wavelengths", "radius_tx_wavelengths"),
+    "frequencies": ("scenario.freq_start_hz", "scenario.freq_stop_hz", "scenario.n_subcarriers"),
+    "modes": ("scenario.mode_min", "scenario.mode_max", "scenario.n_elements"),
+    "finite": ("scenario.freq_start_hz", "scenario.freq_stop_hz", "scenario.radius_rx_wavelengths",
+               "scenario.radius_tx_wavelengths", "scenario.range_wavelengths"),
+    "range": ("scenario.freq_start_hz", "scenario.range_wavelengths"),
+    "radius": ("scenario.freq_start_hz", "scenario.radius_rx_wavelengths", "scenario.radius_tx_wavelengths"),
 }
 # Field of SaParams / ServoConfig -> the config key that sets it.
 _SA_KEYS = {
@@ -383,25 +362,34 @@ _SA_KEYS = {
     "t_min": "sa.t_min",
     "cooling": "sa.cooling",
     "inner_iters": "sa.inner_iters",
-    "step_scale": "sa.step_scale_rad",
 }
 _SERVO_KEYS = {
-    "period_k": "servo.period_s",
     "pulse_min": "servo.pulse_min_s",
     "pulse_mid": "servo.pulse_mid_s",
     "pulse_max": "servo.pulse_max_s",
     "accuracy_nu": "servo.accuracy_deg",
 }
+# The keys that set each servo stage hybrid-compare runs: F1 turns yaw and pitch to
+# the poses plus their arrival-angle error, F2 rolls within [-pi/N, pi/N].
+_F1_KEYS = ("pose.gamma_deg", "pose.psi_deg", "pose.aoa_error_gamma_deg", "pose.aoa_error_psi_deg", *_SERVO_KEYS.values())
+_ROLL_KEYS = ("scenario.n_elements", *_SERVO_KEYS.values())
 
 
 @contextmanager
-def _cited_keys(keys: dict[str, str]):
-    """Re-raise a ValueError as a ConfigError naming the keys of the fields its message cites."""
+def _cited_keys(keys: tuple[str, ...] | dict[str, str | tuple[str, ...]]):
+    """Re-raise a ValueError as a ConfigError naming the config keys that set what failed.
+
+    ``keys`` holds the keys, or maps a word of the message to the key or keys
+    that set what the word names; a message holding none of the words names them all.
+    """
     try:
         yield
     except ValueError as exc:
-        cited = [key for field, key in keys.items() if field in str(exc)] or list(keys.values())
-        raise ConfigError(f"key {', '.join(map(repr, cited))}: {exc}") from None
+        if isinstance(keys, dict):
+            named = [ks for word, ks in keys.items() if word in str(exc)] or keys.values()
+            keys = [key for ks in named for key in ((ks,) if isinstance(ks, str) else ks)]
+        cited = list(dict.fromkeys(keys))
+        raise ConfigError(f"{'key' if len(cited) == 1 else 'keys'} {', '.join(map(repr, cited))}: {exc}") from None
 
 
 def serialize_config(spec: ExperimentSpec) -> str:
@@ -455,15 +443,12 @@ def _run_hybrid_compare(spec: ExperimentSpec):
     rhos = _rhos(spec)
     # The roll objective does not depend on the pose: anneal once, reuse.
     theta_star, _ = optimize_roll(cfg, spec.sa_params())
-    aoa_error = (
-        math.radians(spec["pose.aoa_error_gamma_deg"]),
-        math.radians(spec["pose.aoa_error_psi_deg"]),
-    )
-    tilt = np.radians(angles_deg)
-    result = hybrid_pipeline([Pose(a, a) for a in tilt], cfg, theta_star, spec.servo_config(), aoa_error)
+    poses, aoa_error = spec.hybrid_poses()
+    result = hybrid_pipeline(poses, cfg, theta_star, spec.servo_config(), aoa_error)
     hybrid = capacity(result.effective, rhos)
-    poses = np.stack([tilt, tilt, np.zeros(len(tilt))], axis=1)
-    electronic = capacity(mode_channels(poses, cfg, np.exp(1j * phases_eo(tilt, tilt, cfg))), rhos)
+    tilt = np.radians(angles_deg)
+    tilted = np.stack([tilt, tilt, np.zeros(len(tilt))], axis=1)
+    electronic = capacity(mode_channels(tilted, cfg, np.exp(1j * phases_eo(tilt, tilt, cfg))), rhos)
     # Perfect alignment rolled to the achieved angle; the same kernel as the
     # hybrid rows, so a zero residual gives the same bits.
     perfect = capacity(mode_channels([(0.0, 0.0, result.theta_star)], cfg), rhos)
@@ -514,7 +499,7 @@ def _run_complexity(spec: ExperimentSpec):
         gamma_cmd=math.radians(spec["pose.gamma_deg"]),
         psi_cmd=math.radians(spec["pose.psi_deg"]),
         theta_star=math.radians(spec["complexity.theta_star_deg"]),
-        nu=math.radians(spec["servo.accuracy_deg"]),
+        nu=spec.servo_config().accuracy_nu,
     )
     hybrid, electronic = (sum(cost(params).values()) for cost in (cost_hybrid, cost_electronic))
     return {

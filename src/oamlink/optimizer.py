@@ -44,18 +44,12 @@ ANGLE_CHUNK = 64
 
 @dataclass(frozen=True)
 class SaParams:
-    """Annealing schedule.
-
-    ``step_scale`` is the largest perturbation magnitude [rad] at the initial
-    temperature; None picks (pi/N)/10 for the link at hand.  Perturbations
-    shrink proportionally to the current temperature.
-    """
+    """Annealing schedule."""
 
     t_init: float = 100.0
     t_min: float = 1e-3
     cooling: float = 0.9
     inner_iters: int = 20
-    step_scale: float | None = None
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -65,8 +59,6 @@ class SaParams:
             raise ValueError("cooling must be in (0, 1)")
         if self.inner_iters < 1:
             raise ValueError("inner_iters must be >= 1")
-        if self.step_scale is not None and not self.step_scale > 0:
-            raise ValueError("step_scale must be positive")
 
     @property
     def outer_iterations(self) -> int:
@@ -227,15 +219,15 @@ def _uniform_stream(rng: np.random.Generator, block: int = 1024):
 def optimize_roll(cfg: LinkConfig, sa: SaParams) -> tuple[float, SaTrace]:
     """Anneal the roll angle over [-pi/N, pi/N], starting at -pi/N.
 
-    Per inner iteration a signed perturbation ``e`` (uniform over
-    [-step, step] scaled by temperature) proposes theta + e, reflected to
-    theta - e when that leaves the interval.  A candidate is accepted when
+    Per inner iteration a signed perturbation ``e``, uniform over [-step, step]
+    with step = (pi/N)/10 at the initial temperature and shrinking in proportion
+    to it, proposes theta + e, reflected to theta - e when that leaves the
+    interval.  A candidate is accepted when
     it improves the capacity or passes the Metropolis draw
     exp((c_new - c) / T); after each temperature level the walk restarts
     from the best point seen so far if anything was accepted at that level.
     """
     half = math.pi / cfg.n_elements
-    step0 = sa.step_scale if sa.step_scale is not None else half / 10.0
     draw = _uniform_stream(np.random.default_rng(sa.rng_seed)).__next__
     theta = -half
     objective = roll_objective(cfg)
@@ -245,7 +237,7 @@ def optimize_roll(cfg: LinkConfig, sa: SaParams) -> tuple[float, SaTrace]:
     trace = SaTrace()
     for _ in range(sa.outer_iterations):
         accepted = 0
-        step = step0 * temperature / sa.t_init
+        step = half / 10.0 * temperature / sa.t_init
         for _ in range(sa.inner_iters):
             e = -step + 2.0 * step * draw()  # uniform(-step, step): lo + (hi - lo) * random()
             cand = theta + e

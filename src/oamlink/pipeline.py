@@ -3,7 +3,7 @@
 Stages, in causal order:
 
 1. F1 - servo rotation in yaw and pitch toward the estimated pose, leaving a
-   small residual bounded by the potentiometer accuracy.
+   small residual bounded by the potentiometer accuracy (``align_pitch_yaw``).
 2. E1 - electronic schedule countering the residual.
 3. F2 - servo roll rotation to the capacity-optimal angle theta*, which
    ``optimizer.optimize_roll`` finds for the link (the roll objective does
@@ -46,6 +46,26 @@ class HybridResult:
     servo_steps: dict  # "yaw", "pitch": A step counts each; "roll": one count
 
 
+def align_pitch_yaw(
+    poses: list[Pose], servo_cfg: ServoConfig = ServoConfig(), aoa_error: tuple[float, float] = (0.0, 0.0)
+) -> tuple[list[tuple[float, float]], list[Pose], list[int], list[int]]:
+    """F1: coarse mechanical alignment at servo accuracy, pose by pose, toward the poses plus ``aoa_error``.
+
+    Returns per pose the achieved (yaw, pitch), the residual ``Pose`` and the yaw and pitch
+    step counts; raises ``ValueError`` where the servo cannot reach an estimate or a
+    residual leaves |angle| < pi/2.
+    """
+    hats, residuals, steps_yaw, steps_pitch = [], [], [], []
+    for pose in poses:
+        gamma_hat, yaw = execute_rotation(pose.gamma + aoa_error[0], servo_cfg)
+        psi_hat, pitch = execute_rotation(pose.psi + aoa_error[1], servo_cfg)
+        hats.append((gamma_hat, psi_hat))
+        residuals.append(mechanical_pitch_yaw(pose, gamma_hat, psi_hat))
+        steps_yaw.append(yaw)
+        steps_pitch.append(pitch)
+    return hats, residuals, steps_yaw, steps_pitch
+
+
 def hybrid_pipeline(
     poses: list[Pose],
     cfg: LinkConfig,
@@ -60,15 +80,7 @@ def hybrid_pipeline(
     achieves.  The servo stages run per pose; E1, E2 and the channel rebuild
     each run once for all poses.
     """
-    # F1: coarse mechanical alignment at servo accuracy, pose by pose.
-    hats, residuals, steps_yaw, steps_pitch = [], [], [], []
-    for pose in poses:
-        gamma_hat, yaw = execute_rotation(pose.gamma + aoa_error[0], servo_cfg)
-        psi_hat, pitch = execute_rotation(pose.psi + aoa_error[1], servo_cfg)
-        hats.append((gamma_hat, psi_hat))
-        residuals.append(mechanical_pitch_yaw(pose, gamma_hat, psi_hat))
-        steps_yaw.append(yaw)
-        steps_pitch.append(pitch)
+    hats, residuals, steps_yaw, steps_pitch = align_pitch_yaw(poses, servo_cfg, aoa_error)
 
     # F2: one roll rotation serves every pose.
     theta_achieved, steps_roll = execute_rotation(theta_star, servo_cfg)

@@ -1,7 +1,7 @@
 """PWM servo model for the three mechanical rotation axes.
 
-The commanded angle maps linearly onto the PWM duty cycle:
-angle = pi/(pulse_max - pulse_min) * (duty*period - pulse_mid), so the
+The commanded angle maps linearly onto the PWM pulse width:
+angle = pi/(pulse_max - pulse_min) * (pulse - pulse_mid), so the
 mid-width pulse is 0 rad and the min/max widths bound the reachable range.
 The potentiometer feedback quantizes what the gear actually reaches to
 multiples of ``accuracy_nu``; the step count doubles as the rotation-cost
@@ -18,19 +18,18 @@ from dataclasses import dataclass
 class ServoConfig:
     """PWM timing [s] and potentiometer accuracy [rad].
 
-    Defaults follow standard hobby-servo pulse widths (1/1.5/2 ms over a
-    20 ms period, i.e. a +-pi/2 reachable range) with 0.3 degree accuracy.
+    Defaults follow standard hobby-servo pulse widths (1/1.5/2 ms, i.e. a
+    +-pi/2 reachable range) with 0.3 degree accuracy.
     """
 
-    period_k: float = 0.020
     pulse_min: float = 0.001
     pulse_mid: float = 0.0015
     pulse_max: float = 0.002
     accuracy_nu: float = math.radians(0.3)
 
     def __post_init__(self):
-        if not (0 < self.pulse_min < self.pulse_mid < self.pulse_max <= self.period_k):
-            raise ValueError("need 0 < pulse_min < pulse_mid < pulse_max <= period_k")
+        if not (0 < self.pulse_min < self.pulse_mid < self.pulse_max):
+            raise ValueError("need 0 < pulse_min < pulse_mid < pulse_max")
         if not self.accuracy_nu > 0:
             raise ValueError("accuracy_nu (potentiometer accuracy) must be positive")
 

@@ -68,6 +68,13 @@ def test_near_field_range_warns():
     assert record[0].filename == __file__  # the warning names the caller, not the dataclass __init__
 
 
+def test_near_field_default_link_warns_at_the_callers_line():
+    # default_link builds the LinkConfig, so a fixed stacklevel named config.py
+    with pytest.warns(UserWarning, match="far-field") as record:
+        default_link(range_wavelengths=20)
+    assert record[0].filename == __file__
+
+
 def test_array_geometry_validation():
     with pytest.raises(ValueError):
         ArrayGeometry(0, 1.0)

@@ -381,6 +381,18 @@ def test_every_scenario_key_changes_the_link(key):
     assert ExperimentSpec.resolve("sa-trace", {key: moved}).link() != base.link()
 
 
+@pytest.mark.parametrize("key", [key for key in SCHEMA if key.startswith("servo.")])
+def test_every_servo_key_moves_the_servo(key):
+    from oamlink.servo import execute_rotation
+
+    base = ExperimentSpec.resolve("sa-trace").servo_config()
+    moved = ExperimentSpec.resolve("sa-trace", {key: 1.01 * SCHEMA[key][0]}).servo_config()
+    targets = np.radians(np.linspace(-80.0, 80.0, 33))
+    assert moved.reachable_range != base.reachable_range or any(
+        execute_rotation(t, moved) != execute_rotation(t, base) for t in targets
+    )
+
+
 def test_all_experiment_names_have_runners():
     for name in EXPERIMENT_NAMES:
         assert ExperimentSpec.resolve(name).name == name
@@ -461,6 +473,17 @@ def test_cli_monotonicity_outside_the_closed_form_exits_1_naming_keys(tmp_path, 
     assert main(["monotonicity", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert all(key in err for key in ("scenario.n_elements", "scenario.mode_min", "scenario.mode_max")), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_residual_past_90_degrees_exits_1_naming_the_aoa_error(tmp_path, capsys):
+    # The servo, its range now [-150, 30] degrees, reaches the first pose's yaw
+    # command of -100 degrees; the residual of 100 degrees leaves the pose domain.
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text("servo.pulse_mid_s = 0.0018333\npose.aoa_error_gamma_deg = -100\n")
+    assert main(["hybrid-compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "pose.aoa_error_gamma_deg" in err and "|angle| < pi/2" in err, err
     assert not (tmp_path / "out").exists()
 
 

@@ -40,8 +40,6 @@ def test_sa_params_validation():
         SaParams(cooling=1.0)
     with pytest.raises(ValueError):
         SaParams(inner_iters=0)
-    with pytest.raises(ValueError):
-        SaParams(step_scale=-0.1)
 
 
 def test_outer_iteration_count():
