@@ -26,7 +26,7 @@ from . import __version__
 from .channel import mode_channels
 from .config import LinkConfig, default_link
 from .geometry import Pose
-from .metrics import asymptotic_sir, capacity, check_closed_form_domain, steered_sir
+from .metrics import AXES, asymptotic_sir, capacity, check_closed_form_domain, steered_sir
 from .optimizer import SaParams, capacity_profile, optimize_roll
 from .pipeline import align_pitch_yaw, hybrid_pipeline
 from .servo import ServoConfig, execute_rotation
@@ -63,9 +63,10 @@ _POSITIVE = _Domain(lambda v: 0 < v < math.inf, "positive and finite")
 _TILT = _Domain(lambda v: abs(v) < 90.0, "an angle with |angle| < 90 degrees")
 # Keeps 10^(dB/10) and the capacity arithmetic finite and non-zero.
 _SNR = _Domain(lambda v: abs(v) <= 1000.0, "a level with |dB| <= 1000")
-# The steered-SIR Bessel lattice takes the orders |q| <= q_max of its tail bound per
-# angle, q_max = 10 at S = 0.01 and 168 at S = 100 (N = 10); the experiment studies
-# small coupling (the reference link's is 5.6).
+# The steered-SIR Bessel lattice takes the orders |q| <= q_max of its tail bound, in
+# one jv call for both axes: q_max = 10 at S = 0.01 and 168 at S = 100 (N = 10).  A
+# run at the count bound below takes 2.6-3.3 s at S = 100 and 1.2-1.3 s at S = 0.01.
+# The experiment studies small coupling (the reference link's is 5.6).
 _COUPLING = _Domain(lambda v: 0 < v <= 100.0, "a coupling in (0, 100]")
 # Elements N and subcarriers P: mode_channels holds POSE_CHUNK = 8 poses of P N^2
 # complex entries per temporary, 34 MB at 64 and 64.  The paper has N <= 32, P = 8.
@@ -76,8 +77,9 @@ _MODE = _Domain(lambda v: abs(v) <= 64, "a mode index with |mode| <= 64")
 # Grid points per run.  The largest arrays: the sweeps' (A, P, U, U) complex
 # channels (7.8 KB per angle at 6 subcarriers, 9 modes: 78 MB at the bound),
 # the roll profile's grid, capacities and CSV columns (0.75 s and 47 MB per 10^5 angles, 0.4 s of it the CSV)
-# and the monotonicity run's Bessel lattice and (V, A, U) closed-form terms: 1000 angles with
-# 63 modes (N = 64) peak at 185 MB RSS in 2.4-3.1 s at S = 0.01, and at 198 MB in 6.7-7.1 s at S = 100.
+# and the monotonicity run's (V, A, U) closed-form terms (its Bessel lattice is built 64 angles at a
+# time): 1000 angles with 63 modes (N = 64) peak at 152 MB RSS in 1.2-1.3 s at S = 0.01, and at
+# 155 MB in 2.6-3.3 s at S = 100 (cold CLI, shared 2-core Intel Xeon).
 _SWEEP_COUNT, _ROLL_COUNT, _MONOTONICITY_COUNT = _count(10_000), _count(100_000), _count(1_000)
 # Complexity-model counts: the estimation grids enter cubed, so p^3 u^3 <= 10^24,
 # and the steering term is P U N^2 <= 10^16, all finite doubles (p_fine = 10^103
@@ -476,16 +478,15 @@ def _run_monotonicity(spec: ExperimentSpec):
     s_target = spec["monotonicity.s_coupling"]
     grid_deg = spec.monotonicity_grid_deg()
     angles = [math.radians(d) for d in grid_deg]
-    axes = ("yaw", "pitch")
     # Rows run axis-major, then mode, then angle; the closed form has no pitch term.
-    exact = np.stack([steered_sir(axis, cfg.modes, angles, s_target, cfg.n_elements).T for axis in axes])
+    exact = steered_sir(cfg.modes, angles, s_target, cfg.n_elements).transpose(0, 2, 1)
     asymptotic = asymptotic_sir(cfg.modes, angles, s_target, cfg.n_elements).T
     return {
-        "axis": [axis for axis in axes for _ in range(cfg.n_modes * len(angles))],
-        "mode": np.tile(np.repeat(cfg.modes, len(angles)), len(axes)),
-        "angle_deg": np.tile(grid_deg, len(axes) * cfg.n_modes),
+        "axis": [axis for axis in AXES for _ in range(cfg.n_modes * len(angles))],
+        "mode": np.tile(np.repeat(cfg.modes, len(angles)), len(AXES)),
+        "angle_deg": np.tile(grid_deg, len(AXES) * cfg.n_modes),
         "sir_linear": exact.ravel(),
-        "sir_asymptotic": np.tile(asymptotic.ravel(), len(axes)),
+        "sir_asymptotic": np.tile(asymptotic.ravel(), len(AXES)),
     }
 
 
@@ -558,7 +559,7 @@ def run(spec: ExperimentSpec, out_dir) -> tuple[Path, Path]:
             cells.append(col)
         else:
             _check_unquoted(name, (name,))
-            cells.append(map(repr if col.dtype.kind == "f" else str, col.tolist()))
+            cells.append(_cells(col))
     rows = map(",".join, zip(*cells, strict=True))
     lines = itertools.chain([",".join(columns)], rows)
     csv_path = out / f"{spec.name}.csv"
@@ -572,6 +573,19 @@ def run(spec: ExperimentSpec, out_dir) -> tuple[Path, Path]:
         fh.write(f"# rows = {n_rows}\n")
         fh.write(serialize_config(spec))
     return csv_path, manifest_path
+
+
+def _cells(col: np.ndarray):
+    """The CSV cells of a numpy column, each distinct value formatted once.
+
+    Values are told apart by bit pattern, so -0.0 and 0.0 keep their own text.
+    A column with no repeat is formatted cell by cell, which skips the lookup.
+    """
+    form = repr if col.dtype.kind == "f" else str
+    keys, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+    if len(keys) == len(col):
+        return map(form, col.tolist())
+    return map(list(map(form, keys.view(col.dtype).tolist())).__getitem__, inverse.tolist())
 
 
 def _check_unquoted(column: str, cells) -> None:

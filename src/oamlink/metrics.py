@@ -16,11 +16,13 @@ expansion e^{iS cos d} = sum_q i^q J_q(S) e^{iqd} (DLMF 10.12).  Two Bessel
 sequences, A_q = i^q J_q(S (1+cos)/2) and B_w = (i sigma)^w J_w(S (1-cos)/2),
 are folded by residue mod N into A^_r and B^_s; every entry is then
 sum over r with 2r = l_u + l_v (mod N) of A^_r B^_{(l_u - r) mod N}, at most
-two products.  ``steered_entries`` evaluates all angles and mode pairs of
-one tilt axis from one array ``jv`` call for both sequences, over the orders
-|q| <= q_max that the tail bound |J_q(x)| <= (x/2)^|q| / |q|! asks for; it
-stays accurate where the plain double DFT sum cancels at small coupling, and
-``steered_sir`` gives their (A, U) SIRs.
+two products, and only those residues are gathered.  Yaw and pitch differ
+only in the i-powers that multiply J_w, so ``steered_entries`` evaluates all
+angles and mode pairs of both axes (``AXES``: yaw, then pitch) from one array
+``jv`` call, over the orders |q| <= q_max that the tail bound
+|J_q(x)| <= (x/2)^|q| / |q|! asks for; it stays accurate where the plain
+double DFT sum cancels at small coupling, and ``steered_sir`` gives their
+(2, A, U) SIRs.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ import numpy as np
 # (CAPACITY_CHUNK, SNRs, P, U) floats, 590 KB at 16 SNRs, 8 subcarriers and 9
 # modes, so a sweep's peak memory does not grow with angles times SNRs.
 CAPACITY_CHUNK = 64
+# Angles whose steered SIRs are evaluated together.  The (SIR_CHUNK, U, U)
+# entries and magnitudes are 4 MB at 63 modes, where one axis's whole lattice
+# at 1000 angles took 130 MB of temporaries.
+SIR_CHUNK = 64
 
 
 def _signal_interference(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,10 +172,10 @@ def asymptotic_sir(
         return np.exp(-(shift + np.log(np.exp(x, out=x).sum(axis=0))))
 
 
-# i^k indexed by k mod 4, and the k with i * sigma = i^k per tilt axis
-# (sigma = -1 for yaw, +1 for pitch).
+# i^k indexed by k mod 4.
 _I_POWERS = np.array([1, 1j, -1, -1j])
-_AXIS_I_POWER = {"yaw": 3, "pitch": 1}
+# The tilt axes of the steered lattice, in the order of its leading axis.
+AXES = ("yaw", "pitch")
 
 
 def _order_max(x: float, n: int) -> int:
@@ -196,61 +202,95 @@ def _order_max(x: float, n: int) -> int:
     return q
 
 
-def _folded_sequences(args: np.ndarray, axis_power: int, n: int) -> np.ndarray:
-    """(2, A, N) folded sequences A^ and B^ of the (2, A) arguments ``args`` = (a, b).
+def _folded_sequences(angles, s_coupling: float, n: int) -> np.ndarray:
+    """(3, A, N) folded sequences A^, B^_yaw and B^_pitch at every angle.
 
-    A_q = i^q J_q(a) and B_w = i^(k w) J_w(b), i^k = i sigma, over the orders
-    |q| <= q_max of ``_order_max``; column r sums every order q = r (mod N).
-    One array ``jv`` call evaluates both arguments at every order.
+    A_q = i^q J_q(a) and B_w = (i sigma)^w J_w(b), with a, b = S (1 +- cos) / 2
+    and i sigma = -i for yaw, +i for pitch, over the orders |q| <= q_max of
+    ``_order_max``; column r sums every order q = r (mod N).  One array ``jv``
+    call evaluates a and b at every order, and both axes' B take their
+    i-powers from the same J_w(b).
     """
     from scipy.special import jv  # imported here: scipy.special dominates ``import oamlink``
 
+    c = np.cos(np.atleast_1d(np.asarray(angles, dtype=float)))
+    args = s_coupling * np.array([1.0 + c, 1.0 - c]) / 2.0
     q_max = _order_max(float(np.max(args)), n)
     orders = np.arange(-q_max, q_max + 1)
     j = jv(orders, args[..., None])
     # Zero-pad so the first order is a multiple of N (np.pad takes 15 times as long here).
     lead = -q_max % n
     end = lead + len(orders)
-    seq = np.zeros(args.shape + (end + -end % n,), complex)
-    np.multiply(_I_POWERS[np.outer([1, axis_power], orders) % 4][:, None], j, out=seq[..., lead:end])
-    return seq.reshape(args.shape + (-1, n)).sum(axis=-2)
+    seq = np.zeros((3, len(c), end + -end % n), complex)
+    # i^(k q) with k = 1 for A^, 3 for B^_yaw and 1 for B^_pitch
+    np.multiply(_I_POWERS[np.outer([1, 3, 1], orders) % 4][:, None], j[[0, 1, 1]], out=seq[..., lead:end])
+    return seq.reshape(3, len(c), -1, n).sum(axis=-2)
+
+
+def _axis_entries(a_hat: np.ndarray, b_hat: np.ndarray, modes: Sequence[int], n: int) -> np.ndarray:
+    """(A, U, U) entries of one tilt axis from its (A, N) folded sequences A^ and B^.
+
+    Entry [u, v] sums A^_r B^_{(l_u - r) mod N} over the residues r with
+    2r = l_u + l_v (mod N), and only those are gathered: for odd N the one
+    r = (l_u + l_v)(N + 1)/2; for even N, r and r + N/2 where l_u + l_v is even,
+    and none (a zero entry) where it is odd.
+    """
+    lu = np.asarray(modes, dtype=int)
+    total = (lu[:, None] + lu).ravel()  # l_u + l_v, flattened (u, v)
+    if n % 2:
+        pairs, residues = np.arange(total.size), [total * ((n + 1) // 2)]
+    else:
+        pairs = np.flatnonzero(total % 2 == 0)
+        residues = [total[pairs] // 2, total[pairs] // 2 + n // 2]
+    row_mode = lu[pairs // lu.size]
+    entries = np.zeros((len(a_hat), total.size), complex)
+    # einsum rounds each complex product unfused; numpy's multiply may fuse it (FMA),
+    # which moves odd-N entries, whose A^ and B^ are fully complex, by an ulp.
+    entries[:, pairs] = sum(np.einsum("ap,ap->ap", a_hat[:, r % n], b_hat[:, (row_mode - r) % n]) for r in residues)
+    return entries.reshape(-1, lu.size, lu.size)
 
 
 def steered_entries(
-    axis: str,
     modes: Sequence[int],
     angles,
     s_coupling: float,
     n_elements: int,
 ) -> np.ndarray:
-    """Steered mode-domain matrices for a single-axis tilt, in units of eta * N^2.
+    """Steered mode-domain matrices for a single-axis tilt in each of ``AXES``, in units of eta * N^2.
 
-    Returns an (A, U, U) array: entry [k, u, v] belongs to ``angles[k]``.
-    Both arrays' reference elements sit at angle zero.  Both sequences come
-    from one array ``jv`` call of shape (2, A, 2 q_max + 1); nothing scales with
-    angles times the (q, w) lattice.  The module docstring gives the
-    folded-residue form it evaluates (sigma = -1 for yaw, +1 for pitch).
+    Returns a (2, A, U, U) array: entry [i, k, u, v] belongs to tilt axis
+    ``AXES[i]`` (yaw, then pitch) at ``angles[k]``.  Both arrays' reference
+    elements sit at angle zero.  Both axes come from one array ``jv`` call of
+    shape (2, A, 2 q_max + 1); nothing scales with angles times the (q, w)
+    lattice.  The module docstring gives the folded-residue form it evaluates.
     """
-    if axis not in _AXIS_I_POWER:
-        raise ValueError(f"axis must be 'yaw' or 'pitch', got {axis!r}")
-    c = np.cos(np.atleast_1d(np.asarray(angles, dtype=float)))
-    n = n_elements
-    a_hat, b_hat = _folded_sequences(s_coupling * np.array([1.0 + c, 1.0 - c]) / 2.0, _AXIS_I_POWER[axis], n)
-    lu = np.asarray(modes, dtype=int)[:, None]
-    r = np.arange(n)
-    hit = (2 * r - lu[:, :, None] - lu.T[:, :, None]) % n == 0  # (U, U, N): 2r = l_u + l_v
-    return np.einsum("uvr,ar,aur->auv", hit, a_hat, b_hat[:, (lu - r) % n])
+    a_hat, *b_hats = _folded_sequences(angles, s_coupling, n_elements)
+    return np.stack([_axis_entries(a_hat, b_hat, modes, n_elements) for b_hat in b_hats])
 
 
 def steered_sir(
-    axis: str,
     modes: Sequence[int],
     angles,
     s_coupling: float,
     n_elements: int,
 ) -> np.ndarray:
-    """(A, U) SIR of every mode at every angle of a single-axis tilt; +inf when interference-free."""
-    magnitude = np.abs(steered_entries(axis, modes, angles, s_coupling, n_elements))
+    """(2, A, U) SIR of every mode at every angle of a yaw, then a pitch tilt; +inf when interference-free.
+
+    One ``jv`` call serves both axes.  Their entries are assembled one axis
+    and ``SIR_CHUNK`` angles at a time; every step is per angle, so chunking
+    keeps the bits.
+    """
+    a_hat, *b_hats = _folded_sequences(angles, s_coupling, n_elements)
+    sirs = np.empty((len(b_hats), len(a_hat), len(modes)))
+    for k, b_hat in enumerate(b_hats):
+        for start in range(0, len(a_hat), SIR_CHUNK):
+            rows = slice(start, start + SIR_CHUNK)
+            sirs[k, rows] = _entry_sir(np.abs(_axis_entries(a_hat[rows], b_hat[rows], modes, n_elements)))
+    return sirs
+
+
+def _entry_sir(magnitude: np.ndarray) -> np.ndarray:
+    """(A, U) SIR of each row of an (A, U, U) stack of entry magnitudes."""
     # Scale each row by a power of two from its largest entry before squaring: exact,
     # and keeps the powers of small-coupling entries from underflowing to 0.
     exponent = np.frexp(magnitude.max(axis=-1, keepdims=True))[1]
@@ -276,5 +316,7 @@ def steered_mode_entry(
     Jacobi-Anger form of the module docstring.  It stays accurate where the
     plain double sum loses the entry to cancellation at small coupling.
     """
-    return complex(steered_entries(axis, modes, [angle], s_coupling, n_elements)[0, u, v])
+    if axis not in AXES:
+        raise ValueError(f"axis must be 'yaw' or 'pitch', got {axis!r}")
+    return complex(steered_entries(modes, [angle], s_coupling, n_elements)[AXES.index(axis), 0, u, v])
 

@@ -53,12 +53,19 @@ def execute_rotation(target: float, servo: ServoConfig) -> tuple[float, int]:
     """
     lo, hi = servo.reachable_range
     if not lo <= target <= hi:
-        raise ValueError(f"target {target} rad outside reachable range [{lo}, {hi}]")
+        raise ValueError(f"target {_in_both_units(target)} outside reachable range {_in_both_units(lo, hi)}")
     steps = round(target / servo.accuracy_nu)
     achieved = steps * servo.accuracy_nu
     if not lo <= achieved <= hi:  # a coarse accuracy rounds a target near the edge past it
         raise ValueError(
-            f"commanded angle {target:.6g} rad is achieved as {achieved:.6g} rad,"
-            f" outside the reachable range [{lo:.6g}, {hi:.6g}] rad"
+            f"commanded angle {_in_both_units(target)} is achieved as {_in_both_units(achieved)},"
+            f" outside the reachable range {_in_both_units(lo, hi)}"
         )
     return achieved, abs(steps)
+
+
+def _in_both_units(*angles: float) -> str:
+    """Angles [rad] for a message, in radians and in degrees (the config keys' unit); two as a range."""
+    rad = ", ".join(f"{a:.6g}" for a in angles)
+    deg = ", ".join(f"{math.degrees(a):.6g}" for a in angles)
+    return f"{rad} rad ({deg} degrees)" if len(angles) == 1 else f"[{rad}] rad ([{deg}] degrees)"

@@ -21,7 +21,7 @@ from oamlink import (
 )
 from oamlink.channel import POSE_CHUNK, mode_channels
 from oamlink.geometry import PITCH, ROLL, YAW, rotation_matrix
-from oamlink.metrics import steered_entries
+from oamlink.metrics import AXES, steered_entries
 
 EPS = np.finfo(float).eps
 
@@ -345,7 +345,7 @@ def test_steered_single_axis_matches_bessel_lattice(axis, degrees):
     gamma, psi = (angle, 0.0) if axis == "yaw" else (0.0, angle)
     batch = mode_channels([(gamma, psi, 0.0)], cfg, np.exp(1j * phases_eo([gamma], [psi], cfg)))[0]
     for p in range(cfg.n_subcarriers):
-        lattice = steered_entries(axis, cfg.modes, [angle], cfg.coupling(p), n)[0]
+        lattice = steered_entries(cfg.modes, [angle], cfg.coupling(p), n)[AXES.index(axis), 0]
         expected = n * n * cfg.eta(p) * lattice
         k_r = cfg.wavenumber(p) * cfg.range_r
         tol = 4 * EPS * n * n * abs(cfg.eta(p)) * (k_r + n) + 1e-14 * np.abs(expected).max()

@@ -190,6 +190,55 @@ def test_run_refuses_cells_that_need_quoting(tmp_path, monkeypatch, columns, nam
     assert list(tmp_path.iterdir()) == []
 
 
+def writer_bytes(columns) -> bytes:
+    """The bytes csv.writer writes for the columns: header, then rows; floats as repr, CRLF line ends."""
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\r\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*(col if isinstance(col, list) else col.tolist() for col in columns.values())))
+    return expected.getvalue().encode()
+
+
+def test_csv_formats_repeated_and_special_values_as_csv_writer(tmp_path, monkeypatch):
+    # run() formats each distinct value once, told apart by bit pattern: -0.0
+    # keeps its sign next to 0.0, and nan and +-inf repeat among other values.
+    columns = {
+        "x": np.array([0.1, -0.0, 0.0, 0.1, math.nan, math.inf, -math.inf, -0.0, 1e-300, math.nan, 0.1]),
+        "unique": np.array([0.1, -0.0, 0.0, 0.2, math.nan, math.inf, -math.inf, 1.0, 1e-300, 2.0, 1 / 3]),
+        "n": np.array([3, -1, 3, 0, 0, 2**62, 3, -1, 7, 7, 0]),
+        "label": ["yaw", "pitch", "yaw", "yaw", "a", "b", "a", "yaw", "c", "c", "yaw"],
+    }
+    spec = ExperimentSpec.resolve("complexity")
+    monkeypatch.setitem(experiments._RUNNERS, "complexity", lambda spec: columns)
+    path, _ = run(spec, tmp_path)
+    assert path.read_bytes() == writer_bytes(columns)
+    assert path.read_text().splitlines()[2:4] == ["-0.0,-0.0,-1,pitch", "0.0,0.0,3,yaw"]
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+def test_default_csv_bytes_match_csv_writer(tmp_path, monkeypatch, name):
+    # Every default runner's columns, written by run() and by the standard library.
+    spec = ExperimentSpec.resolve(name)
+    columns = experiments._RUNNERS[name](spec)
+    monkeypatch.setitem(experiments._RUNNERS, name, lambda spec: columns)
+    path, _ = run(spec, tmp_path)
+    assert path.read_bytes() == writer_bytes(columns)
+
+
+def test_monotonicity_evaluates_bessel_functions_once(monkeypatch):
+    # Both tilt axes and every chunk of angles share one jv call.
+    import scipy.special
+
+    from oamlink.metrics import SIR_CHUNK
+
+    calls = []
+    jv = scipy.special.jv
+    monkeypatch.setattr(scipy.special, "jv", lambda *args: calls.append(args) or jv(*args))
+    spec = ExperimentSpec.resolve("monotonicity", {"monotonicity.count": 2 * SIR_CHUNK + 1})
+    experiments._run_monotonicity(spec)
+    assert len(calls) == 1
+
+
 def test_rerun_into_same_directory_replaces_outputs(tmp_path):
     long = ExperimentSpec.resolve("monotonicity", {"monotonicity.count": 5})
     short = ExperimentSpec.resolve("monotonicity", {"monotonicity.count": 2})
@@ -484,6 +533,18 @@ def test_cli_residual_past_90_degrees_exits_1_naming_the_aoa_error(tmp_path, cap
     assert main(["hybrid-compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "pose.aoa_error_gamma_deg" in err and "|angle| < pi/2" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_servo_error_gives_the_target_in_degrees(tmp_path, capsys):
+    # The servo's range is now [-171, 9] degrees, so the annealer's roll interval
+    # end pi/N = 18 degrees is out of reach; the keys are in degrees, so is the target.
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text("servo.pulse_mid_s = 0.00195\npose.gamma_deg = 0\npose.psi_deg = 0\n")
+    assert main(["hybrid-compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("scenario.n_elements", "servo.pulse_mid_s")), err
+    assert "(18 degrees)" in err and "([-171, 9] degrees)" in err, err
     assert not (tmp_path / "out").exists()
 
 

@@ -25,8 +25,11 @@ from oamlink import (
     sinr,
     sir,
 )
+from oamlink import metrics
 from oamlink.metrics import (
+    AXES,
     CAPACITY_CHUNK,
+    SIR_CHUNK,
     steered_entries,
     steered_mode_entry,
     steered_sir,
@@ -218,7 +221,7 @@ def test_asymptotic_sir_holds_where_derived_and_raises_elsewhere():
                     asymptotic_sir(modes, grid, 0.01, n)
                 continue
             for s in (1e-3, 1e-2):
-                exact, closed = steered_sir("yaw", modes, grid, s, n), asymptotic_sir(modes, grid, s, n)
+                exact, closed = steered_sir(modes, grid, s, n)[0], asymptotic_sir(modes, grid, s, n)
                 finite = np.isfinite(closed)  # +inf where a mode has no interference
                 assert np.array_equal(np.isfinite(exact), finite), (n, modes)
                 assert np.all(np.abs(exact[finite] / closed[finite] - 1.0) <= s * s), (n, modes, s)
@@ -282,9 +285,9 @@ def lattice_entry(axis, modes, u, v, angle, s_coupling, n_elements):
 def test_steered_entries_match_scalar_lattice(n_elements, modes, s_coupling):
     modes = tuple(modes)
     angles = np.radians([0.0, 1.0, 33.0, 60.0, 89.0])
-    for axis in ("yaw", "pitch"):
-        batched = steered_entries(axis, modes, angles, s_coupling, n_elements)
-        assert batched.shape == (len(angles), len(modes), len(modes))
+    entries = steered_entries(modes, angles, s_coupling, n_elements)
+    assert entries.shape == (len(AXES), len(angles), len(modes), len(modes))
+    for axis, batched in zip(AXES, entries):
         for k, angle in enumerate(angles):
             for u in range(len(modes)):
                 for v in range(len(modes)):
@@ -330,8 +333,7 @@ def test_steered_entries_orders_cover_the_tail_bound(n_elements, s_coupling):
     modes = tuple(range(-((n - 1) // 2), n // 2 + 1))  # every residue mod N
     angles = np.radians([0.0, 1.0, 33.0, 60.0, 89.0])  # 0 puts S itself in the lattice
     t = 2.0**-56 * math.exp(min(0.0, h * (math.log(s_coupling) - math.log(2.0)) - math.lgamma(h + 1)))
-    for axis in ("yaw", "pitch"):
-        got = steered_entries(axis, modes, angles, s_coupling, n)
+    for axis, got in zip(AXES, steered_entries(modes, angles, s_coupling, n)):
         ref, a_hat, b_hat = folded_lattice(axis, modes, angles, s_coupling, n, 2 * math.ceil(s_coupling) + n + 250)
         tol = 2 * t * (np.abs(a_hat).max(axis=1) + np.abs(b_hat).max(axis=1) + t)
         excess = np.abs(got - ref) - tol[:, None, None]
@@ -340,15 +342,15 @@ def test_steered_entries_orders_cover_the_tail_bound(n_elements, s_coupling):
 
 def test_steered_entries_at_zero_arguments():
     # At 90 degrees S (1 +- cos) / 2 rounds to 0 for S = 5e-324, and J_q(0) is 1 at q = 0 only.
-    got = steered_entries("yaw", (0, 1), [math.pi / 2], 5e-324, 10)
-    assert np.array_equal(got, [[[1.0, 0.0], [0.0, 0.0]]])
+    got = steered_entries((0, 1), [math.pi / 2], 5e-324, 10)
+    assert np.array_equal(got, [[[[1.0, 0.0], [0.0, 0.0]]]] * len(AXES))
 
 
 def test_exact_sir_converges_to_asymptotic():
     ratios = []
     angles = np.radians([10, 30, 60])
     for s in (0.1, 0.01, 0.001):
-        exact = steered_sir("yaw", MODES, angles, s, 10)
+        exact = steered_sir(MODES, angles, s, 10)[0]
         ratios.append(np.max(np.abs(exact / asymptotic_sir(MODES, angles, s, 10) - 1.0)))
     assert ratios[0] > ratios[1] > ratios[2]
     assert ratios[2] < 0.05
@@ -368,8 +370,8 @@ def test_steered_sir_monotone_at_small_coupling_all_modes():
     # A relative increase up to 1e-12 is a plateau, not a violation.
     cfg = default_link()
     grid = np.radians(np.linspace(1, 89, 50))
-    for axis in ("yaw", "pitch"):
-        worst = _worst_rise(steered_sir(axis, cfg.modes, grid, 0.01, cfg.n_elements))
+    for axis, sirs in zip(AXES, steered_sir(cfg.modes, grid, 0.01, cfg.n_elements)):
+        worst = _worst_rise(sirs)
         for u in range(9):
             assert worst[u] <= 1e-12, f"{axis} mode index {u}: worst increase {worst[u]}"
 
@@ -382,8 +384,7 @@ def test_steered_sirs_finite_at_small_coupling(n, lo, s):
     # every SIR finite and positive.
     modes = tuple(range(lo, -lo + 1))
     grid = np.radians(np.linspace(1, 89, 25))
-    for axis in ("yaw", "pitch"):
-        sirs = steered_sir(axis, modes, grid, s, n)
+    for sirs in steered_sir(modes, grid, s, n):
         assert np.all(np.isfinite(sirs)) and np.all(sirs > 0)
 
 
@@ -444,7 +445,7 @@ def test_asymptotic_sir_matches_decimal_closed_forms(n, modes, s):
 
 def test_steered_sir_single_angle_has_no_rise():
     cfg = default_link()
-    worst = _worst_rise(steered_sir("yaw", cfg.modes, [math.radians(10)], 0.01, cfg.n_elements))
+    worst = _worst_rise(steered_sir(cfg.modes, [math.radians(10)], 0.01, cfg.n_elements)[0])
     assert worst[4] <= 1e-12 and worst[4] == 0.0
 
 
@@ -452,11 +453,11 @@ def test_steered_sir_falls_from_infinity(recwarn):
     # At zero tilt the SIR is +inf (no interference): a step down from it is a
     # fall, and a step from +inf to +inf a plateau, so the worst rise stays finite.
     cfg = default_link()
-    assert steered_sir("yaw", cfg.modes, [0.0], 0.01, cfg.n_elements)[0, 4] == math.inf
-    worst = _worst_rise(steered_sir("yaw", cfg.modes, [0.0, 0.1, 0.2], 0.01, cfg.n_elements))
+    assert steered_sir(cfg.modes, [0.0], 0.01, cfg.n_elements)[0, 0, 4] == math.inf
+    worst = _worst_rise(steered_sir(cfg.modes, [0.0, 0.1, 0.2], 0.01, cfg.n_elements)[0])
     assert (worst[4] <= 1e-12, worst[4]) == (True, 0.0)
     # One mode has no interference: its SIR is +inf at every angle.
-    worst = _worst_rise(steered_sir("pitch", (0,), [0.0, 0.1, 0.2], 0.01, cfg.n_elements))
+    worst = _worst_rise(steered_sir((0,), [0.0, 0.1, 0.2], 0.01, cfg.n_elements)[1])
     assert (worst[0] <= 1e-12, worst[0]) == (True, 0.0)
     assert len(recwarn) == 0
 
@@ -466,14 +467,23 @@ def test_steered_sir_rise_at_full_coupling():
     # rise must show, not be masked
     cfg = default_link()
     grid = np.radians(np.linspace(1, 89, 50))
-    worst = _worst_rise(steered_sir("yaw", cfg.modes, grid, 5.585053606381855, cfg.n_elements))[4]
+    worst = _worst_rise(steered_sir(cfg.modes, grid, 5.585053606381855, cfg.n_elements)[0])[4]
     assert not worst <= 1e-12 and worst > 1.0
 
 
-def test_steered_sir_validates_axis():
+def test_steered_sir_chunks_keep_the_bits(monkeypatch):
+    # Every step after the shared Bessel fold is per angle, so SIR_CHUNK angles
+    # at a time give the bits of one batch of all of them.
+    grid = np.radians(np.linspace(1, 89, 2 * SIR_CHUNK + 3))
+    chunked = steered_sir(MODES, grid, 0.01, 10)
+    monkeypatch.setattr(metrics, "SIR_CHUNK", len(grid))
+    assert np.array_equal(steered_sir(MODES, grid, 0.01, 10), chunked)
+
+
+def test_steered_mode_entry_validates_axis():
     cfg = default_link()
     with pytest.raises(ValueError):
-        steered_sir("roll", cfg.modes, [0.1, 0.2], 0.01, cfg.n_elements)
+        steered_mode_entry("roll", cfg.modes, 0, 1, 0.1, 0.01, cfg.n_elements)
 
 
 def test_asymptotic_sir_monotone_decreasing():
@@ -486,7 +496,7 @@ def test_asymptotic_sir_monotone_decreasing():
 
 
 def test_import_leaves_scipy_special_unloaded():
-    # only steered_entries needs jv; scipy.special would dominate import time,
+    # only the steered lattice needs jv; scipy.special would dominate import time,
     # and resolve, which checks the closed form's link
     code = (
         "import sys; from oamlink.experiments import ExperimentSpec; ExperimentSpec.resolve('monotonicity');"
