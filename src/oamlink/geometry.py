@@ -41,8 +41,9 @@ class Pose:
     def __post_init__(self):
         if not (abs(self.gamma) < _HALF_PI and abs(self.psi) < _HALF_PI):
             raise ValueError(
-                f"yaw/pitch must satisfy |angle| < pi/2 (90 degrees), got gamma={self.gamma:.6g} rad"
-                f" ({math.degrees(self.gamma):.6g} degrees), psi={self.psi:.6g} rad ({math.degrees(self.psi):.6g} degrees)"
+                f"yaw/pitch must satisfy |angle| < pi/2 (90 degrees), got"
+                f" gamma={self.gamma:.6g} rad ({math.degrees(self.gamma):.6g} degrees),"
+                f" psi={self.psi:.6g} rad ({math.degrees(self.psi):.6g} degrees)"
             )
         if not (math.isfinite(self.gamma) and math.isfinite(self.psi) and math.isfinite(self.roll)):
             raise ValueError("pose angles must be finite")

@@ -537,8 +537,9 @@ def test_cli_residual_past_90_degrees_exits_1_naming_the_aoa_error(tmp_path, cap
 
 
 def test_cli_servo_error_gives_the_target_in_degrees(tmp_path, capsys):
-    # The servo's range is now [-171, 9] degrees, so the annealer's roll interval
-    # end pi/N = 18 degrees is out of reach; the keys are in degrees, so is the target.
+    # A 1.95 ms mid pulse moves the servo's range to [-171, 9] degrees, so the end
+    # pi/N = 18 degrees of the annealer's roll interval is out of reach.  The keys
+    # are in degrees, and so is the target the message names.
     cfg = tmp_path / "probe.cfg"
     cfg.write_text("servo.pulse_mid_s = 0.00195\npose.gamma_deg = 0\npose.psi_deg = 0\n")
     assert main(["hybrid-compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1

@@ -496,7 +496,7 @@ def test_asymptotic_sir_monotone_decreasing():
 
 
 def test_import_leaves_scipy_special_unloaded():
-    # only the steered lattice needs jv; scipy.special would dominate import time,
+    # only steered_entries needs jv; scipy.special would dominate import time,
     # and resolve, which checks the closed form's link
     code = (
         "import sys; from oamlink.experiments import ExperimentSpec; ExperimentSpec.resolve('monotonicity');"
