@@ -585,7 +585,8 @@ def _cells(col: np.ndarray):
     keys, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
     if len(keys) == len(col):
         return map(form, col.tolist())
-    return map(list(map(form, keys.view(col.dtype).tolist())).__getitem__, inverse.tolist())
+    text = list(map(form, keys.view(col.dtype).tolist()))
+    return map(text.__getitem__, inverse.tolist())
 
 
 def _check_unquoted(column: str, cells) -> None:
