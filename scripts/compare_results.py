@@ -72,6 +72,8 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path, help="results tree to check")
     parser.add_argument("--rtol", type=float, default=1e-12, help="relative tolerance for numeric cells")
     args = parser.parse_args(argv)
+    if not 0.0 <= args.rtol < math.inf:
+        parser.error(f"--rtol must be non-negative and finite, got {args.rtol}")
     for tree in (args.golden, args.new):
         if not tree.is_dir():
             parser.error(f"{tree} is not a directory")

@@ -9,7 +9,7 @@ from .channel import (
     partial_dft,
     simulate_reception,
 )
-from .config import CarrierGrid, LinkConfig, default_link
+from .config import LinkConfig, default_link
 from .geometry import (
     ArrayGeometry,
     Pose,

@@ -47,7 +47,7 @@ class ChannelMatrix:
 
 def _channel_tensor(angles: np.ndarray, cfg: LinkConfig, method: str) -> np.ndarray:
     """(A, P, N, N) element-domain channels of A attitudes at every subcarrier."""
-    k = cfg.carriers.wavenumbers[:, None, None]
+    k = cfg.wavenumbers[:, None, None]
     d = distances(angles, cfg, method)[:, None]
     amplitude = cfg.beta / (2.0 * k * (d if method == "exact" else cfg.range_r))
     return amplitude * np.exp(-1j * k * d)

@@ -47,8 +47,8 @@ def main(argv=None) -> int:
         overrides = {}
         if args.config is not None:
             try:
-                text = args.config.read_text()
-            except OSError as exc:
+                text = args.config.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from None
             overrides = parse_config(text)
         if args.seed is not None:

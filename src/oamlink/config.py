@@ -1,4 +1,4 @@
-"""Link configuration: carrier grid, array pair, mode set and SNR.
+"""Link configuration: subcarrier frequencies, array pair, mode set and SNR.
 
 The reference setup used throughout the test-bench experiments is an
 N = 10 element pair of UCAs with radius 20 wavelengths, separated by 450
@@ -20,49 +20,6 @@ from .geometry import ArrayGeometry
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
-# Reference link parameters (wavelengths are in units of the first carrier's).
-DEFAULT_N_ELEMENTS = 10
-DEFAULT_MODES = tuple(range(-4, 5))
-DEFAULT_FREQ_START_HZ = 3.9982e9
-DEFAULT_FREQ_STOP_HZ = 4.2387e9
-DEFAULT_N_SUBCARRIERS = 8
-DEFAULT_RADIUS_WAVELENGTHS = 20.0
-DEFAULT_RANGE_WAVELENGTHS = 450.0
-DEFAULT_SNR_DB = 20.0
-
-
-@dataclass(frozen=True)
-class CarrierGrid:
-    """Strictly increasing subcarrier frequencies [Hz]."""
-
-    frequencies: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.frequencies) < 1:
-            raise ValueError("carrier grid needs at least one frequency")
-        freqs = np.asarray(self.frequencies, dtype=float)
-        if not np.all(freqs > 0):
-            raise ValueError("frequencies must be positive")
-        if len(freqs) > 1 and not np.all(np.diff(freqs) > 0):
-            raise ValueError("frequencies must be strictly increasing")
-
-    @classmethod
-    def linspace(cls, start_hz: float, stop_hz: float, count: int) -> "CarrierGrid":
-        if count == 1:
-            return cls((float(start_hz),))
-        return cls(tuple(np.linspace(start_hz, stop_hz, count)))
-
-    @property
-    def n_subcarriers(self) -> int:
-        return len(self.frequencies)
-
-    @cached_property
-    def wavenumbers(self) -> np.ndarray:
-        """k_p = 2*pi / wavelength_p (computed once, read-only)."""
-        k = 2.0 * math.pi * np.asarray(self.frequencies) / SPEED_OF_LIGHT
-        k.flags.writeable = False
-        return k
-
 
 @dataclass(frozen=True)
 class LinkConfig:
@@ -71,11 +28,18 @@ class LinkConfig:
     range_r: float
     tx: ArrayGeometry
     rx: ArrayGeometry
-    carriers: CarrierGrid
-    modes: tuple[int, ...] = DEFAULT_MODES
-    snr_rho: float = 10.0 ** (DEFAULT_SNR_DB / 10.0)
+    frequencies: tuple[float, ...]  # strictly increasing subcarrier frequencies [Hz]
+    modes: tuple[int, ...]
+    snr_rho: float
 
     def __post_init__(self):
+        freqs = np.asarray(self.frequencies, dtype=float)
+        if len(freqs) < 1:
+            raise ValueError("frequencies must not be empty")
+        if not np.all(freqs > 0):
+            raise ValueError("frequencies must be positive")
+        if not np.all(np.diff(freqs) > 0):
+            raise ValueError("frequencies must be strictly increasing")
         if not self.range_r > 0:
             raise ValueError("range must be positive")
         if self.tx.n_elements != self.rx.n_elements:
@@ -89,7 +53,7 @@ class LinkConfig:
         if not self.snr_rho > 0:
             raise ValueError("snr_rho must be positive")
         object.__setattr__(self, "modes", modes)
-        k = self.carriers.wavenumbers
+        k = self.wavenumbers
         with np.errstate(over="ignore", invalid="ignore"):  # inf or nan is what the check looks for
             coupling = k * self.rx.radius * self.tx.radius / self.range_r
             finite = np.all(np.isfinite(k * self.range_r)) and np.all(np.isfinite(coupling))
@@ -97,9 +61,10 @@ class LinkConfig:
             raise ValueError("beta, k_p * range and the coupling k_p * R_r * R_t / range must be finite")
         if self.range_r < 10.0 * (self.tx.radius + self.rx.radius):
             # Name the first frame outside the package, past the dataclass __init__ and
-            # default_link (Python 3.12's skip_file_prefixes does this).
+            # default_link (Python 3.12's skip_file_prefixes does this).  The module name
+            # is read from __spec__: under python -m oamlink.cli, __name__ is __main__.
             frame, level = sys._getframe(), 1
-            while frame.f_back is not None and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+            while frame.f_back is not None and _module_name(frame).partition(".")[0] == __package__:
                 frame, level = frame.f_back, level + 1
             warnings.warn(
                 "range below 10x the summed radii; far-field channel model degrades",
@@ -124,10 +89,17 @@ class LinkConfig:
 
     @property
     def n_subcarriers(self) -> int:
-        return self.carriers.n_subcarriers
+        return len(self.frequencies)
+
+    @cached_property
+    def wavenumbers(self) -> np.ndarray:
+        """k_p = 2*pi / wavelength_p (computed once, read-only)."""
+        k = 2.0 * math.pi * np.asarray(self.frequencies) / SPEED_OF_LIGHT
+        k.flags.writeable = False
+        return k
 
     def wavenumber(self, p: int) -> float:
-        return float(self.carriers.wavenumbers[p])
+        return float(self.wavenumbers[p])
 
     def coupling(self, p: int) -> float:
         """Dimensionless phase-coupling strength k_p * R_r * R_t / r."""
@@ -138,26 +110,32 @@ class LinkConfig:
         k = self.wavenumber(p)
         return self.beta / (2.0 * k * self.range_r * self.n_elements) * np.exp(-1j * k * self.range_r)
 
+
+def _module_name(frame) -> str:
+    """The module a frame runs in, by its import name, which __main__ does not hide."""
+    return getattr(frame.f_globals.get("__spec__"), "name", "")
+
+
 def default_link(
-    n_elements: int = DEFAULT_N_ELEMENTS,
-    n_subcarriers: int = DEFAULT_N_SUBCARRIERS,
-    modes: tuple[int, ...] = DEFAULT_MODES,
-    radius_rx_wavelengths: float = DEFAULT_RADIUS_WAVELENGTHS,
-    radius_tx_wavelengths: float = DEFAULT_RADIUS_WAVELENGTHS,
-    range_wavelengths: float = DEFAULT_RANGE_WAVELENGTHS,
-    snr_db: float = DEFAULT_SNR_DB,
+    n_elements: int = 10,
+    n_subcarriers: int = 8,
+    modes: tuple[int, ...] = tuple(range(-4, 5)),
+    radius_rx_wavelengths: float = 20.0,
+    radius_tx_wavelengths: float = 20.0,
+    range_wavelengths: float = 450.0,
+    snr_db: float = 20.0,
     rx_initial_angle: float = 0.0,
     tx_initial_angle: float = 0.0,
-    freq_start_hz: float = DEFAULT_FREQ_START_HZ,
-    freq_stop_hz: float = DEFAULT_FREQ_STOP_HZ,
+    freq_start_hz: float = 3.9982e9,
+    freq_stop_hz: float = 4.2387e9,
 ) -> LinkConfig:
-    """Reference link with radii/range given in first-carrier wavelengths."""
+    """The reference link, with radii and range in first-carrier wavelengths."""
     lambda1 = SPEED_OF_LIGHT / freq_start_hz
     return LinkConfig(
         range_r=range_wavelengths * lambda1,
         tx=ArrayGeometry(n_elements, radius_tx_wavelengths * lambda1, tx_initial_angle),
         rx=ArrayGeometry(n_elements, radius_rx_wavelengths * lambda1, rx_initial_angle),
-        carriers=CarrierGrid.linspace(freq_start_hz, freq_stop_hz, n_subcarriers),
+        frequencies=tuple(np.linspace(freq_start_hz, freq_stop_hz, n_subcarriers)),
         modes=modes,
         snr_rho=10.0 ** (snr_db / 10.0),
     )

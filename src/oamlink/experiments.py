@@ -61,7 +61,8 @@ def _count(most: int) -> _Domain:
 _ANY = _Domain(lambda v: -math.inf < v < math.inf, "finite")
 _POSITIVE = _Domain(lambda v: 0 < v < math.inf, "positive and finite")
 _TILT = _Domain(lambda v: abs(v) < 90.0, "an angle with |angle| < 90 degrees")
-# Keeps 10^(dB/10) and the capacity arithmetic finite and non-zero.
+# Keeps 10^(dB/10) finite and non-zero; capacity itself reads 0.0 below about
+# -170 dB (ROADMAP item 11).
 _SNR = _Domain(lambda v: abs(v) <= 1000.0, "a level with |dB| <= 1000")
 # The steered-SIR Bessel lattice takes the orders |q| <= q_max of its tail bound, in
 # one jv call for both axes: q_max = 10 at S = 0.01 and 168 at S = 100 (N = 10).  A
@@ -82,8 +83,9 @@ _MODE = _Domain(lambda v: abs(v) <= 64, "a mode index with |mode| <= 64")
 # 155 MB in 2.6-3.3 s at S = 100 (cold CLI, shared 2-core Intel Xeon).
 _SWEEP_COUNT, _ROLL_COUNT, _MONOTONICITY_COUNT = _count(10_000), _count(100_000), _count(1_000)
 # Complexity-model counts: the estimation grids enter cubed, so p^3 u^3 <= 10^24,
-# and the steering term is P U N^2 <= 10^16, all finite doubles (p_fine = 10^103
-# overflowed the float conversion).  The paper's sweep stops at N = 32, P = 16.
+# and the steering term is P U N^2 <= 6.4e13 (U is the link's at most 64 modes),
+# all finite doubles (p_fine = 10^103 overflowed the float conversion).  The
+# paper's sweep stops at N = 32, P = 16.
 _COMPLEXITY_COUNT = _count(10_000)
 # numpy's default_rng takes non-negative seeds only.
 _SEED = _Domain(lambda v: v >= 0, "a non-negative integer")
@@ -143,7 +145,6 @@ SCHEMA: dict[str, tuple] = {
     "complexity.u_coarse": (4, int, _COMPLEXITY_COUNT),
     "complexity.p_fine": (8, int, _COMPLEXITY_COUNT),
     "complexity.u_fine": (8, int, _COMPLEXITY_COUNT),
-    "complexity.u_data": (9, int, _COMPLEXITY_COUNT),
     "complexity.theta_star_deg": (10.0, float, _HALF_TURN),
     "complexity.n_min": (8, int, _COMPLEXITY_COUNT),
     "complexity.n_max": (32, int, _COMPLEXITY_COUNT),
@@ -495,7 +496,8 @@ def _run_complexity(spec: ExperimentSpec):
     params = ComplexityParams(
         p_data=np.tile(ps, len(ns)),
         n_elements=np.repeat(ns, len(ps)),
-        **{f: spec[f"complexity.{f}"] for f in ("u_data", "p_coarse", "u_coarse", "p_fine", "u_fine")},
+        u_data=spec.link().n_modes,  # U in P U N^2: the modes the link multiplexes
+        **{f: spec[f"complexity.{f}"] for f in ("p_coarse", "u_coarse", "p_fine", "u_fine")},
         sa=spec.sa_params(),
         gamma_cmd=math.radians(spec["pose.gamma_deg"]),
         psi_cmd=math.radians(spec["pose.psi_deg"]),

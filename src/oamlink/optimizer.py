@@ -7,10 +7,13 @@ periodic with period 2*pi/N, hence the search interval [-pi/N, pi/N].
 
 Mode l's diagonal entry of the aligned link rolled to theta (the double DFT
 sum the tests use as oracle) has the factor exp(-i l theta) of modulus one, so
-|h_l| = N |eta_p| |sum_j W_lj exp(i S_p cos(delta_j - theta))| with
-W = exp(i l delta), delta_j = 2 pi j / N.  The Jacobi-Anger expansion
+|h_l| = N |eta_p| |sum_j W_lj exp(i S_p cos(delta_j - theta - Delta))| with
+W = exp(i l delta), delta_j = 2 pi j / N.  The arrays' element angles enter
+through Delta, the receive array's initial angle less the transmit array's:
+the aligned link rolled to theta is the offset-free link rolled to
+theta + Delta.  The Jacobi-Anger expansion
 exp(i S cos phi) = sum_q i^q J_q(S) exp(i q phi) (DLMF 10.12) keeps only the
-orders q = kN - l of that sum, so with z = exp(-i N theta)
+orders q = kN - l of that sum, so with z = exp(-i N (theta + Delta))
 
     |h_l| = N^2 |eta_p| |sum_k i^q J_q(S_p) z^k|,  q = kN - l,
 
@@ -135,10 +138,14 @@ def _roll_model(cfg: LinkConfig):
     the terms (leading T), i times a real phase rounded once.  The
     Jacobi-Anger series (module docstring) takes the terms exp(-i k N theta)
     where ``_series_orders`` finds at most N of them; otherwise the terms are
-    the N-element sum's exp(i S_p cos(delta_j - theta)), with c_j = sqrt(rho)
-    N |eta_p| W_lj.
+    the N-element sum's exp(i S_p cos(delta_j - Delta - theta)), with c_j =
+    sqrt(rho) N |eta_p| W_lj.  The link's element angles enter as constants:
+    the series coefficients carry exp(-i k N Delta) and the element sum takes
+    delta_j - Delta, so an evaluation does the same work at any Delta, and
+    Delta = 0 keeps the offset-free model's bits.
     """
     n = cfg.n_elements
+    offset = cfg.rx.initial_angle - cfg.tx.initial_angle
     subcarriers = range(cfg.n_subcarriers)
     s = np.array([cfg.coupling(p) for p in subcarriers])
     amp = math.sqrt(cfg.snr_rho) * n * np.abs([cfg.eta(p) for p in subcarriers])
@@ -147,10 +154,11 @@ def _roll_model(cfg: LinkConfig):
     if ks is None:
         delta = 2.0 * math.pi * np.arange(1, n + 1) / n
         c = np.exp(1j * np.outer(delta, modes))[:, None, :] * amp[:, None]  # (N, P, U)
-        delta, i_s = delta[:, None, None], 1j * s[:, None]
+        delta, i_s = (delta - offset)[:, None, None], 1j * s[:, None]
         return (lambda theta: i_s * np.cos(delta - theta)), c
     k = np.array(ks)
     coefficients = _jacobi_anger(s, k[:, None] * n - modes)  # (P, K, U)
+    coefficients *= np.exp(-1j * n * offset * k)[:, None]  # z^k at theta + Delta
     c = np.ascontiguousarray((n * amp[:, None, None] * coefficients).transpose(1, 0, 2))
     i_kn = -1j * n * k[:, None, None]
     return (lambda theta: i_kn * theta), c

@@ -34,7 +34,7 @@ def phases_eo(gamma, psi, cfg: LinkConfig) -> np.ndarray:
     k_p R_r (sin(theta_m) sin(psi) cos(gamma) - cos(theta_m) sin(gamma)).
     """
     gamma, psi = (np.asarray(x, dtype=float)[:, None, None] for x in (gamma, psi))
-    k_rr = cfg.carriers.wavenumbers[:, None] * cfg.rx.radius
+    k_rr = cfg.wavenumbers[:, None] * cfg.rx.radius
     theta = cfg.rx.element_angles
     return k_rr * (np.sin(theta) * np.sin(psi) * np.cos(gamma) - np.cos(theta) * np.sin(gamma))
 
@@ -52,7 +52,7 @@ def phases_e2(gamma, psi, theta_star: float, cfg: LinkConfig) -> np.ndarray:
     phases_e1 correction from element angles theta_m to theta_m + theta*.
     """
     gb, pb = (np.asarray(x, dtype=float)[:, None, None] for x in (gamma, psi))
-    k_rr = (cfg.carriers.wavenumbers * cfg.rx.radius)[:, None]
+    k_rr = (cfg.wavenumbers * cfg.rx.radius)[:, None]
     theta = cfg.rx.element_angles
     half = 0.5 * theta_star
     return (

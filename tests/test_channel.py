@@ -109,7 +109,7 @@ def test_farfield_phase_tracks_exact_phase():
     r, rr, rt = cfg.range_r, cfg.rx.radius, cfg.tx.radius
     e = (2 * r * rr + (rr + rt) ** 2) / r**2
     bound = r * e**2 / 8 * (1 - e) ** -1.5 + 8 * EPS * r
-    k = cfg.carriers.wavenumbers.max()
+    k = cfg.wavenumbers.max()
     for gamma_deg, psi_deg, roll in ((0, 0, 0), (30, 20, 0), (85, 0, 0), (0, 85, 0), (60, 60, 1.0), (-45, 70, -2.0)):
         angles = np.array([(math.radians(gamma_deg), math.radians(psi_deg), roll)])
         d_e, d_f = distances(angles, cfg, "exact")[0], distances(angles, cfg, "farfield")[0]

@@ -38,6 +38,16 @@ def test_compare_results_exit_code(tmp_path, text, code):
     assert compare_results.main([str(golden), str(new), "--rtol", "1e-12"]) == code
 
 
+@pytest.mark.parametrize("rtol", ["-1", "nan", "inf"])
+def test_compare_results_rejects_negative_or_non_finite_rtol(tmp_path, capsys, rtol):
+    golden = tree(tmp_path / "golden", GOLDEN)
+    new = tree(tmp_path / "new", "axis,mode,sir_linear\nyaw,-4,1.5\npitch,0,inf\n")
+    with pytest.raises(SystemExit) as exited:
+        compare_results.main([str(golden), str(new), "--rtol", rtol])
+    assert exited.value.code == 2
+    assert "--rtol must be non-negative and finite" in capsys.readouterr().err
+
+
 def test_compare_results_missing_csv_is_a_mismatch(tmp_path):
     golden = tree(tmp_path / "golden", GOLDEN)
     new = tree(tmp_path / "new", GOLDEN, name="other.csv")

@@ -5,29 +5,37 @@ import math
 import numpy as np
 import pytest
 
-from oamlink import ArrayGeometry, CarrierGrid, LinkConfig, default_link
+from oamlink import ArrayGeometry, LinkConfig, default_link
+
+ARRAY = ArrayGeometry(10, 1.5)
 
 
-def test_carrier_grid_validation():
-    with pytest.raises(ValueError):
-        CarrierGrid(())
-    with pytest.raises(ValueError):
-        CarrierGrid((1e9, 1e9))  # not strictly increasing
-    with pytest.raises(ValueError):
-        CarrierGrid((-1e9,))
-    grid = CarrierGrid.linspace(3.9982e9, 4.2387e9, 8)
-    assert grid.n_subcarriers == 8
-    assert np.all(np.diff(grid.frequencies) > 0)
-    assert grid.wavenumbers[0] == pytest.approx(2 * math.pi * 3.9982e9 / 299792458.0)
+def link(frequencies=(4e9, 4.2e9), **fields):
+    """A LinkConfig with every field given, as it has no defaults."""
+    return LinkConfig(**{"range_r": 100.0, "tx": ARRAY, "rx": ARRAY, "frequencies": frequencies,
+                         "modes": tuple(range(-4, 5)), "snr_rho": 100.0, **fields})
+
+
+def test_frequency_validation():
+    with pytest.raises(ValueError, match="frequencies"):
+        link(())
+    with pytest.raises(ValueError, match="frequencies"):
+        link((1e9, 1e9))  # not strictly increasing
+    with pytest.raises(ValueError, match="frequencies"):
+        link((-1e9,))
+    cfg = default_link()
+    assert cfg.n_subcarriers == 8
+    assert np.all(np.diff(cfg.frequencies) > 0)
+    assert cfg.wavenumbers[0] == pytest.approx(2 * math.pi * 3.9982e9 / 299792458.0)
     # computed once and shared by every reader, so it must not be writable
-    assert grid.wavenumbers is grid.wavenumbers
+    assert cfg.wavenumbers is cfg.wavenumbers
     with pytest.raises(ValueError):
-        grid.wavenumbers[0] = 0.0
+        cfg.wavenumbers[0] = 0.0
 
 
-def test_single_frequency_grid():
-    grid = CarrierGrid.linspace(4e9, 5e9, 1)
-    assert grid.frequencies == (4e9,)
+def test_single_frequency_link():
+    cfg = default_link(n_subcarriers=1, freq_start_hz=4e9, freq_stop_hz=5e9)
+    assert cfg.frequencies == (4e9,)
 
 
 def test_default_link_reference_values():
@@ -46,25 +54,21 @@ def test_default_link_reference_values():
 
 
 def test_link_validation():
-    arr = ArrayGeometry(10, 1.5)
-    carriers = CarrierGrid.linspace(4e9, 4.2e9, 2)
     with pytest.raises(ValueError):
-        LinkConfig(range_r=100.0, tx=arr, rx=ArrayGeometry(8, 1.5), carriers=carriers)
+        link(rx=ArrayGeometry(8, 1.5))
     with pytest.raises(ValueError):
-        LinkConfig(range_r=100.0, tx=arr, rx=arr, carriers=carriers, modes=tuple(range(11)))
+        link(modes=tuple(range(11)))
     with pytest.raises(ValueError):
-        LinkConfig(range_r=100.0, tx=arr, rx=arr, carriers=carriers, modes=(1, 11))
+        link(modes=(1, 11))
     with pytest.raises(ValueError):
-        LinkConfig(range_r=100.0, tx=arr, rx=arr, carriers=carriers, snr_rho=0.0)
+        link(snr_rho=0.0)
     with pytest.raises(ValueError):
-        LinkConfig(range_r=-5.0, tx=arr, rx=arr, carriers=carriers)
+        link(range_r=-5.0)
 
 
 def test_near_field_range_warns():
-    arr = ArrayGeometry(10, 1.5)
-    carriers = CarrierGrid.linspace(4e9, 4.2e9, 2)
     with pytest.warns(UserWarning, match="far-field") as record:
-        LinkConfig(range_r=20.0, tx=arr, rx=arr, carriers=carriers)
+        link(range_r=20.0)
     assert record[0].filename == __file__  # the warning names the caller, not the dataclass __init__
 
 

@@ -3,6 +3,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -401,6 +404,28 @@ def test_cli_bad_command_line_exits_1_naming_argument(capsys, argv, named):
     assert f"config error: {named}" in err
 
 
+def test_cli_config_not_utf8_exits_1_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"sweep.count = 3\n\xff\xfe\n")
+    assert main(["sweep-yaw", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(cfg) in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_module_run_warns_once_naming_no_package_line(tmp_path):
+    # Under python -m oamlink.cli the CLI module's __name__ is __main__; the
+    # far-field warning must still walk past it, so resolve and run share one line.
+    cfg = tmp_path / "near.cfg"
+    cfg.write_text("scenario.range_wavelengths = 20\nroll.count = 73\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(experiments.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "oamlink.cli", "roll-profile", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert sum("far-field" in line for line in done.stderr.splitlines()) == 1, done.stderr
+    assert "oamlink/cli.py" not in done.stderr, done.stderr
+
+
 def test_cli_help_exits_0(capsys):
     for argv in (["--help"], ["sa-trace", "--help"]):
         with pytest.raises(SystemExit) as exited:
@@ -428,6 +453,17 @@ def test_every_scenario_key_changes_the_link(key):
     value = base[key]
     moved = value + 1 if isinstance(value, int) else 1.01 * value + 0.5
     assert ExperimentSpec.resolve("sa-trace", {key: moved}).link() != base.link()
+
+
+@pytest.mark.parametrize("key", [key for key in SCHEMA if key.startswith("scenario.")])
+def test_every_scenario_key_changes_the_roll_profile(tmp_path, key):
+    # the roll model reads the whole link: no scenario key may leave its CSV as it was
+    base = ExperimentSpec.resolve("roll-profile", {"roll.count": 73})
+    value = base[key]
+    moved = value + 1 if isinstance(value, int) else 1.01 * value + 0.5
+    before, _ = run(base, tmp_path / "base")
+    after, _ = run(ExperimentSpec.resolve("roll-profile", {"roll.count": 73, key: moved}), tmp_path / "moved")
+    assert after.read_bytes() != before.read_bytes()
 
 
 @pytest.mark.parametrize("key", [key for key in SCHEMA if key.startswith("servo.")])

@@ -80,8 +80,19 @@ ORACLE_THETAS = {
         default_link(n_elements=16, modes=tuple(range(-7, 8))),
         WIDE_LINK,
         HUGE_COUPLING_LINK,
+        # the arrays' initial element angles: the series (N = 10 and 16) and the element sum (wide)
+        default_link(rx_initial_angle=math.radians(5)),
+        default_link(tx_initial_angle=math.radians(5)),
+        default_link(
+            radius_rx_wavelengths=50, radius_tx_wavelengths=50, range_wavelengths=1000,
+            rx_initial_angle=math.radians(3), tx_initial_angle=math.radians(-11),
+        ),
+        default_link(
+            n_elements=16, modes=tuple(range(-7, 8)),
+            rx_initial_angle=math.radians(20), tx_initial_angle=math.radians(1),
+        ),
     ],
-    ids=["default", "P1", "N16", "wide", "S2e9"],
+    ids=["default", "P1", "N16", "wide", "S2e9", "rx5", "tx5", "wide-rx3-tx-11", "N16-rx20-tx1"],
 )
 def test_capacity_objective_matches_closed_form_diag(cfg, theta_of):
     # the objective's closed-form diagonal against the explicit double DFT sum

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from oamlink import (
-    CarrierGrid,
     Pose,
     capacity_profile,
     channel_matrices,
@@ -31,7 +30,7 @@ def offdiag_power_db(eff: np.ndarray) -> float:
 
 def one_mode_profile(cfg, p, mode, thetas):
     """capacity_profile of ``cfg`` reduced to subcarrier ``p`` and one mode: log2(1 + rho |h_ll|^2)."""
-    return capacity_profile(thetas, replace(cfg, carriers=CarrierGrid((cfg.carriers.frequencies[p],)), modes=(mode,)))
+    return capacity_profile(thetas, replace(cfg, frequencies=(cfg.frequencies[p],), modes=(mode,)))
 
 
 def assert_capacity_of_diag(cap, h, rho, rel):
