@@ -8,11 +8,13 @@ despiralizes mode l_u, optionally weighted by per-element steering phases.
 
 ``oam_effective`` is the despiralization kernel: ((F * b) @ H) @ F^H of a
 (..., N, N) stack of channels H with (..., N) steering rows b and the partial
-DFT F.  ``mode_channels`` gives the (A, P, U, U) mode-domain channels of A
-receive attitudes through it, from ``geometry.distances`` vectorized over
-the attitudes, POSE_CHUNK attitudes at a time.  ``channel_matrix`` and
-``channel_matrices`` take one ``Pose``, roll included; they are the element
-channel's one-pose views.  Its oracles in the
+DFT F; rows with a leading axis of S steering sets give all S sets' channels
+from one H.  ``mode_channels`` gives the (A, P, U, U) mode-domain channels
+of A receive attitudes through it, or (S, A, P, U, U) for S sets of rows,
+from ``geometry.distances`` vectorized over the attitudes, POSE_CHUNK
+attitudes at a time, each chunk's element channels built once for all sets.
+``channel_matrix`` and ``channel_matrices`` take one ``Pose``, roll
+included; they are the element channel's one-pose views.  Its oracles in the
 tests: the rotation-matrix product with the exact Euclidean distance; the
 aligned link is circulant, so the DFT diagonalizes it (Edfors & Johansson,
 IEEE TAP 2012); and a single-axis tilt steered by ``phases_eo`` (R. Chen et
@@ -57,18 +59,21 @@ def mode_channels(angles, cfg: LinkConfig, rows=None) -> np.ndarray:
     """(A, P, U, U) far-field mode-domain channels ((F * b) @ H) @ F^H of A receive attitudes.
 
     ``angles`` has one (yaw, pitch, roll) row [rad] per attitude, the fields
-    of a ``Pose``.  ``rows`` holds (A, P, N) unit-modulus steering weights b;
-    None stands for weights of exactly 1 + 0j, which zero phases also give.
+    of a ``Pose``.  ``rows`` holds (A, P, N) unit-modulus steering weights b,
+    or (S, A, P, N) for S steering sets, which gives (S, A, P, U, U) with each
+    element channel built once; None stands for weights of exactly 1 + 0j,
+    which zero phases also give.
     """
     angles = np.asarray(angles, dtype=float).reshape(-1, 3)
     shape = (len(angles), cfg.n_subcarriers, cfg.n_elements)
-    if rows is not None and np.shape(rows) != shape:
-        raise ValueError(f"steering rows must have shape {shape}, got {np.shape(rows)}")
-    out = np.empty(shape[:2] + (cfg.n_modes, cfg.n_modes), dtype=complex)
+    if rows is not None and np.shape(rows)[-3:] != shape or np.ndim(rows) > 4:
+        raise ValueError(f"steering rows must have shape {shape} or (S,) + that, got {np.shape(rows)}")
+    sets = np.shape(rows)[:-3]
+    out = np.empty(sets + shape[:2] + (cfg.n_modes, cfg.n_modes), dtype=complex)
     for start in range(0, len(angles), POSE_CHUNK):
         chunk = slice(start, start + POSE_CHUNK)
         H = _channel_tensor(angles[chunk], cfg, "farfield")
-        out[chunk] = oam_effective(H, cfg.modes, None if rows is None else rows[chunk])
+        out[..., chunk, :, :, :] = oam_effective(H, cfg.modes, None if rows is None else rows[..., chunk, :, :])
     return out
 
 
@@ -110,14 +115,15 @@ def oam_effective(H, modes: Sequence[int], rows=None) -> np.ndarray:
     """(..., U, U) mode-domain channels (F * b) @ H @ F^H of (..., N, N) channels ``H``.
 
     ``rows`` holds (..., N) unit-modulus steering weights b, one row per
-    channel; None stands for weights of exactly 1 + 0j, which zero phases
-    also give.  Successive steering stages multiply their weights.
+    channel, or (S, ..., N) for S steering sets, which gives (S, ..., U, U)
+    from the one ``H``; None stands for weights of exactly 1 + 0j, which zero
+    phases also give.  Successive steering stages multiply their weights.
     """
     n = H.shape[-1]
     if H.shape[-2:] != (n, n):
         raise ValueError(f"channel matrices must be square, got {H.shape}")
-    if rows is not None and np.shape(rows) != H.shape[:-1]:
-        raise ValueError(f"steering rows must have shape {H.shape[:-1]}, got {np.shape(rows)}")
+    if rows is not None and np.shape(rows)[-H.ndim + 1 :] != H.shape[:-1] or np.ndim(rows) > H.ndim:
+        raise ValueError(f"steering rows must have shape {H.shape[:-1]} or (S,) + that, got {np.shape(rows)}")
     F, F_h = _despiralizer(tuple(modes), n)
     b = np.ones(H.shape[:-1], dtype=complex) if rows is None else rows
     return (F * b[..., None, :]) @ H @ F_h

@@ -32,18 +32,18 @@ class ComplexityParams:
     so one call of the cost functions evaluates a whole (N, P) grid.
     """
 
-    p_data: int | np.ndarray = 8
-    u_data: int = 9
-    p_coarse: int = 4
-    u_coarse: int = 4
-    p_fine: int = 8
-    u_fine: int = 8
-    n_elements: int | np.ndarray = 10
-    sa: SaParams = SaParams()
-    gamma_cmd: float = math.radians(60.0)
-    psi_cmd: float = math.radians(60.0)
-    theta_star: float = math.radians(10.0)
-    nu: float = math.radians(0.3)
+    p_data: int | np.ndarray
+    u_data: int
+    p_coarse: int
+    u_coarse: int
+    p_fine: int
+    u_fine: int
+    n_elements: int | np.ndarray
+    sa: SaParams
+    gamma_cmd: float
+    psi_cmd: float
+    theta_star: float
+    nu: float
 
     def __post_init__(self):
         for name in ("p_data", "u_data", "p_coarse", "u_coarse", "p_fine", "u_fine", "n_elements"):

@@ -39,10 +39,10 @@ import numpy as np
 
 from .config import LinkConfig
 
-# Roll angles capacity_profile evaluates together; its complex (ANGLE_CHUNK, K, P, U)
-# products take 516 KB at the default link.  At P = 6 and 2881 angles, chunks of 8, 16,
-# 64 and 128 took 10.3, 7.6, 6.0 and 5.8 ms, so a larger chunk gains little.
-ANGLE_CHUNK = 64
+# Roll angles capacity_profile evaluates together; its complex (K, P, U, ANGLE_CHUNK)
+# products take 1.0 MB at the default link.  At P = 6 and 2881 angles, chunks of 16,
+# 32, 64, 128 and 256 took 5.3, 4.2, 3.9, 3.6 and 3.8 ms (min of 200).
+ANGLE_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,12 @@ def _jacobi_anger(s: np.ndarray, orders: np.ndarray) -> np.ndarray:
 def _roll_model(cfg: LinkConfig):
     """The diagonal model as |h_{p,l}(theta)| = |sum_k c[k, p, l] exp(exponent(theta)[k, p])|.
 
-    Returns (exponent, c) with c a contiguous (K, P, U) table scaled by
+    Returns (exponent, c) with c a contiguous (K, P, U, 1) table scaled by
     sqrt(rho), so that rho |h|^2 is h * h.  ``exponent`` maps a roll angle (or
-    a (T, 1, 1, 1) array of them) to the (K, P or 1, 1) imaginary exponents of
-    the terms (leading T), i times a real phase rounded once.  The
+    a (T,) array of them) to the (K, P or 1, 1, 1 or T) imaginary exponents of
+    the terms, i times a real phase rounded once: the angles run along the
+    last axis, so a chunk's products and its sum over k run over rows of T
+    contiguous angles.  The
     Jacobi-Anger series (module docstring) takes the terms exp(-i k N theta)
     where ``_series_orders`` finds at most N of them; otherwise the terms are
     the N-element sum's exp(i S_p cos(delta_j - Delta - theta)), with c_j =
@@ -153,31 +155,35 @@ def _roll_model(cfg: LinkConfig):
     ks = _series_orders(float(np.max(s)), cfg.modes, n)
     if ks is None:
         delta = 2.0 * math.pi * np.arange(1, n + 1) / n
-        c = np.exp(1j * np.outer(delta, modes))[:, None, :] * amp[:, None]  # (N, P, U)
-        delta, i_s = (delta - offset)[:, None, None], 1j * s[:, None]
+        c = (np.exp(1j * np.outer(delta, modes))[:, None, :] * amp[:, None])[..., None]  # (N, P, U, 1)
+        delta, i_s = (delta - offset)[:, None, None, None], 1j * s[:, None, None]
         return (lambda theta: i_s * np.cos(delta - theta)), c
     k = np.array(ks)
     coefficients = _jacobi_anger(s, k[:, None] * n - modes)  # (P, K, U)
     coefficients *= np.exp(-1j * n * offset * k)[:, None]  # z^k at theta + Delta
-    c = np.ascontiguousarray((n * amp[:, None, None] * coefficients).transpose(1, 0, 2))
-    i_kn = -1j * n * k[:, None, None]
+    c = np.ascontiguousarray((n * amp[:, None, None] * coefficients).transpose(1, 0, 2))[..., None]
+    i_kn = -1j * n * k[:, None, None, None]
     return (lambda theta: i_kn * theta), c
 
 
 def _log_terms(exponent, c: np.ndarray, theta) -> np.ndarray:
-    """The (P, U) log2(1 + rho |h|^2) of the roll model at theta, (T, P, U) at (T, 1, 1, 1) thetas."""
-    h = np.abs(np.add.reduce(c * np.exp(exponent(theta)), axis=-3))
+    """The (P, U, 1) log2(1 + rho |h|^2) of the roll model at theta, (P, U, T) at T thetas."""
+    h = np.abs(np.add.reduce(c * np.exp(exponent(theta)), axis=0))
     return np.log2(1.0 + h * h)
 
 
 def capacity_profile(thetas, cfg: LinkConfig) -> np.ndarray:
-    """Diagonal-model capacity [bits/s/Hz] at each roll angle, ANGLE_CHUNK angles at a time."""
+    """Diagonal-model capacity [bits/s/Hz] at each roll angle, ANGLE_CHUNK angles at a time.
+
+    Each angle's P U log terms are summed from a contiguous (T, P U) copy,
+    the pairwise order of the objective's sum over its (P, U, 1) terms.
+    """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     exponent, c = _roll_model(cfg)
     caps = np.empty(thetas.shape[0])
     for start in range(0, thetas.shape[0], ANGLE_CHUNK):
-        chunk = thetas[start : start + ANGLE_CHUNK, None, None, None]
-        per_mode = _log_terms(exponent, c, chunk).reshape(len(chunk), -1)  # (T, P U)
+        chunk = thetas[start : start + ANGLE_CHUNK]
+        per_mode = np.ascontiguousarray(_log_terms(exponent, c, chunk).reshape(-1, len(chunk)).T)  # (T, P U)
         caps[start : start + ANGLE_CHUNK] = np.add.reduce(per_mode, axis=1)
     return caps / cfg.n_subcarriers
 

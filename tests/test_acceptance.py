@@ -228,9 +228,10 @@ def test_criterion_7_hybrid_suppression():
 
 def test_criterion_8_complexity_ratio():
     started = time.monotonic()
-    from oamlink import ComplexityParams, cost_electronic, cost_hybrid
+    from oamlink import cost_electronic, cost_hybrid
+    from test_complexity import reference_params
 
-    params = ComplexityParams(n_elements=np.repeat(np.arange(8, 33), 13), p_data=np.tile(np.arange(4, 17), 25))
+    params = reference_params(n_elements=np.repeat(np.arange(8, 33), 13), p_data=np.tile(np.arange(4, 17), 25))
     ratios = sum(cost_hybrid(params).values()) / sum(cost_electronic(params).values())
     ok = min(ratios) >= 1.009 and max(ratios) <= 1.026
     report(

@@ -273,6 +273,31 @@ def test_mode_channels_slices_equal_one_pose_views(steered):
             assert np.array_equal(oam_effective(H.entries, cfg.modes, steering), batch[a, p])
 
 
+def test_mode_channels_steering_sets_equal_one_set_calls():
+    # a leading axis of steering sets gives each set's bits, chunk by chunk,
+    # the all-ones set those of no steering
+    cfg = default_link()
+    rng = np.random.default_rng(2)
+    count = POSE_CHUNK + 5
+    angles = np.column_stack([rng.uniform(-1, 1, count), rng.uniform(-1, 1, count), rng.uniform(-3, 3, count)])
+    steered = np.exp(1j * phases_eo(angles[:, 0], angles[:, 1], cfg))
+    sets = mode_channels(angles, cfg, np.stack([np.ones_like(steered), steered, steered.conj()]))
+    assert sets.shape == (3, count, cfg.n_subcarriers, cfg.n_modes, cfg.n_modes)
+    assert np.array_equal(sets[0], mode_channels(angles, cfg))
+    assert np.array_equal(sets[1], mode_channels(angles, cfg, steered))
+    assert np.array_equal(sets[2], mode_channels(angles, cfg, steered.conj()))
+    H = channel_matrices(Pose(*angles[0]), cfg)[0].entries
+    rows = steered[0, 0]
+    assert np.array_equal(oam_effective(H, cfg.modes, np.stack([rows, rows.conj()]))[1], oam_effective(H, cfg.modes, rows.conj()))
+
+
+@pytest.mark.parametrize("shape", [(3, 9), (2, 2, 10), (9,)])
+def test_oam_effective_rejects_misshaped_rows(shape):
+    H = channel_matrix(0, Pose(0.1, 0.2), default_link()).entries
+    with pytest.raises(ValueError, match="steering rows"):
+        oam_effective(H, default_link().modes, np.ones(shape))
+
+
 def test_mode_channels_rejects_misshaped_rows():
     cfg = default_link()
     with pytest.raises(ValueError, match="steering rows"):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oamlink import experiments
+from oamlink import default_link, experiments
 from oamlink.cli import main
 from oamlink.experiments import (
     ConfigError,
@@ -445,6 +445,17 @@ def test_cli_parser_reuse_carries_no_state(tmp_path):
     after = (tmp_path / "after" / "sa-trace.csv").read_bytes()
     assert after == own.read_bytes()
     assert after != (tmp_path / "seeded" / "sa-trace.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, n_subcarriers",
+    [("sweep-yaw", 6), ("sweep-pitch", 6), ("roll-profile", 6), ("hybrid-compare", 8), ("sa-trace", 8),
+     ("monotonicity", 8), ("complexity", 8)],
+)
+def test_default_config_resolves_to_the_reference_link(name, n_subcarriers):
+    # SCHEMA's scenario.* defaults and default_link's signature both state the
+    # reference link: a default moved on one side only fails here
+    assert ExperimentSpec.resolve(name).link() == default_link(n_subcarriers=n_subcarriers)
 
 
 @pytest.mark.parametrize("key", [key for key in SCHEMA if key.startswith("scenario.")])

@@ -2,11 +2,17 @@
 
 import csv
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from oamlink.experiments import EXPERIMENT_NAMES
 
-_SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+_ROOT = Path(__file__).resolve().parent.parent
+_SCRIPTS = _ROOT / "scripts"
 # The seven default CSVs as scripts/reproduce_all.py wrote them; a change that
 # moves a figure on purpose regenerates its golden and says so in CHANGES.md.
 _GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -41,3 +47,35 @@ def test_every_csv_cell_round_trips_and_manifests_count_rows(tmp_path):
     # At rtol 1e-12 an integer cell below 10^12 (sa-trace's accept counts among
     # them) can only match itself, and text cells always compare exactly.
     assert _load("compare_results").main([str(_GOLDEN), str(tmp_path), "--rtol", "1e-12"]) == 0
+
+
+# numpy picks its SIMD kernels at run time; this runs reproduce_all with every
+# dispatch target above numpy's baseline that this CPU has turned off, and the
+# subprocess first checks that they are off.
+_BASELINE_ONLY = """
+import runpy, sys
+from numpy._core._multiarray_umath import __cpu_features__
+assert not any(__cpu_features__[t] for t in sys.argv[1].split()), "dispatch targets still on"
+sys.argv = sys.argv[2:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+def test_default_csvs_hold_on_numpy_baseline_dispatch_path(tmp_path):
+    # Across dispatch paths cells move by rounding (at most 3.6e-15 relative
+    # measured), well inside the goldens' rtol; the annealer's accept decisions
+    # and so the sa-trace bytes must not move at all.
+    targets = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": targets,
+        "PYTHONPATH": os.pathsep.join([str(_ROOT / "src"), os.environ.get("PYTHONPATH", "")]),
+    }
+    script = str(_SCRIPTS / "reproduce_all.py")
+    subprocess.run(
+        [sys.executable, "-c", _BASELINE_ONLY, targets, script, "--out", str(tmp_path)],
+        env=env, check=True, capture_output=True,
+    )
+    assert _load("compare_results").main([str(_GOLDEN), str(tmp_path), "--rtol", "1e-12"]) == 0
+    trace = Path("sa-trace", "sa-trace.csv")
+    assert (tmp_path / trace).read_bytes() == (_GOLDEN / trace).read_bytes()
