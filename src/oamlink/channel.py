@@ -66,7 +66,7 @@ def mode_channels(angles, cfg: LinkConfig, rows=None) -> np.ndarray:
     """
     angles = np.asarray(angles, dtype=float).reshape(-1, 3)
     shape = (len(angles), cfg.n_subcarriers, cfg.n_elements)
-    if rows is not None and np.shape(rows)[-3:] != shape or np.ndim(rows) > 4:
+    if rows is not None and (np.shape(rows)[-3:] != shape or np.ndim(rows) > 4):
         raise ValueError(f"steering rows must have shape {shape} or (S,) + that, got {np.shape(rows)}")
     sets = np.shape(rows)[:-3]
     out = np.empty(sets + shape[:2] + (cfg.n_modes, cfg.n_modes), dtype=complex)
@@ -122,7 +122,7 @@ def oam_effective(H, modes: Sequence[int], rows=None) -> np.ndarray:
     n = H.shape[-1]
     if H.shape[-2:] != (n, n):
         raise ValueError(f"channel matrices must be square, got {H.shape}")
-    if rows is not None and np.shape(rows)[-H.ndim + 1 :] != H.shape[:-1] or np.ndim(rows) > H.ndim:
+    if rows is not None and (np.shape(rows)[-H.ndim + 1 :] != H.shape[:-1] or np.ndim(rows) > H.ndim):
         raise ValueError(f"steering rows must have shape {H.shape[:-1]} or (S,) + that, got {np.shape(rows)}")
     F, F_h = _despiralizer(tuple(modes), n)
     b = np.ones(H.shape[:-1], dtype=complex) if rows is None else rows

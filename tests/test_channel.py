@@ -293,9 +293,10 @@ def test_mode_channels_steering_sets_equal_one_set_calls():
 
 @pytest.mark.parametrize("shape", [(3, 9), (2, 2, 10), (9,)])
 def test_oam_effective_rejects_misshaped_rows(shape):
-    H = channel_matrix(0, Pose(0.1, 0.2), default_link()).entries
+    cfg = default_link()
+    H = channel_matrix(0, Pose(0.1, 0.2), cfg).entries
     with pytest.raises(ValueError, match="steering rows"):
-        oam_effective(H, default_link().modes, np.ones(shape))
+        oam_effective(H, cfg.modes, np.ones(shape))
 
 
 def test_mode_channels_rejects_misshaped_rows():
