@@ -33,12 +33,12 @@ class LinkConfig:
     snr_rho: float
 
     def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=float)
+        freqs = [float(f) for f in self.frequencies]
         if len(freqs) < 1:
             raise ValueError("frequencies must not be empty")
-        if not np.all(freqs > 0):
+        if not all(f > 0 for f in freqs):
             raise ValueError("frequencies must be positive")
-        if not np.all(np.diff(freqs) > 0):
+        if not all(b - a > 0 for a, b in zip(freqs, freqs[1:])):
             raise ValueError("frequencies must be strictly increasing")
         if not self.range_r > 0:
             raise ValueError("range must be positive")
@@ -53,10 +53,9 @@ class LinkConfig:
         if not self.snr_rho > 0:
             raise ValueError("snr_rho must be positive")
         object.__setattr__(self, "modes", modes)
-        k = self.wavenumbers
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan is what the check looks for
-            coupling = k * self.rx.radius * self.tx.radius / self.range_r
-            finite = np.all(np.isfinite(k * self.range_r)) and np.all(np.isfinite(coupling))
+        # Python floats overflow to inf and nan without a warning, which is what the check looks for.
+        r, rx, tx = float(self.range_r), float(self.rx.radius), float(self.tx.radius)
+        finite = all(math.isfinite(k * r) and math.isfinite(k * rx * tx / r) for k in self.wavenumbers.tolist())
         if not (math.isfinite(self.beta) and finite):
             raise ValueError("beta, k_p * range and the coupling k_p * R_r * R_t / range must be finite")
         if self.range_r < 10.0 * (self.tx.radius + self.rx.radius):

@@ -1,16 +1,16 @@
 """Experiment harness: key-value configs, named runs, CSV results, manifests.
 
 Configs are flat ``key = value`` text with dotted namespaces and ``#``
-comments; unknown keys are hard errors.  Every key has a default matching
-the reference link (N = 10, nine modes, 20-wavelength radii at 450
-wavelengths range, 8 subcarriers from 3.9982 GHz), with the angle-sweep and
-roll-profile runs defaulting to 6 subcarriers as in the corresponding
-workbench plots.  A run writes one CSV plus a ``manifest.txt`` that is
-itself a valid config resolving to the exact same run: re-running a
-manifest reproduces the CSV byte for byte on the same numpy build and SIMD
-dispatch path.  numpy picks its SIMD kernels at run time, and on another
-path (``NPY_DISABLE_CPU_FEATURES``) float cells may move by rounding: at
-most 3.6e-15 relative was measured, and the annealer's decisions held.
+comments; unknown keys are hard errors.  The ``scenario.*`` defaults are
+the reference link of ``config.default_link`` (described in the ``config``
+module docstring), with the angle-sweep and roll-profile runs defaulting to
+6 subcarriers as in the corresponding workbench plots.  A run writes one CSV
+plus a ``manifest.txt`` that is itself a valid config resolving to the exact
+same run: re-running a manifest reproduces the CSV byte for byte on the same
+numpy build and SIMD dispatch path, which a comment line of the manifest
+names.  numpy picks its SIMD kernels at run time, and on another path
+(``NPY_DISABLE_CPU_FEATURES``) float cells may move by rounding: at most
+3.6e-15 relative was measured, and the annealer's decisions held.
 """
 
 from __future__ import annotations
@@ -533,6 +533,14 @@ _RUNNERS = {
     "complexity": _run_complexity,
 }
 
+# The manifest's record of the numpy build and the SIMD targets it dispatches to,
+# on which the CSV bytes depend; read once, at import.
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+_NUMPY_LINE = f"# numpy {np.__version__}, SIMD targets on: {' '.join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or 'none'}\n"
+
 # CSV lines per write: every default and benchmark run is one write, while a
 # sweep at its bound (480 000 rows) never holds all its line strings at once
 # (holding them took its peak RSS from 116 MB to 159 MB).
@@ -579,6 +587,7 @@ def run(spec: ExperimentSpec, out_dir) -> tuple[Path, Path]:
     with _open_fresh(manifest_path) as fh:
         fh.write(f"# oamlink {__version__} experiment manifest\n")
         fh.write(f"# wall_time_s = {wall:.3f}\n")
+        fh.write(_NUMPY_LINE)
         fh.write(f"# rows = {n_rows}\n")
         fh.write(serialize_config(spec))
     return csv_path, manifest_path

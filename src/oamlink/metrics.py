@@ -18,11 +18,12 @@ are folded by residue mod N into A^_r and B^_s; every entry is then
 sum over r with 2r = l_u + l_v (mod N) of A^_r B^_{(l_u - r) mod N}, at most
 two products, and only those residues are gathered.  Yaw and pitch differ
 only in the i-powers that multiply J_w, so ``steered_entries`` evaluates all
-angles and mode pairs of both axes (``AXES``: yaw, then pitch) from one array
-``jv`` call, over the orders |q| <= q_max that the tail bound
-|J_q(x)| <= (x/2)^|q| / |q|! asks for; it stays accurate where the plain
-double DFT sum cancels at small coupling, and ``steered_sir`` gives their
-(2, A, U) SIRs.
+angles and mode pairs of both axes (``AXES``: yaw, then pitch) in one stacked
+pass over their rows, from one array ``jv`` call at the orders 0..q_max that
+the tail bound |J_q(x)| <= (x/2)^|q| / |q|! asks for, mirrored to the
+negative orders by J_-q = (-1)^q J_q (DLMF 10.4.1); it stays accurate where
+the plain double DFT sum cancels at small coupling, and ``steered_sir`` gives
+their (2, A, U) SIRs.
 """
 
 from __future__ import annotations
@@ -153,9 +154,11 @@ def asymptotic_sir(
     # One correctly rounded quotient of factorials per pair, scaled exactly by 4^-e
     # (differences of lgamma lose up to 150 eps).
     log_factor = np.zeros(t.shape)
-    for pair in zip(*np.nonzero(interferes)):
-        a, b, c, d = (int(x[pair]) for x in (tau, tb, chi, e))
-        log_factor[pair] = math.log(math.ldexp(math.factorial(a) / (math.factorial(b) * math.factorial(c)), -2 * d))
+    pairs = np.nonzero(interferes)
+    log_factor[pairs] = [
+        math.log(math.ldexp(math.factorial(a) / (math.factorial(b) * math.factorial(c)), -2 * d))
+        for a, b, c, d in zip(*(x[pairs].tolist() for x in (tau, tb, chi, e)))
+    ]
     cg = np.cos(np.atleast_1d(np.asarray(angles, dtype=float)))[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):  # log(0) = -inf: a factor that vanishes
         log_plus, log_minus = np.log1p(cg), np.log1p(-cg)
@@ -202,38 +205,42 @@ def _order_max(x: float, n: int) -> int:
     return q
 
 
-def _folded_sequences(angles, s_coupling: float, n: int) -> np.ndarray:
-    """(3, A, N) folded sequences A^, B^_yaw and B^_pitch at every angle.
+def _folded_sequences(angles, s_coupling: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(2A, N) folded sequences A^ and B^ of both axes' rows: yaw at every angle, then pitch.
 
     A_q = i^q J_q(a) and B_w = (i sigma)^w J_w(b), with a, b = S (1 +- cos) / 2
     and i sigma = -i for yaw, +i for pitch, over the orders |q| <= q_max of
     ``_order_max``; column r sums every order q = r (mod N).  One array ``jv``
-    call evaluates a and b at every order, and both axes' B take their
-    i-powers from the same J_w(b).
+    call evaluates a and b at the orders 0..q_max, mirrored to the negative
+    ones by J_-q = (-1)^q J_q (DLMF 10.4.1), an exact sign flip that gives
+    scipy's own bits for them.  Both axes' B take their i-powers from the
+    same J_w(b), and both axes' rows share A^.
     """
     from scipy.special import jv  # imported here: scipy.special dominates ``import oamlink``
 
     c = np.cos(np.atleast_1d(np.asarray(angles, dtype=float)))
     args = s_coupling * np.array([1.0 + c, 1.0 - c]) / 2.0
-    q_max = _order_max(float(np.max(args)), n)
+    q_max = _order_max(float(np.max(args)) if c.size else 0.0, n)
     orders = np.arange(-q_max, q_max + 1)
-    j = jv(orders, args[..., None])
+    half = jv(orders[q_max:], args[..., None])
+    j = np.concatenate([half[..., :0:-1] * np.where(orders[:q_max] % 2, -1.0, 1.0), half], axis=-1)
     # Zero-pad so the first order is a multiple of N (np.pad takes 15 times as long here).
     lead = -q_max % n
     end = lead + len(orders)
     seq = np.zeros((3, len(c), end + -end % n), complex)
     # i^(k q) with k = 1 for A^, 3 for B^_yaw and 1 for B^_pitch
     np.multiply(_I_POWERS[np.outer([1, 3, 1], orders) % 4][:, None], j[[0, 1, 1]], out=seq[..., lead:end])
-    return seq.reshape(3, len(c), -1, n).sum(axis=-2)
+    a_hat, *b_hats = seq.reshape(3, len(c), seq.shape[-1] // n, n).sum(axis=-2)
+    return np.concatenate([a_hat, a_hat]), np.concatenate(b_hats)
 
 
-def _axis_entries(a_hat: np.ndarray, b_hat: np.ndarray, modes: Sequence[int], n: int) -> np.ndarray:
-    """(A, U, U) entries of one tilt axis from its (A, N) folded sequences A^ and B^.
+def _lattice_entries(a_hat: np.ndarray, b_hat: np.ndarray, modes: Sequence[int], n: int) -> np.ndarray:
+    """(R, U, U) entries of R rows from their (R, N) folded sequences A^ and B^.
 
     Entry [u, v] sums A^_r B^_{(l_u - r) mod N} over the residues r with
     2r = l_u + l_v (mod N), and only those are gathered: for odd N the one
     r = (l_u + l_v)(N + 1)/2; for even N, r and r + N/2 where l_u + l_v is even,
-    and none (a zero entry) where it is odd.
+    and none (a zero entry) where it is odd.  Every step is per row.
     """
     lu = np.asarray(modes, dtype=int)
     total = (lu[:, None] + lu).ravel()  # l_u + l_v, flattened (u, v)
@@ -260,12 +267,13 @@ def steered_entries(
 
     Returns a (2, A, U, U) array: entry [i, k, u, v] belongs to tilt axis
     ``AXES[i]`` (yaw, then pitch) at ``angles[k]``.  Both arrays' reference
-    elements sit at angle zero.  Both axes come from one array ``jv`` call of
-    shape (2, A, 2 q_max + 1); nothing scales with angles times the (q, w)
-    lattice.  The module docstring gives the folded-residue form it evaluates.
+    elements sit at angle zero.  Both axes' rows come from one array ``jv``
+    call of shape (2, A, q_max + 1) and are gathered in one stacked pass;
+    nothing scales with angles times the (q, w) lattice.  The module
+    docstring gives the folded-residue form it evaluates.
     """
-    a_hat, *b_hats = _folded_sequences(angles, s_coupling, n_elements)
-    return np.stack([_axis_entries(a_hat, b_hat, modes, n_elements) for b_hat in b_hats])
+    rows = _lattice_entries(*_folded_sequences(angles, s_coupling, n_elements), modes, n_elements)
+    return rows.reshape((len(AXES), len(rows) // len(AXES)) + rows.shape[1:])
 
 
 def steered_sir(
@@ -276,17 +284,16 @@ def steered_sir(
 ) -> np.ndarray:
     """(2, A, U) SIR of every mode at every angle of a yaw, then a pitch tilt; +inf when interference-free.
 
-    One ``jv`` call serves both axes.  Their entries are assembled one axis
-    and ``SIR_CHUNK`` angles at a time; every step is per angle, so chunking
-    keeps the bits.
+    One ``jv`` call serves both axes.  Their rows are stacked, yaw then pitch,
+    and their entries assembled ``SIR_CHUNK`` rows at a time in one pass;
+    every step is per row, so the stacking and chunking keep the bits.
     """
-    a_hat, *b_hats = _folded_sequences(angles, s_coupling, n_elements)
-    sirs = np.empty((len(b_hats), len(a_hat), len(modes)))
-    for k, b_hat in enumerate(b_hats):
-        for start in range(0, len(a_hat), SIR_CHUNK):
-            rows = slice(start, start + SIR_CHUNK)
-            sirs[k, rows] = _entry_sir(np.abs(_axis_entries(a_hat[rows], b_hat[rows], modes, n_elements)))
-    return sirs
+    a_hat, b_hat = _folded_sequences(angles, s_coupling, n_elements)
+    sirs = np.empty((len(a_hat), len(modes)))
+    for start in range(0, len(a_hat), SIR_CHUNK):
+        rows = slice(start, start + SIR_CHUNK)
+        sirs[rows] = _entry_sir(np.abs(_lattice_entries(a_hat[rows], b_hat[rows], modes, n_elements)))
+    return sirs.reshape(len(AXES), len(sirs) // len(AXES), len(modes))
 
 
 def _entry_sir(magnitude: np.ndarray) -> np.ndarray:

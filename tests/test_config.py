@@ -84,3 +84,49 @@ def test_array_geometry_validation():
         ArrayGeometry(0, 1.0)
     with pytest.raises(ValueError):
         ArrayGeometry(4, 0.0)
+
+
+def _numpy_checks(frequencies, range_r, rx_radius, tx_radius):
+    """The message of the first frequency, range or finiteness check that fails, or None.
+
+    The checks as ``LinkConfig`` made them in numpy before it made them in
+    Python floats; the checks between range and finiteness (element counts,
+    modes, SNR) pass on every link here.
+    """
+    freqs = np.asarray(frequencies, dtype=float)
+    if len(freqs) < 1:
+        return "frequencies must not be empty"
+    if not np.all(freqs > 0):
+        return "frequencies must be positive"
+    if not np.all(np.diff(freqs) > 0):
+        return "frequencies must be strictly increasing"
+    if not range_r > 0:
+        return "range must be positive"
+    k = 2.0 * math.pi * freqs / 299792458.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        coupling = k * rx_radius * tx_radius / range_r
+        finite = np.all(np.isfinite(k * range_r)) and np.all(np.isfinite(coupling))
+    if not (math.isfinite(2.0 * float(k[0]) * range_r) and finite):
+        return "beta, k_p * range and the coupling k_p * R_r * R_t / range must be finite"
+    return None
+
+
+@pytest.mark.parametrize("frequencies", [(), (math.nan,), (math.inf,), (0.0,), (-1e9,), (4e9, 4e9), (4.2e9, 4e9),
+                                         (4e9, math.nan), (4e9, math.inf), (4e9, 4.2e9), (1e300,), (1e9, 1e300)])
+@pytest.mark.parametrize("range_r, rx_radius, tx_radius", [(100.0, 1.5, 1.5), (math.nan, 1.5, 1.5), (1e300, 1.5, 1.5),
+                                                           (100.0, 1e300, 1e10), (100.0, math.inf, 1.5), (1e-300, 1e-302, 1e-302)])
+def test_link_checks_keep_the_numpy_messages(frequencies, range_r, rx_radius, tx_radius):
+    expected = _numpy_checks(frequencies, range_r, rx_radius, tx_radius)
+    fields = {"frequencies": frequencies, "range_r": range_r, "rx": ArrayGeometry(10, rx_radius), "tx": ArrayGeometry(10, tx_radius)}
+    if expected is None:
+        assert link(**fields).n_subcarriers == len(frequencies)
+    else:
+        with pytest.raises(ValueError) as raised:
+            link(**fields)
+        assert str(raised.value) == expected
+
+
+def test_wavenumbers_keep_their_bits():
+    cfg = default_link()
+    expected = 2.0 * math.pi * np.asarray(cfg.frequencies, dtype=float) / 299792458.0
+    assert cfg.wavenumbers.tobytes() == expected.tobytes()

@@ -129,6 +129,35 @@ def test_manifest_reruns_byte_identical(tmp_path):
     assert csv1.read_bytes() == csv2.read_bytes()
 
 
+def _dispatch_targets(manifest: Path) -> list[str]:
+    """The SIMD targets a manifest's numpy line names, after checking the line's form."""
+    line = manifest.read_text().splitlines()[2]
+    head, _, targets = line.partition(", SIMD targets on: ")
+    assert head == f"# numpy {np.__version__}", line
+    return [] if targets == "none" else targets.split()
+
+
+def test_manifest_records_numpy_dispatch_targets(tmp_path):
+    # The CSV bytes hold on one numpy build and dispatch path, so the manifest
+    # names both, in a comment: its config lines still parse back to the spec.
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    spec = ExperimentSpec.resolve("complexity", SMALL["complexity"])
+    _, manifest = run(spec, tmp_path / "all")
+    on = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    assert _dispatch_targets(manifest) == on
+    assert ExperimentSpec.resolve("complexity", parse_config(manifest.read_text())) == spec
+    # With the targets above the lowest one turned off, the line names none of them.
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in SMALL["complexity"].items()))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(on[1:]),
+               PYTHONPATH=str(Path(experiments.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "oamlink.cli", "complexity", "--config", str(cfg), "--out", str(tmp_path / "fewer")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert _dispatch_targets(tmp_path / "fewer" / "manifest.txt") == on[:1]
+
+
 def test_run_rejects_columns_of_unequal_length(tmp_path, monkeypatch):
     spec = ExperimentSpec.resolve("complexity", SMALL["complexity"])
     earlier = {path.name: path.read_bytes() for path in run(spec, tmp_path / "earlier")}

@@ -480,6 +480,105 @@ def test_steered_sir_chunks_keep_the_bits(monkeypatch):
     assert np.array_equal(steered_sir(MODES, grid, 0.01, 10), chunked)
 
 
+def test_steered_sir_and_entries_on_no_angles():
+    # An empty grid gives empty tables, as asymptotic_sir's (0, U) and
+    # capacity_profile's (0,), not numpy's error on a reduction with no identity.
+    assert steered_sir(MODES, [], 0.01, 10).shape == (len(AXES), 0, len(MODES))
+    assert steered_entries(MODES, [], 0.01, 10).shape == (len(AXES), 0, len(MODES), len(MODES))
+    assert asymptotic_sir(MODES, [], 0.01, 10).shape == (0, len(MODES))
+
+
+def _folded_sequences_full_orders(angles, s_coupling, n):
+    """The (3, A, N) folded A^, B^_yaw and B^_pitch from one ``jv`` call at every order -q_max..q_max.
+
+    The form ``metrics._folded_sequences`` had before it mirrored the negative
+    orders from the non-negative ones.
+    """
+    c = np.cos(np.atleast_1d(np.asarray(angles, dtype=float)))
+    args = s_coupling * np.array([1.0 + c, 1.0 - c]) / 2.0
+    q_max = metrics._order_max(float(np.max(args)), n)
+    orders = np.arange(-q_max, q_max + 1)
+    j = jv(orders, args[..., None])
+    lead = -q_max % n
+    end = lead + len(orders)
+    seq = np.zeros((3, len(c), end + -end % n), complex)
+    np.multiply(np.array([1, 1j, -1, -1j])[np.outer([1, 3, 1], orders) % 4][:, None], j[[0, 1, 1]], out=seq[..., lead:end])
+    return seq.reshape(3, len(c), -1, n).sum(axis=-2)
+
+
+@pytest.mark.parametrize("s_coupling", [1e-3, 0.01, 0.3, 5.6, 37.0, 100.0])
+def test_mirrored_bessel_orders_keep_the_bits_of_every_order(s_coupling):
+    # J_-q = (-1)^q J_q is a sign flip, which scipy's own negative orders match bit for bit.
+    angles = np.radians(np.linspace(0.0, 89.0, 7))
+    for n in range(2, 65):
+        a_hat, b_hat = metrics._folded_sequences(angles, s_coupling, n)
+        full = _folded_sequences_full_orders(angles, s_coupling, n)
+        stacked = np.stack([np.concatenate([full[0], full[0]]), np.concatenate(full[1:])])
+        assert np.array_equal(np.stack([a_hat, b_hat]).view(np.uint64), stacked.view(np.uint64)), n
+
+
+def _per_axis_sir(modes, angles, s_coupling, n):
+    """(2, A, U) SIRs one axis and ``SIR_CHUNK`` angles at a time, the loop ``steered_sir`` had before it stacked the axes."""
+    a_hat, b_hat = metrics._folded_sequences(angles, s_coupling, n)
+    a_hat, b_hats = a_hat[: len(a_hat) // 2], np.split(b_hat, 2)
+    sirs = np.empty((len(b_hats), len(a_hat), len(modes)))
+    for k, b in enumerate(b_hats):
+        for start in range(0, len(a_hat), SIR_CHUNK):
+            rows = slice(start, start + SIR_CHUNK)
+            sirs[k, rows] = metrics._entry_sir(np.abs(metrics._lattice_entries(a_hat[rows], b[rows], modes, n)))
+    return sirs
+
+
+@pytest.mark.parametrize("n, modes, s", [(10, range(-4, 5), 0.01), (9, range(-4, 5), 5.6), (64, range(-31, 32), 1e-4)])
+def test_stacked_axes_keep_the_per_axis_bits(n, modes, s):
+    # 70 angles make 140 stacked rows: the chunk of rows 64..127 spans the yaw/pitch boundary.
+    modes = tuple(modes)
+    grid = np.radians(np.linspace(1, 89, 70))
+    assert np.array_equal(steered_sir(modes, grid, s, n).view(np.uint64), _per_axis_sir(modes, grid, s, n).view(np.uint64))
+    a_hat, b_hat = metrics._folded_sequences(grid, s, n)
+    per_axis = np.stack([metrics._lattice_entries(a_hat[:70], b, modes, n) for b in np.split(b_hat, 2)])
+    assert np.array_equal(steered_entries(modes, grid, s, n).view(np.uint64), per_axis.view(np.uint64))
+
+
+def _per_pair_asymptotic_sir(modes, angles, s_coupling, n):
+    """``asymptotic_sir`` as it was before it read the interfering pairs as Python ints in one pass.
+
+    Its pair table comes from a loop that indexes numpy scalars pair by pair.
+    """
+    lu = np.asarray(modes, dtype=int)
+    lv = lu[:, None, None]
+    t = lu - lv
+    tau, tb, chi = (np.minimum(x % n, -x % n) for x in np.broadcast_arrays(lu, t // 2, lv + t // 2))
+    e = tb + chi - tau
+    interferes = (t % 2 == 0) & (t != 0)
+    log_factor = np.zeros(t.shape)
+    for pair in zip(*np.nonzero(interferes)):
+        a, b, c, d = (int(x[pair]) for x in (tau, tb, chi, e))
+        log_factor[pair] = math.log(math.ldexp(math.factorial(a) / (math.factorial(b) * math.factorial(c)), -2 * d))
+    cg = np.cos(np.atleast_1d(np.asarray(angles, dtype=float)))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_plus, log_minus = np.log1p(cg), np.log1p(-cg)
+        log_r = e * math.log(s_coupling) + log_factor + np.where(tb != 0, tb * log_minus, 0.0)
+        log_r += np.where(chi != tau, (chi - tau) * log_plus, 0.0)
+    x = np.where(interferes, 2.0 * log_r, -math.inf)
+    top = x.max(axis=0)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    x -= shift
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(-(shift + np.log(np.exp(x, out=x).sum(axis=0))))
+
+
+@pytest.mark.parametrize(
+    "n, modes, s",
+    [(10, range(-4, 5), 0.01), (10, (13, -1, 4, 0), 0.01), (48, range(-23, 24), 1e-8), (64, range(-31, 32), 1e-4)],
+)
+def test_asymptotic_sir_keeps_the_per_pair_loop_bits(n, modes, s):
+    modes = tuple(modes)
+    angles = np.radians(np.linspace(0, 89, 25))
+    got, expected = asymptotic_sir(modes, angles, s, n), _per_pair_asymptotic_sir(modes, angles, s, n)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def test_steered_mode_entry_validates_axis():
     cfg = default_link()
     with pytest.raises(ValueError):
