@@ -67,10 +67,10 @@ _TILT = _Domain(lambda v: abs(v) < 90.0, "an angle with |angle| < 90 degrees")
 # Keeps 10^(dB/10) finite and non-zero; capacity itself reads 0.0 below about
 # -170 dB (ROADMAP item 11).
 _SNR = _Domain(lambda v: abs(v) <= 1000.0, "a level with |dB| <= 1000")
-# The steered-SIR Bessel lattice takes the orders |q| <= q_max of its tail bound, in
-# one jv call for both axes: q_max = 10 at S = 0.01 and 168 at S = 100 (N = 10).  A
-# run at the count bound below takes 2.6-3.3 s at S = 100 and 1.2-1.3 s at S = 0.01.
-# The experiment studies small coupling (the reference link's is 5.6).
+# The steered-SIR Bessel lattice takes the orders |q| <= q_max of its tail bound from
+# one jv call for both axes at q = 0..q_max: q_max = 10 at S = 0.01 and 168 at S = 100
+# (N = 10).  A run at the count bound below takes 1.5-1.7 s at S = 100 and 0.85-0.88 s
+# at S = 0.01.  The experiment studies small coupling (the reference link's is 5.6).
 _COUPLING = _Domain(lambda v: 0 < v <= 100.0, "a coupling in (0, 100]")
 # Elements N and subcarriers P: mode_channels holds POSE_CHUNK = 8 poses of P N^2
 # complex entries per temporary, 34 MB at 64 and 64.  The paper has N <= 32, P = 8.
@@ -81,9 +81,9 @@ _MODE = _Domain(lambda v: abs(v) <= 64, "a mode index with |mode| <= 64")
 # Grid points per run.  The largest arrays: the sweeps' (A, P, U, U) complex
 # channels (7.8 KB per angle at 6 subcarriers, 9 modes: 78 MB at the bound),
 # the roll profile's grid, capacities and CSV columns (0.75 s and 47 MB per 10^5 angles, 0.4 s of it the CSV)
-# and the monotonicity run's (V, A, U) closed-form terms (its Bessel lattice is built 64 angles at a
-# time): 1000 angles with 63 modes (N = 64) peak at 152 MB RSS in 1.2-1.3 s at S = 0.01, and at
-# 155 MB in 2.6-3.3 s at S = 100 (cold CLI, shared 2-core Intel Xeon).
+# and the monotonicity run's (V, A, U) closed-form terms (its Bessel lattice is built 64 rows at a
+# time): 1000 angles with 63 modes (N = 64) peak at 150 MB RSS in 0.85-0.88 s at S = 0.01, and at
+# 147 MB in 1.5-1.7 s at S = 100 (cold CLI, shared 2-core Intel Xeon).
 _SWEEP_COUNT, _ROLL_COUNT, _MONOTONICITY_COUNT = _count(10_000), _count(100_000), _count(1_000)
 # Complexity-model counts: the estimation grids enter cubed, so p^3 u^3 <= 10^24,
 # and the steering term is P U N^2 <= 6.4e13 (U is the link's at most 64 modes),
@@ -539,7 +539,8 @@ try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 except ImportError:  # numpy 1.x
     from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-_NUMPY_LINE = f"# numpy {np.__version__}, SIMD targets on: {' '.join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or 'none'}\n"
+_SIMD_ON = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "none"
+_NUMPY_LINE = f"# numpy {np.__version__}, SIMD targets on: {_SIMD_ON}\n"
 
 # CSV lines per write: every default and benchmark run is one write, while a
 # sweep at its bound (480 000 rows) never holds all its line strings at once

@@ -37,9 +37,9 @@ import numpy as np
 # (CAPACITY_CHUNK, SNRs, P, U) floats, 590 KB at 16 SNRs, 8 subcarriers and 9
 # modes, so a sweep's peak memory does not grow with angles times SNRs.
 CAPACITY_CHUNK = 64
-# Angles whose steered SIRs are evaluated together.  The (SIR_CHUNK, U, U)
-# entries and magnitudes are 4 MB at 63 modes, where one axis's whole lattice
-# at 1000 angles took 130 MB of temporaries.
+# Rows, one angle of one tilt axis each, whose steered SIRs are evaluated
+# together.  The (SIR_CHUNK, U, U) entries and magnitudes are 4 MB at 63 modes,
+# where one axis's whole lattice at 1000 angles took 130 MB of temporaries.
 SIR_CHUNK = 64
 
 

@@ -147,11 +147,11 @@ def test_manifest_records_numpy_dispatch_targets(tmp_path):
     on = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
     assert _dispatch_targets(manifest) == on
     assert ExperimentSpec.resolve("complexity", parse_config(manifest.read_text())) == spec
-    # With the targets above the lowest one turned off, the line names none of them.
+    # With the targets above the lowest one on also turned off, the line names none of them.
     cfg = tmp_path / "small.cfg"
     cfg.write_text("".join(f"{key} = {value}\n" for key, value in SMALL["complexity"].items()))
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(on[1:]),
-               PYTHONPATH=str(Path(experiments.__file__).resolve().parents[1]))
+    disabled = " ".join([os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), *on[1:]]).strip()
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, PYTHONPATH=str(Path(experiments.__file__).resolve().parents[1]))
     argv = [sys.executable, "-m", "oamlink.cli", "complexity", "--config", str(cfg), "--out", str(tmp_path / "fewer")]
     done = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
