@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +30,8 @@ class LinkConfig:
     frequencies: tuple[float, ...]  # strictly increasing subcarrier frequencies [Hz]
     modes: tuple[int, ...]
     snr_rho: float
+    # k_p = 2 pi f_p / c, built once by __post_init__ and read-only
+    wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         freqs = [float(f) for f in self.frequencies]
@@ -53,11 +54,16 @@ class LinkConfig:
         if not self.snr_rho > 0:
             raise ValueError("snr_rho must be positive")
         object.__setattr__(self, "modes", modes)
-        # Python floats overflow to inf and nan without a warning, which is what the check looks for.
+        # Python floats overflow to inf and nan without a warning, which is what the check
+        # looks for; numpy's array would warn at frequencies near the largest double.
+        k = [2.0 * math.pi * f / SPEED_OF_LIGHT for f in freqs]
         r, rx, tx = float(self.range_r), float(self.rx.radius), float(self.tx.radius)
-        finite = all(math.isfinite(k * r) and math.isfinite(k * rx * tx / r) for k in self.wavenumbers.tolist())
-        if not (math.isfinite(self.beta) and finite):
+        finite = all(math.isfinite(kp * r) and math.isfinite(kp * rx * tx / r) for kp in k)
+        if not (math.isfinite(2.0 * k[0] * r) and finite):
             raise ValueError("beta, k_p * range and the coupling k_p * R_r * R_t / range must be finite")
+        wavenumbers = np.array(k)
+        wavenumbers.flags.writeable = False
+        object.__setattr__(self, "wavenumbers", wavenumbers)
         if self.range_r < 10.0 * (self.tx.radius + self.rx.radius):
             # Name the first frame outside the package, past the dataclass __init__ and
             # default_link (Python 3.12's skip_file_prefixes does this).  The module name
@@ -89,13 +95,6 @@ class LinkConfig:
     @property
     def n_subcarriers(self) -> int:
         return len(self.frequencies)
-
-    @cached_property
-    def wavenumbers(self) -> np.ndarray:
-        """k_p = 2*pi / wavelength_p (computed once, read-only)."""
-        k = 2.0 * math.pi * np.asarray(self.frequencies) / SPEED_OF_LIGHT
-        k.flags.writeable = False
-        return k
 
     def wavenumber(self, p: int) -> float:
         return float(self.wavenumbers[p])

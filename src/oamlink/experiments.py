@@ -7,10 +7,12 @@ module docstring), with the angle-sweep and roll-profile runs defaulting to
 6 subcarriers as in the corresponding workbench plots.  A run writes one CSV
 plus a ``manifest.txt`` that is itself a valid config resolving to the exact
 same run: re-running a manifest reproduces the CSV byte for byte on the same
-numpy build and SIMD dispatch path, which a comment line of the manifest
-names.  numpy picks its SIMD kernels at run time, and on another path
-(``NPY_DISABLE_CPU_FEATURES``) float cells may move by rounding: at most
-3.6e-15 relative was measured, and the annealer's decisions held.
+numpy build, SIMD dispatch path and BLAS kernel; a comment line of the
+manifest names the first two.  numpy picks its SIMD kernels, and its OpenBLAS
+its kernel, at run time.  On another SIMD path (``NPY_DISABLE_CPU_FEATURES``)
+float cells may move by rounding, at most 3.6e-15 relative measured, and on
+OpenBLAS's Haswell kernel (``OPENBLAS_CORETYPE``) at most 4.2e-15; the
+annealer's decisions held on both.
 """
 
 from __future__ import annotations
@@ -68,9 +70,9 @@ _TILT = _Domain(lambda v: abs(v) < 90.0, "an angle with |angle| < 90 degrees")
 # -170 dB (ROADMAP item 11).
 _SNR = _Domain(lambda v: abs(v) <= 1000.0, "a level with |dB| <= 1000")
 # The steered-SIR Bessel lattice takes the orders |q| <= q_max of its tail bound from
-# one jv call for both axes at q = 0..q_max: q_max = 10 at S = 0.01 and 168 at S = 100
-# (N = 10).  A run at the count bound below takes 1.5-1.7 s at S = 100 and 0.85-0.88 s
-# at S = 0.01.  The experiment studies small coupling (the reference link's is 5.6).
+# one backward recurrence for both axes at q = 0..q_max: q_max = 10 at S = 0.01 and 168
+# at S = 100 (N = 10).  A run at the count bound below takes 0.58-0.62 s at S = 100 and
+# 0.62-0.72 s at S = 0.01.  The experiment studies small coupling (the reference link's is 5.6).
 _COUPLING = _Domain(lambda v: 0 < v <= 100.0, "a coupling in (0, 100]")
 # Elements N and subcarriers P: mode_channels holds POSE_CHUNK = 8 poses of P N^2
 # complex entries per temporary, 34 MB at 64 and 64.  The paper has N <= 32, P = 8.
@@ -82,8 +84,8 @@ _MODE = _Domain(lambda v: abs(v) <= 64, "a mode index with |mode| <= 64")
 # channels (7.8 KB per angle at 6 subcarriers, 9 modes: 78 MB at the bound),
 # the roll profile's grid, capacities and CSV columns (0.75 s and 47 MB per 10^5 angles, 0.4 s of it the CSV)
 # and the monotonicity run's (V, A, U) closed-form terms (its Bessel lattice is built 64 rows at a
-# time): 1000 angles with 63 modes (N = 64) peak at 150 MB RSS in 0.85-0.88 s at S = 0.01, and at
-# 147 MB in 1.5-1.7 s at S = 100 (cold CLI, shared 2-core Intel Xeon).
+# time): 1000 angles with 63 modes (N = 64) peak at 123 MB RSS in 0.62-0.72 s at S = 0.01 and
+# in 0.58-0.62 s at S = 100 (cold CLI, shared 2-core Intel Xeon).
 _SWEEP_COUNT, _ROLL_COUNT, _MONOTONICITY_COUNT = _count(10_000), _count(100_000), _count(1_000)
 # Complexity-model counts: the estimation grids enter cubed, so p^3 u^3 <= 10^24,
 # and the steering term is P U N^2 <= 6.4e13 (U is the link's at most 64 modes),

@@ -19,11 +19,11 @@ sum over r with 2r = l_u + l_v (mod N) of A^_r B^_{(l_u - r) mod N}, at most
 two products, and only those residues are gathered.  Yaw and pitch differ
 only in the i-powers that multiply J_w, so ``steered_entries`` evaluates all
 angles and mode pairs of both axes (``AXES``: yaw, then pitch) in one stacked
-pass over their rows, from one array ``jv`` call at the orders 0..q_max that
-the tail bound |J_q(x)| <= (x/2)^|q| / |q|! asks for, mirrored to the
-negative orders by J_-q = (-1)^q J_q (DLMF 10.4.1); it stays accurate where
-the plain double DFT sum cancels at small coupling, and ``steered_sir`` gives
-their (2, A, U) SIRs.
+pass over their rows, from one backward recurrence (``_bessel_orders``) at
+the orders 0..q_max that the tail bound |J_q(x)| <= (x/2)^|q| / |q|! asks
+for, mirrored to the negative orders by J_-q = (-1)^q J_q (DLMF 10.4.1); it
+stays accurate where the plain double DFT sum cancels at small coupling, and
+``steered_sir`` gives their (2, A, U) SIRs.
 """
 
 from __future__ import annotations
@@ -192,7 +192,8 @@ def _order_max(x: float, n: int) -> int:
     of the smaller of 1 and that leading size: an eighth of a double's rounding,
     relative at small coupling and absolute where |J| is of order 1.  The terms
     are compared as logs, so no subnormal x underflows them, and the search ends
-    within 0.4 x + 31 steps (70 at x = 100).
+    within 0.4 x + 31 steps (70 at x = 100).  ``_bessel_orders`` starts its
+    recurrence a few orders above q_max.
     """
     h = n // 2
     if x == 0.0:  # J_q(0) = 0 for every q != 0
@@ -205,24 +206,58 @@ def _order_max(x: float, n: int) -> int:
     return q
 
 
+def _recurrence_top(x: float, q_max: int) -> int:
+    """The order past q_max where ``_bessel_orders`` starts for arguments up to ``x``.
+
+    The ratio continued fraction converges like (x / 2k)^2 per order, so this
+    is the first order where the factors (x / (2k - x))^2 past q_max put the
+    truncation error at q_max below 2^-54, half an ulp or less: q_max + 3 at
+    x = 0.01, N = 10, and q_max + 20 at x = 100.
+    """
+    top, log_error = q_max, 0.0
+    while x > 0.0 and log_error > -54.0 * math.log(2.0):
+        top += 1
+        log_error += 2.0 * (math.log(x) - math.log(2.0 * top - x))
+    return top
+
+
+def _bessel_orders(x: np.ndarray, q_max: int) -> np.ndarray:
+    """(M, q_max + 1) table of J_0..J_q_max at each of M arguments ``x`` >= 0.
+
+    Miller's backward recurrence (DLMF 3.6(vi)) in ratio form: from r = 0 past
+    ``_recurrence_top``, r_k = J_k / J_(k-1) = x / (2k - x r_(k+1)), then
+    J_k = r_1 ... r_k / (1 + 2 r_1 r_2 + 2 r_1 ... r_4 + ...), the sum
+    J_0 + 2 sum J_2k = 1 (DLMF 10.12.4) over J_0.  Products of ratios
+    underflow gracefully, so no rescaling is needed down to x = 5e-324, and
+    x = 0 gives J_q(0) exactly.  The sum runs up from order 0, so orders past
+    q_max, each below 2^-56 of it, leave its bits.
+    """
+    top = _recurrence_top(float(x.max(initial=0.0)), q_max)
+    ratios = np.zeros((top + 2, len(x)))  # r_0 = 1, ..., r_top, r_(top+1) = 0
+    ratios[0] = 1.0
+    for k in range(top, 0, -1):  # r_k = x / (2k - x r_(k+1)), in place
+        r = ratios[k]
+        np.divide(x, np.subtract(2.0 * k, np.multiply(x, ratios[k + 1], r), r), r)
+    products = np.cumprod(ratios[:-1], axis=0)  # J_k / J_0
+    return (products[: q_max + 1] / (2.0 * products[::2].sum(axis=0) - 1.0)).T
+
+
 def _folded_sequences(angles, s_coupling: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(2A, N) folded sequences A^ and B^ of both axes' rows: yaw at every angle, then pitch.
 
     A_q = i^q J_q(a) and B_w = (i sigma)^w J_w(b), with a, b = S (1 +- cos) / 2
     and i sigma = -i for yaw, +i for pitch, over the orders |q| <= q_max of
-    ``_order_max``; column r sums every order q = r (mod N).  One array ``jv``
-    call evaluates a and b at the orders 0..q_max, mirrored to the negative
-    ones by J_-q = (-1)^q J_q (DLMF 10.4.1), an exact sign flip that gives
-    scipy's own bits for them.  Both axes' B take their i-powers from the
-    same J_w(b), and both axes' rows share A^.
+    ``_order_max``; column r sums every order q = r (mod N).  One
+    ``_bessel_orders`` call evaluates a and b at the orders 0..q_max, mirrored
+    to the negative ones by J_-q = (-1)^q J_q (DLMF 10.4.1), an exact sign
+    flip.  Both axes' B take their i-powers from the same J_w(b), and both
+    axes' rows share A^.
     """
-    from scipy.special import jv  # imported here: scipy.special dominates ``import oamlink``
-
     c = np.cos(np.atleast_1d(np.asarray(angles, dtype=float)))
     args = s_coupling * np.array([1.0 + c, 1.0 - c]) / 2.0
-    q_max = _order_max(float(np.max(args)) if c.size else 0.0, n)
+    q_max = _order_max(float(args.max(initial=0.0)), n)
     orders = np.arange(-q_max, q_max + 1)
-    half = jv(orders[q_max:], args[..., None])
+    half = _bessel_orders(args.ravel(), q_max).reshape(2, len(c), q_max + 1)
     j = np.concatenate([half[..., :0:-1] * np.where(orders[:q_max] % 2, -1.0, 1.0), half], axis=-1)
     # Zero-pad so the first order is a multiple of N (np.pad takes 15 times as long here).
     lead = -q_max % n
@@ -267,10 +302,10 @@ def steered_entries(
 
     Returns a (2, A, U, U) array: entry [i, k, u, v] belongs to tilt axis
     ``AXES[i]`` (yaw, then pitch) at ``angles[k]``.  Both arrays' reference
-    elements sit at angle zero.  Both axes' rows come from one array ``jv``
-    call of shape (2, A, q_max + 1) and are gathered in one stacked pass;
-    nothing scales with angles times the (q, w) lattice.  The module
-    docstring gives the folded-residue form it evaluates.
+    elements sit at angle zero.  Both axes' rows come from one
+    ``_bessel_orders`` call over 2A arguments and orders 0..q_max and are
+    gathered in one stacked pass; nothing scales with angles times the (q, w)
+    lattice.  The module docstring gives the folded-residue form it evaluates.
     """
     rows = _lattice_entries(*_folded_sequences(angles, s_coupling, n_elements), modes, n_elements)
     return rows.reshape((len(AXES), len(rows) // len(AXES)) + rows.shape[1:])
@@ -284,9 +319,9 @@ def steered_sir(
 ) -> np.ndarray:
     """(2, A, U) SIR of every mode at every angle of a yaw, then a pitch tilt; +inf when interference-free.
 
-    One ``jv`` call serves both axes.  Their rows are stacked, yaw then pitch,
-    and their entries assembled ``SIR_CHUNK`` rows at a time in one pass;
-    every step is per row, so the stacking and chunking keep the bits.
+    One ``_bessel_orders`` call serves both axes.  Their rows are stacked, yaw
+    then pitch, and their entries assembled ``SIR_CHUNK`` rows at a time in one
+    pass; every step is per row, so the stacking and chunking keep the bits.
     """
     a_hat, b_hat = _folded_sequences(angles, s_coupling, n_elements)
     sirs = np.empty((len(a_hat), len(modes)))

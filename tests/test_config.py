@@ -102,8 +102,8 @@ def _numpy_checks(frequencies, range_r, rx_radius, tx_radius):
         return "frequencies must be strictly increasing"
     if not range_r > 0:
         return "range must be positive"
-    k = 2.0 * math.pi * freqs / 299792458.0
     with np.errstate(over="ignore", invalid="ignore"):
+        k = 2.0 * math.pi * freqs / 299792458.0
         coupling = k * rx_radius * tx_radius / range_r
         finite = np.all(np.isfinite(k * range_r)) and np.all(np.isfinite(coupling))
     if not (math.isfinite(2.0 * float(k[0]) * range_r) and finite):
@@ -112,7 +112,8 @@ def _numpy_checks(frequencies, range_r, rx_radius, tx_radius):
 
 
 @pytest.mark.parametrize("frequencies", [(), (math.nan,), (math.inf,), (0.0,), (-1e9,), (4e9, 4e9), (4.2e9, 4e9),
-                                         (4e9, math.nan), (4e9, math.inf), (4e9, 4.2e9), (1e300,), (1e9, 1e300)])
+                                         (4e9, math.nan), (4e9, math.inf), (4e9, 4.2e9), (1e300,), (1e9, 1e300),
+                                         (1e307, 1e308)])  # k_p overflows: numpy's array of k_p warned
 @pytest.mark.parametrize("range_r, rx_radius, tx_radius", [(100.0, 1.5, 1.5), (math.nan, 1.5, 1.5), (1e300, 1.5, 1.5),
                                                            (100.0, 1e300, 1e10), (100.0, math.inf, 1.5), (1e-300, 1e-302, 1e-302)])
 def test_link_checks_keep_the_numpy_messages(frequencies, range_r, rx_radius, tx_radius):

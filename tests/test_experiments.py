@@ -258,15 +258,13 @@ def test_default_csv_bytes_match_csv_writer(tmp_path, monkeypatch, name):
 
 
 def test_monotonicity_evaluates_bessel_functions_once(monkeypatch):
-    # Both tilt axes and every chunk of angles share one jv call.
-    import scipy.special
-
-    from oamlink.metrics import SIR_CHUNK
+    # Both tilt axes and every chunk of angles share one Bessel recurrence.
+    from oamlink import metrics
 
     calls = []
-    jv = scipy.special.jv
-    monkeypatch.setattr(scipy.special, "jv", lambda *args: calls.append(args) or jv(*args))
-    spec = ExperimentSpec.resolve("monotonicity", {"monotonicity.count": 2 * SIR_CHUNK + 1})
+    bessel_orders = metrics._bessel_orders
+    monkeypatch.setattr(metrics, "_bessel_orders", lambda *args: calls.append(args) or bessel_orders(*args))
+    spec = ExperimentSpec.resolve("monotonicity", {"monotonicity.count": 2 * metrics.SIR_CHUNK + 1})
     experiments._run_monotonicity(spec)
     assert len(calls) == 1
 
@@ -556,7 +554,7 @@ def test_all_experiment_names_have_runners():
         ("sweep-pitch", "sweep.count", "10001"),
         ("roll-profile", "roll.count", "100000000"),  # minutes in bounded memory
         ("roll-profile", "roll.count", "100001"),
-        ("monotonicity", "monotonicity.count", "10000000"),  # (2A, 21) jv arrays: 3.1 GiB
+        ("monotonicity", "monotonicity.count", "10000000"),  # (15, 2A) Bessel ratio arrays: 2.4 GB
         ("monotonicity", "monotonicity.count", "1001"),
         ("sa-trace", "sa.seed", "-1"),  # numpy's default_rng exited 2
         ("complexity", "complexity.theta_star_deg", "1e308"),  # inf costs
@@ -573,6 +571,7 @@ def test_all_experiment_names_have_runners():
         ("roll-profile", "scenario.freq_start_hz", "4e9\nscenario.freq_stop_hz = 4e9"),  # 8 equal subcarriers
         ("roll-profile", "scenario.freq_stop_hz", "4e9\nscenario.freq_start_hz = 4e9"),
         ("roll-profile", "scenario.freq_start_hz", "4.98e-272"),  # overflowing coupling
+        ("roll-profile", "scenario.freq_start_hz", "1e307\nscenario.freq_stop_hz = 1e308"),  # k_p overflows
         ("roll-profile", "scenario.range_wavelengths", "5e-324"),  # range underflows to 0 m
         ("roll-profile", "scenario.radius_tx_wavelengths", "5e-324"),
         ("roll-profile", "scenario.mode_min", "-6"),  # 11 modes on 10 elements

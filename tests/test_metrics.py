@@ -311,7 +311,8 @@ def folded_lattice(axis, modes, angles, s_coupling, n_elements, q_max):
     orders = np.arange(-q_max, q_max + 1)
     powers = np.repeat([1, 3 if axis == "yaw" else 1], len(c))[:, None] * orders
     lead = -q_max % n_elements
-    seq = np.array([1, 1j, -1, -1j])[powers % 4] * jv(orders, args[:, None])
+    j = metrics._bessel_orders(args, q_max)[:, np.abs(orders)] * np.where((orders < 0) & (orders % 2 == 1), -1.0, 1.0)
+    seq = np.array([1, 1j, -1, -1j])[powers % 4] * j
     seq = np.pad(seq, ((0, 0), (lead, -(lead + len(orders)) % n_elements)))
     a_hat, b_hat = np.split(seq.reshape(len(args), -1, n_elements).sum(axis=1), 2)
     lu = np.asarray(modes)[:, None]
@@ -328,7 +329,8 @@ def test_steered_entries_orders_cover_the_tail_bound(n_elements, s_coupling):
     # t = 2^-56 min(1, (S/2)^h / h!), h = N // 2, of its full sum.  An entry is
     # at most two products A^ B^, so it moves by at most 2 t (|A^| + |B^| + t).
     # The reference sums at least 200 orders more than the bound keeps anywhere
-    # here (168 at S = 100).
+    # here (168 at S = 100), from the same recurrence, which gives both the same
+    # bits at the orders they share, so only the dropped orders tell them apart.
     n, h = n_elements, n_elements // 2
     modes = tuple(range(-((n - 1) // 2), n // 2 + 1))  # every residue mod N
     angles = np.radians([0.0, 1.0, 33.0, 60.0, 89.0])  # 0 puts S itself in the lattice
@@ -376,12 +378,14 @@ def test_steered_sir_monotone_at_small_coupling_all_modes():
             assert worst[u] <= 1e-12, f"{axis} mode index {u}: worst increase {worst[u]}"
 
 
-@pytest.mark.parametrize("n, lo, s", [(48, -23, 1e-8), (64, -31, 1e-4), (10, -4, 1e-40)])
+@pytest.mark.parametrize("n, lo, s", [(48, -23, 1e-8), (64, -31, 1e-4), (10, -4, 1e-40), (64, -31, 1e-8)])
 def test_steered_sirs_finite_at_small_coupling(n, lo, s):
     # On these links the interference powers |h_uv|^2 underflow to 0 in
     # double precision, which read as +inf SIR in 100 to 600 cells of each
     # 25-angle monotonicity CSV; scaling each row by a power of two first keeps
-    # every SIR finite and positive.
+    # every SIR finite and positive.  At N = 64, S = 1e-8 the leading orders of
+    # modes +-31 are J_31..J_33, 5.7e-292 down to 1.3e-311, which scipy's jv
+    # returned as 0, an SIR of 0.
     modes = tuple(range(lo, -lo + 1))
     grid = np.radians(np.linspace(1, 89, 25))
     for sirs in steered_sir(modes, grid, s, n):
@@ -488,33 +492,46 @@ def test_steered_sir_and_entries_on_no_angles():
     assert asymptotic_sir(MODES, [], 0.01, 10).shape == (0, len(MODES))
 
 
-def _folded_sequences_full_orders(angles, s_coupling, n):
-    """The (3, A, N) folded A^, B^_yaw and B^_pitch from one ``jv`` call at every order -q_max..q_max.
+def _bessel_series(q: int, x: float) -> float:
+    """J_q(x) from its power series sum_m (-1)^m (x/2)^(2m+q) / (m! (m+q)!) in 90-digit decimals.
 
-    The form ``metrics._folded_sequences`` had before it mirrored the negative
-    orders from the non-negative ones.
+    x is converted exactly; at x = 100 the terms reach 1e41 and cancel to
+    |J| <= 1, so 90 digits leave more than 30 beyond a double's.
     """
-    c = np.cos(np.atleast_1d(np.asarray(angles, dtype=float)))
-    args = s_coupling * np.array([1.0 + c, 1.0 - c]) / 2.0
-    q_max = metrics._order_max(float(np.max(args)), n)
-    orders = np.arange(-q_max, q_max + 1)
-    j = jv(orders, args[..., None])
-    lead = -q_max % n
-    end = lead + len(orders)
-    seq = np.zeros((3, len(c), end + -end % n), complex)
-    np.multiply(np.array([1, 1j, -1, -1j])[np.outer([1, 3, 1], orders) % 4][:, None], j[[0, 1, 1]], out=seq[..., lead:end])
-    return seq.reshape(3, len(c), -1, n).sum(axis=-2)
+    with localcontext() as ctx:
+        ctx.prec = 90
+        half = Decimal(x) / 2
+        term = (half**q if q else Decimal(1)) / math.factorial(q)  # Decimal 0**0 is undefined
+        first, total, m = abs(term), term, 0
+        while True:
+            m += 1
+            term *= -half * half / (m * (m + q))
+            total += term
+            if m > half and abs(term) <= first * Decimal("1e-45"):
+                return float(total)
 
 
-@pytest.mark.parametrize("s_coupling", [1e-3, 0.01, 0.3, 5.6, 37.0, 100.0])
-def test_mirrored_bessel_orders_keep_the_bits_of_every_order(s_coupling):
-    # J_-q = (-1)^q J_q is a sign flip, which scipy's own negative orders match bit for bit.
-    angles = np.radians(np.linspace(0.0, 89.0, 7))
-    for n in range(2, 65):
-        a_hat, b_hat = metrics._folded_sequences(angles, s_coupling, n)
-        full = _folded_sequences_full_orders(angles, s_coupling, n)
-        stacked = np.stack([np.concatenate([full[0], full[0]]), np.concatenate(full[1:])])
-        assert np.array_equal(np.stack([a_hat, b_hat]).view(np.uint64), stacked.view(np.uint64)), n
+@pytest.mark.parametrize("x", [0.0, 5e-324, 1e-300, 1e-8, 0.01, 1.0, 5.6, 20.0, 100.0])
+@pytest.mark.parametrize("n", [2, 10, 64])
+def test_bessel_orders_meet_the_recurrence_error_bound(x, n):
+    # Each ratio r_k = x / (2k - x r_(k+1)) takes three roundings and inherits its
+    # successor's error damped by r_k r_(k+1); J_q multiplies q ratios and divides
+    # by the sum of the even orders up to the recurrence's top order.  So each
+    # order carries at most 4 (top + 1) roundings of eps / 2: relative to |J_q|
+    # where the ratios lie in (0, 1) (q >= x), and to max |J| below x, where J_q
+    # oscillates and relative error means nothing at a zero.  Every rounding of a
+    # subnormal adds at most 2^-1074.  scipy's jv is no oracle at this accuracy:
+    # it returns 0 for J_31(1e-8) = 5.7e-292, and is off by 157 eps at
+    # J_1(1e-300) and by 100 eps of max |J| at x = 100.
+    q_max = metrics._order_max(x, n)
+    top = metrics._recurrence_top(x, q_max)
+    got = metrics._bessel_orders(np.array([x]), q_max)[0]
+    exact = np.array([_bessel_series(q, x) for q in range(q_max + 1)])
+    scale = np.where(np.arange(q_max + 1) >= x, np.abs(exact), np.abs(exact).max())
+    tol = (top + 1) * (2.0 * np.finfo(float).eps * scale + 2.0**-1074)
+    assert np.all(np.abs(got - exact) <= tol), np.max(np.abs(got - exact) / tol)
+    if x == 0.0:
+        assert got.tolist() == [1.0] + [0.0] * q_max
 
 
 def _per_axis_sir(modes, angles, s_coupling, n):
@@ -594,13 +611,26 @@ def test_asymptotic_sir_monotone_decreasing():
     np.testing.assert_allclose(one_by_one, vals, rtol=1e-14)
 
 
-def test_import_leaves_scipy_special_unloaded():
-    # only steered_entries needs jv; scipy.special would dominate import time,
-    # and resolve, which checks the closed form's link
-    code = (
-        "import sys; from oamlink.experiments import ExperimentSpec; ExperimentSpec.resolve('monotonicity');"
-        " print('scipy.special' in sys.modules)"
-    )
+# Imports the package, then runs the monotonicity CLI into sys.argv[1], noting
+# after each whether any scipy module is loaded.
+_SCIPY_LOADED = """
+import runpy, sys
+loaded = lambda: any(name.partition(".")[0] == "scipy" for name in sys.modules)
+import oamlink
+after_import = loaded()
+sys.argv = ["oamlink.cli", "monotonicity", "--out", sys.argv[1]]
+try:
+    runpy.run_module("oamlink.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    assert exit.code == 0, exit.code
+print("scipy loaded:", after_import, loaded())
+"""
+
+
+def test_import_leaves_scipy_special_unloaded(tmp_path):
+    # numpy is the one runtime dependency: neither importing the package nor a
+    # whole monotonicity run, Bessel lattice included, loads any scipy module.
     env = dict(os.environ, PYTHONPATH=str(Path(oamlink.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _SCIPY_LOADED, str(tmp_path)], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "scipy loaded: False False"
+    assert (tmp_path / "monotonicity.csv").stat().st_size > 0

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
+import pytest
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from oamlink.experiments import EXPERIMENT_NAMES
@@ -49,6 +51,20 @@ def test_every_csv_cell_round_trips_and_manifests_count_rows(tmp_path):
     assert _load("compare_results").main([str(_GOLDEN), str(tmp_path), "--rtol", "1e-12"]) == 0
 
 
+def _reproduce_in_subprocess(out: Path, env: dict, prelude: str, *prelude_args: str) -> None:
+    """Run reproduce_all into ``out`` after ``prelude``, then check it against the goldens.
+
+    Across kernels cells move by rounding, well inside the goldens' rtol; the
+    annealer's accept decisions and so the sa-trace bytes must not move at all.
+    """
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join([str(_ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    script = str(_SCRIPTS / "reproduce_all.py")
+    subprocess.run([sys.executable, "-c", prelude, *prelude_args, script, "--out", str(out)], env=env, check=True, capture_output=True)
+    assert _load("compare_results").main([str(_GOLDEN), str(out), "--rtol", "1e-12"]) == 0
+    trace = Path("sa-trace", "sa-trace.csv")
+    assert (out / trace).read_bytes() == (_GOLDEN / trace).read_bytes()
+
+
 # numpy picks its SIMD kernels at run time; this runs reproduce_all with every
 # dispatch target above numpy's baseline that this CPU has turned off, and the
 # subprocess first checks that they are off.
@@ -62,20 +78,30 @@ runpy.run_path(sys.argv[0], run_name="__main__")
 
 
 def test_default_csvs_hold_on_numpy_baseline_dispatch_path(tmp_path):
-    # Across dispatch paths cells move by rounding (at most 3.6e-15 relative
-    # measured), well inside the goldens' rtol; the annealer's accept decisions
-    # and so the sa-trace bytes must not move at all.
+    # At most 3.6e-15 relative measured on the AVX2 and baseline paths.
     targets = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
-    env = {
-        **os.environ,
-        "NPY_DISABLE_CPU_FEATURES": targets,
-        "PYTHONPATH": os.pathsep.join([str(_ROOT / "src"), os.environ.get("PYTHONPATH", "")]),
-    }
-    script = str(_SCRIPTS / "reproduce_all.py")
-    subprocess.run(
-        [sys.executable, "-c", _BASELINE_ONLY, targets, script, "--out", str(tmp_path)],
-        env=env, check=True, capture_output=True,
-    )
-    assert _load("compare_results").main([str(_GOLDEN), str(tmp_path), "--rtol", "1e-12"]) == 0
-    trace = Path("sa-trace", "sa-trace.csv")
-    assert (tmp_path / trace).read_bytes() == (_GOLDEN / trace).read_bytes()
+    _reproduce_in_subprocess(tmp_path, {"NPY_DISABLE_CPU_FEATURES": targets}, _BASELINE_ONLY, targets)
+
+
+# numpy's OpenBLAS also picks its kernels at run time, by CPU; this runs
+# reproduce_all on its AVX2 (Haswell) kernels, and the subprocess first checks
+# that OpenBLAS reports them.
+_HASWELL_BLAS = """
+import ctypes, glob, os, runpy, sys
+import numpy
+lib, = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*"))
+corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+corename.restype = ctypes.c_char_p
+assert corename() == b"Haswell", corename()
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+def test_default_csvs_hold_on_openblas_haswell_kernels(tmp_path):
+    # On an AVX-512 host the Haswell kernels move sweep-yaw, sweep-pitch and
+    # hybrid-compare cells by up to 4.2e-15 relative.
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas["name"] != "scipy-openblas" or not (__cpu_features__.get("AVX2") and __cpu_features__.get("FMA3")):
+        pytest.skip(f"needs numpy's scipy-openblas on an AVX2 CPU, found {blas['name']}")
+    _reproduce_in_subprocess(tmp_path, {"OPENBLAS_CORETYPE": "Haswell"}, _HASWELL_BLAS)
