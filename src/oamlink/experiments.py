@@ -8,7 +8,7 @@ module docstring), with the angle-sweep and roll-profile runs defaulting to
 plus a ``manifest.txt`` that is itself a valid config resolving to the exact
 same run: re-running a manifest reproduces the CSV byte for byte on the same
 numpy build, SIMD dispatch path and BLAS kernel; a comment line of the
-manifest names the first two.  numpy picks its SIMD kernels, and its OpenBLAS
+manifest names all three.  numpy picks its SIMD kernels, and its OpenBLAS
 its kernel, at run time.  On another SIMD path (``NPY_DISABLE_CPU_FEATURES``)
 float cells may move by rounding, at most 3.6e-15 relative measured, and on
 OpenBLAS's Haswell kernel (``OPENBLAS_CORETYPE``) at most 4.2e-15; the
@@ -17,6 +17,8 @@ annealer's decisions held on both.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import math
 import time
@@ -31,7 +33,7 @@ from . import __version__
 from .channel import mode_channels
 from .config import LinkConfig, default_link
 from .geometry import Pose
-from .metrics import AXES, asymptotic_sir, capacity, check_closed_form_domain, steered_sir
+from .metrics import AXES, asymptotic_sir, capacity, check_closed_form_domain, check_lattice_range, steered_sir
 from .optimizer import SaParams, capacity_profile, optimize_roll
 from .pipeline import align_pitch_yaw, hybrid_pipeline
 from .servo import ServoConfig, execute_rotation
@@ -73,6 +75,8 @@ _SNR = _Domain(lambda v: abs(v) <= 1000.0, "a level with |dB| <= 1000")
 # one backward recurrence for both axes at q = 0..q_max: q_max = 10 at S = 0.01 and 168
 # at S = 100 (N = 10).  A run at the count bound below takes 0.58-0.62 s at S = 100 and
 # 0.62-0.72 s at S = 0.01.  The experiment studies small coupling (the reference link's is 5.6).
+# The least S, where the lattice's leading entries stay normal doubles, depends on N and the
+# modes, so resolve checks it with metrics.check_lattice_range: 8.8e-9 at N = 64, 4.4e-73 at N = 10.
 _COUPLING = _Domain(lambda v: 0 < v <= 100.0, "a coupling in (0, 100]")
 # Elements N and subcarriers P: mode_channels holds POSE_CHUNK = 8 poses of P N^2
 # complex entries per temporary, 34 MB at 64 and 64.  The paper has N <= 32, P = 8.
@@ -251,9 +255,7 @@ class ExperimentSpec:
         # Build every derived object now, so an out-of-domain value exits as
         # a config error naming its key instead of failing inside the run.
         link = spec.link()
-        spec.sweep_grid_deg()  # and the SNR grid
-        spec.roll_grid_deg()
-        spec.monotonicity_grid_deg()
+        spec.sweep_grid_deg()  # and the SNR grid; the roll and monotonicity grids cannot fail
         spec.complexity_grid()
         spec.sa_params()
         servo = spec.servo_config()
@@ -267,6 +269,8 @@ class ExperimentSpec:
         if name == "monotonicity":
             with _cited_keys(("scenario.n_elements", "scenario.mode_min", "scenario.mode_max")):
                 check_closed_form_domain(link.modes, link.n_elements)
+            with _cited_keys(("monotonicity.s_coupling", "scenario.n_elements", "scenario.mode_min", "scenario.mode_max")):
+                check_lattice_range(link.modes, spec["monotonicity.s_coupling"], link.n_elements)
         return spec
 
     def __getitem__(self, key: str):
@@ -535,16 +539,44 @@ _RUNNERS = {
     "complexity": _run_complexity,
 }
 
-# The manifest's record of the numpy build and the SIMD targets it dispatches to,
-# on which the CSV bytes depend; read once, at import.
-try:
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-except ImportError:  # numpy 1.x
-    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-_SIMD_ON = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "none"
-_NUMPY_LINE = f"# numpy {np.__version__}, SIMD targets on: {_SIMD_ON}\n"
+# The function that names OpenBLAS's run-time core in numpy's vendored OpenBLAS:
+# numpy 2 wheels ship scipy-openblas, numpy 1 wheels a plain 64-bit-integer build.
+_CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "openblas_get_corename64_")
 
-# CSV lines per write: every default and benchmark run is one write, while a
+
+@functools.cache
+def _numpy_line() -> str:
+    """The manifest's record of what the CSV bytes depend on, read once, on the first run.
+
+    It names the numpy build, the SIMD targets it dispatches to, its BLAS
+    and the core whose kernels OpenBLAS picked at run time (``unknown`` where
+    no OpenBLAS corename symbol is found).
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    simd = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "none"
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 prints its config only
+        blas = {}
+    core = "unknown"
+    for path in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):  # numpy's wheels vendor it there
+        lib = ctypes.CDLL(str(path))
+        name = next((name for name in _CORENAME_SYMBOLS if hasattr(lib, name)), None)
+        if name is not None:
+            corename = getattr(lib, name)
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+            break
+    return (
+        f"# numpy {np.__version__}, SIMD targets on: {simd};"
+        f" BLAS {blas.get('name', 'unknown')} {blas.get('version', 'unknown')}, core {core}\n"
+    )
+
+
+# CSV lines per write: every default and benchmark run writes its CSV in one write, while a
 # sweep at its bound (480 000 rows) never holds all its line strings at once
 # (holding them took its peak RSS from 116 MB to 159 MB).
 _LINES_PER_WRITE = 8192
@@ -583,16 +615,16 @@ def run(spec: ExperimentSpec, out_dir) -> tuple[Path, Path]:
     rows = map(",".join, zip(*cells, strict=True))
     lines = itertools.chain([",".join(columns)], rows)
     csv_path = out / f"{spec.name}.csv"
-    with _open_fresh(csv_path, newline="") as fh:
+    with _open_fresh(csv_path) as fh:
         while block := list(itertools.islice(lines, _LINES_PER_WRITE)):
-            fh.write("\r\n".join(block) + "\r\n")
+            fh.write(("\r\n".join(block) + "\r\n").encode())
     manifest_path = out / "manifest.txt"
+    manifest = (
+        f"# oamlink {__version__} experiment manifest\n# wall_time_s = {wall:.3f}\n{_numpy_line()}"
+        f"# rows = {n_rows}\n{serialize_config(spec)}"
+    )
     with _open_fresh(manifest_path) as fh:
-        fh.write(f"# oamlink {__version__} experiment manifest\n")
-        fh.write(f"# wall_time_s = {wall:.3f}\n")
-        fh.write(_NUMPY_LINE)
-        fh.write(f"# rows = {n_rows}\n")
-        fh.write(serialize_config(spec))
+        fh.write(manifest.encode())
     return csv_path, manifest_path
 
 
@@ -619,12 +651,12 @@ def _check_unquoted(column: str, cells) -> None:
             raise ValueError(f"column {column!r}: cell {cell!r} would need CSV quoting")
 
 
-def _open_fresh(path: Path, newline: str | None = None):
-    """Open ``path`` for writing as a new file, removing an earlier run's file first.
+def _open_fresh(path: Path):
+    """Open ``path`` for writing bytes as a new file, removing an earlier run's file first.
 
     Truncating a non-empty file in place makes ext4 (auto_da_alloc) flush the
     new data when it is closed, a disk wait of 0.1 ms to several ms per file
     that a new file does not pay.
     """
     path.unlink(missing_ok=True)
-    return open(path, "w", newline=newline)
+    return open(path, "wb")

@@ -29,6 +29,7 @@ stays accurate where the plain double DFT sum cancels at small coupling, and
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -118,6 +119,34 @@ def check_closed_form_domain(modes: Sequence[int], n_elements: int) -> None:
         raise ValueError(f"the closed forms need no mode at N/2 = {n // 2} (mod N), got modes {tuple(map(int, modes))}")
 
 
+@lru_cache(maxsize=16)
+def _closed_form_pairs(modes: tuple[int, ...], n_elements: int) -> tuple[np.ndarray, ...]:
+    """Read-only (V, 1, U) pair tables of ``asymptotic_sir`` for a link, built once per process.
+
+    They are indexed v first, against (A, 1) angles: whether the pair
+    interferes (even t != 0), the power e = tb + chi - tau of S in its ratio,
+    tb, chi - tau, and the log of its factorial quotient scaled by 4^-e.
+    """
+    lu = np.array(modes, dtype=int)
+    lv = lu[:, None, None]
+    t = lu - lv
+    tau, tb, chi = (np.minimum(x % n_elements, -x % n_elements) for x in np.broadcast_arrays(lu, t // 2, lv + t // 2))
+    e = tb + chi - tau
+    interferes = (t % 2 == 0) & (t != 0)
+    # One correctly rounded quotient of factorials per pair, scaled exactly by 4^-e
+    # (differences of lgamma lose up to 150 eps).
+    log_factor = np.zeros(t.shape)
+    pairs = np.nonzero(interferes)
+    log_factor[pairs] = [
+        math.log(math.ldexp(math.factorial(a) / (math.factorial(b) * math.factorial(c)), -2 * d))
+        for a, b, c, d in zip(*(x[pairs].tolist() for x in (tau, tb, chi, e)))
+    ]
+    tables = interferes, e, tb, chi - tau, log_factor
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def asymptotic_sir(
     modes: Sequence[int],
     angles,
@@ -145,26 +174,13 @@ def asymptotic_sir(
     with no interference.
     """
     check_closed_form_domain(modes, n_elements)
-    lu = np.asarray(modes, dtype=int)
-    lv = lu[:, None, None]  # the pair tables are (V, 1, U), indexed v first, against (A, 1) angles
-    t = lu - lv
-    tau, tb, chi = (np.minimum(x % n_elements, -x % n_elements) for x in np.broadcast_arrays(lu, t // 2, lv + t // 2))
-    e = tb + chi - tau
-    interferes = (t % 2 == 0) & (t != 0)
-    # One correctly rounded quotient of factorials per pair, scaled exactly by 4^-e
-    # (differences of lgamma lose up to 150 eps).
-    log_factor = np.zeros(t.shape)
-    pairs = np.nonzero(interferes)
-    log_factor[pairs] = [
-        math.log(math.ldexp(math.factorial(a) / (math.factorial(b) * math.factorial(c)), -2 * d))
-        for a, b, c, d in zip(*(x[pairs].tolist() for x in (tau, tb, chi, e)))
-    ]
+    interferes, e, tb, chi_tau, log_factor = _closed_form_pairs(tuple(map(int, modes)), n_elements)
     cg = np.cos(np.atleast_1d(np.asarray(angles, dtype=float)))[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):  # log(0) = -inf: a factor that vanishes
         log_plus, log_minus = np.log1p(cg), np.log1p(-cg)
         # Skip the angle factors with exponent 0: 0^0 = 1, where 0 * log(0) is nan.
         log_r = e * math.log(s_coupling) + log_factor + np.where(tb != 0, tb * log_minus, 0.0)
-        log_r += np.where(chi != tau, (chi - tau) * log_plus, 0.0)
+        log_r += np.where(chi_tau != 0, chi_tau * log_plus, 0.0)
     # logsumexp over v from the largest term (a running logaddexp rounds at each
     # step), summed in v order; a pair that does not interfere has r = 0.
     x = np.where(interferes, 2.0 * log_r, -math.inf)  # (V, A, U)
@@ -221,6 +237,40 @@ def _recurrence_top(x: float, q_max: int) -> int:
     return top
 
 
+def least_lattice_coupling(modes: Sequence[int], n_elements: int) -> float:
+    """The least S at which the steered lattice's leading entries stay normal doubles.
+
+    Entries are products of Bessel values in doubles; below 2^-1022 they lose
+    bits, then flush to 0, which reads as an SIR of 0 or inf.  With
+    T = max |l|_N over the modes, the row of order T holds the smallest leading
+    entries, at a, b = S (1 +- cos g) / 2: its signal, about (a/2)^T / T!, is
+    smallest as |g| nears 90 degrees, where a/2 = S/4; its leading interference,
+    from the mode two orders nearer 0, about (a/2)^(T-1) / (T-1)! b/2, is
+    smallest at the least tilt with b > 0, where a/2 = S/2 and b/2 = S 2^-55
+    (1 - cos g >= 2^-53 once cos g < 1).  Both are compared with 2^-1022 as
+    logs, as ``_order_max`` compares its tail; smaller interference entries then
+    move the SIR by at most 2^-52 of it.  8.8e-9 at N = 64 with modes -31..31,
+    4.4e-73 at N = 10 with modes -4..4; 0 where every mode is at 0 (mod N).
+    """
+    top = max((min(int(l) % n_elements, -int(l) % n_elements) for l in modes), default=0)
+    if top == 0:
+        return 0.0
+    log2 = math.log(2.0)
+    signal = math.log(4.0) + (math.lgamma(top + 1) - 1022 * log2) / top
+    interference = ((top + 54 - 1022) * log2 + math.lgamma(top)) / top
+    return math.exp(max(signal, interference))
+
+
+def check_lattice_range(modes: Sequence[int], s_coupling: float, n_elements: int) -> None:
+    """Raise ValueError below ``least_lattice_coupling``, where the steered SIR would lose its bits."""
+    least = least_lattice_coupling(modes, n_elements)
+    if s_coupling < least:
+        raise ValueError(
+            f"the steered lattice's leading entries fall below the smallest normal double under"
+            f" S = {least:.3g} at N = {n_elements} with modes {min(modes)}..{max(modes)}; got S = {s_coupling!r}"
+        )
+
+
 def _bessel_orders(x: np.ndarray, q_max: int) -> np.ndarray:
     """(M, q_max + 1) table of J_0..J_q_max at each of M arguments ``x`` >= 0.
 
@@ -242,6 +292,20 @@ def _bessel_orders(x: np.ndarray, q_max: int) -> np.ndarray:
     return (products[: q_max + 1] / (2.0 * products[::2].sum(axis=0) - 1.0)).T
 
 
+@lru_cache(maxsize=16)
+def _order_tables(q_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables of ``_folded_sequences`` over the orders -q_max..q_max, built once per process.
+
+    The (3, 1, 2 q_max + 1) i-powers i^(k q), with k = 1 for A^, 3 for B^_yaw
+    and 1 for B^_pitch, and the signs (-1)^q of the negative orders.
+    """
+    orders = np.arange(-q_max, q_max + 1)
+    powers = _I_POWERS[np.outer([1, 3, 1], orders) % 4][:, None]
+    signs = np.where(orders[:q_max] % 2, -1.0, 1.0)
+    powers.flags.writeable = signs.flags.writeable = False
+    return powers, signs
+
+
 def _folded_sequences(angles, s_coupling: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(2A, N) folded sequences A^ and B^ of both axes' rows: yaw at every angle, then pitch.
 
@@ -256,17 +320,37 @@ def _folded_sequences(angles, s_coupling: float, n: int) -> tuple[np.ndarray, np
     c = np.cos(np.atleast_1d(np.asarray(angles, dtype=float)))
     args = s_coupling * np.array([1.0 + c, 1.0 - c]) / 2.0
     q_max = _order_max(float(args.max(initial=0.0)), n)
-    orders = np.arange(-q_max, q_max + 1)
+    powers, signs = _order_tables(q_max)
     half = _bessel_orders(args.ravel(), q_max).reshape(2, len(c), q_max + 1)
-    j = np.concatenate([half[..., :0:-1] * np.where(orders[:q_max] % 2, -1.0, 1.0), half], axis=-1)
+    j = np.concatenate([half[..., :0:-1] * signs, half], axis=-1)
     # Zero-pad so the first order is a multiple of N (np.pad takes 15 times as long here).
     lead = -q_max % n
-    end = lead + len(orders)
+    end = lead + 2 * q_max + 1
     seq = np.zeros((3, len(c), end + -end % n), complex)
-    # i^(k q) with k = 1 for A^, 3 for B^_yaw and 1 for B^_pitch
-    np.multiply(_I_POWERS[np.outer([1, 3, 1], orders) % 4][:, None], j[[0, 1, 1]], out=seq[..., lead:end])
+    np.multiply(powers, j[[0, 1, 1]], out=seq[..., lead:end])
     a_hat, *b_hats = seq.reshape(3, len(c), seq.shape[-1] // n, n).sum(axis=-2)
     return np.concatenate([a_hat, a_hat]), np.concatenate(b_hats)
+
+
+@lru_cache(maxsize=16)
+def _lattice_gather(modes: tuple[int, ...], n: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """Read-only gather indices of ``_lattice_entries`` for a link, built once per process.
+
+    Returns the flattened (u, v) pairs whose entries can be non-zero and, per
+    residue r of a pair, the columns r and (l_u - r) mod N of A^ and B^.
+    """
+    lu = np.array(modes, dtype=int)
+    total = (lu[:, None] + lu).ravel()  # l_u + l_v, flattened (u, v)
+    if n % 2:
+        pairs, residues = np.arange(total.size), [total * ((n + 1) // 2)]
+    else:
+        pairs = np.flatnonzero(total % 2 == 0)
+        residues = [total[pairs] // 2, total[pairs] // 2 + n // 2]
+    row_mode = lu[pairs // lu.size]
+    columns = tuple((r % n, (row_mode - r) % n) for r in residues)
+    for index in (pairs, *(c for pair in columns for c in pair)):
+        index.flags.writeable = False
+    return pairs, columns
 
 
 def _lattice_entries(a_hat: np.ndarray, b_hat: np.ndarray, modes: Sequence[int], n: int) -> np.ndarray:
@@ -277,19 +361,13 @@ def _lattice_entries(a_hat: np.ndarray, b_hat: np.ndarray, modes: Sequence[int],
     r = (l_u + l_v)(N + 1)/2; for even N, r and r + N/2 where l_u + l_v is even,
     and none (a zero entry) where it is odd.  Every step is per row.
     """
-    lu = np.asarray(modes, dtype=int)
-    total = (lu[:, None] + lu).ravel()  # l_u + l_v, flattened (u, v)
-    if n % 2:
-        pairs, residues = np.arange(total.size), [total * ((n + 1) // 2)]
-    else:
-        pairs = np.flatnonzero(total % 2 == 0)
-        residues = [total[pairs] // 2, total[pairs] // 2 + n // 2]
-    row_mode = lu[pairs // lu.size]
-    entries = np.zeros((len(a_hat), total.size), complex)
+    pairs, columns = _lattice_gather(tuple(map(int, modes)), n)
+    size = len(modes)
+    entries = np.zeros((len(a_hat), size * size), complex)
     # einsum rounds each complex product unfused; numpy's multiply may fuse it (FMA),
     # which moves odd-N entries, whose A^ and B^ are fully complex, by an ulp.
-    entries[:, pairs] = sum(np.einsum("ap,ap->ap", a_hat[:, r % n], b_hat[:, (row_mode - r) % n]) for r in residues)
-    return entries.reshape(-1, lu.size, lu.size)
+    entries[:, pairs] = sum(np.einsum("ap,ap->ap", a_hat[:, a], b_hat[:, b]) for a, b in columns)
+    return entries.reshape(-1, size, size)
 
 
 def steered_entries(
@@ -322,6 +400,8 @@ def steered_sir(
     One ``_bessel_orders`` call serves both axes.  Their rows are stacked, yaw
     then pitch, and their entries assembled ``SIR_CHUNK`` rows at a time in one
     pass; every step is per row, so the stacking and chunking keep the bits.
+    Below ``least_lattice_coupling`` leading entries underflow and SIRs lose
+    their bits; ``check_lattice_range`` raises there.
     """
     a_hat, b_hat = _folded_sequences(angles, s_coupling, n_elements)
     sirs = np.empty((len(a_hat), len(modes)))
@@ -337,7 +417,7 @@ def _entry_sir(magnitude: np.ndarray) -> np.ndarray:
     # and keeps the powers of small-coupling entries from underflowing to 0.
     exponent = np.frexp(magnitude.max(axis=-1, keepdims=True))[1]
     signal, interference = _signal_interference(np.ldexp(magnitude, -exponent))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # an SIR beyond a double is inf
         return np.where(interference > 0.0, signal / interference, math.inf)
 
 

@@ -134,6 +134,8 @@ def _dispatch_targets(manifest: Path) -> list[str]:
     line = manifest.read_text().splitlines()[2]
     head, _, targets = line.partition(", SIMD targets on: ")
     assert head == f"# numpy {np.__version__}", line
+    targets, _, blas = targets.partition("; BLAS ")
+    assert blas.count(", core ") == 1, line
     return [] if targets == "none" else targets.split()
 
 
@@ -156,6 +158,27 @@ def test_manifest_records_numpy_dispatch_targets(tmp_path):
     done = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert _dispatch_targets(tmp_path / "fewer" / "manifest.txt") == on[:1]
+
+
+def test_manifest_names_the_openblas_core_it_ran_on(tmp_path):
+    # The CSV bytes also depend on the kernels OpenBLAS picks at run time, so the
+    # numpy line names numpy's BLAS and that core.  Same skip rule as the
+    # Haswell-kernel run of reproduce_all.
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas["name"] != "scipy-openblas" or not (__cpu_features__.get("AVX2") and __cpu_features__.get("FMA3")):
+        pytest.skip(f"needs numpy's scipy-openblas on an AVX2 CPU, found {blas['name']}")
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in SMALL["complexity"].items()))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=str(Path(experiments.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "oamlink.cli", "complexity", "--config", str(cfg), "--out", str(tmp_path / "haswell")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    manifest = (tmp_path / "haswell" / "manifest.txt").read_text()
+    assert manifest.splitlines()[2].endswith(f"; BLAS scipy-openblas {blas['version']}, core Haswell"), manifest
+    spec = ExperimentSpec.resolve("complexity", SMALL["complexity"])
+    assert ExperimentSpec.resolve("complexity", parse_config(manifest)) == spec
 
 
 def test_run_rejects_columns_of_unequal_length(tmp_path, monkeypatch):
@@ -521,6 +544,10 @@ def test_all_experiment_names_have_runners():
         assert ExperimentSpec.resolve(name).name == name
 
 
+# The monotonicity run at its largest link: N = 64, modes -31..31, 25 angles.
+_LINK_64 = "scenario.n_elements = 64\nscenario.mode_min = -31\nscenario.mode_max = 31\nmonotonicity.count = 25"
+
+
 @pytest.mark.parametrize(
     "experiment, key, value",
     [
@@ -548,6 +575,9 @@ def test_all_experiment_names_have_runners():
         ("monotonicity", "monotonicity.s_coupling", "-1"),
         ("monotonicity", "monotonicity.s_coupling", "1e6"),
         ("monotonicity", "monotonicity.stop_deg", "inf"),
+        # Leading lattice entries below the smallest normal double: SIRs of inf or 0 (64 cells at 1e-9).
+        ("monotonicity", "monotonicity.s_coupling", f"1e-9\n{_LINK_64}"),
+        ("monotonicity", "monotonicity.s_coupling", f"1e-12\n{_LINK_64}"),
         ("complexity", "complexity.p_coarse", "10"),
         ("complexity", "complexity.n_min", "40"),
         ("sweep-yaw", "sweep.count", "10000000"),  # (A, P, U, U) channels: 72 GiB
@@ -588,7 +618,9 @@ def test_cli_out_of_domain_value_exits_1_naming_key(tmp_path, capsys, experiment
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("line", ["scenario.mode_max = 5", "scenario.n_elements = 9"])
+# The last line takes the link's coupling below the lattice's range (the table above
+# checks that the message names monotonicity.s_coupling too).
+@pytest.mark.parametrize("line", ["scenario.mode_max = 5", "scenario.n_elements = 9", f"monotonicity.s_coupling = 1e-9\n{_LINK_64}"])
 def test_cli_monotonicity_outside_the_closed_form_exits_1_naming_keys(tmp_path, capsys, line):
     # asymptotic_sir holds for even N with no mode at N/2 (mod N); with mode 5
     # at N = 10, sir_linear / sir_asymptotic reached 32.4 at 89 degrees yaw.
@@ -598,6 +630,19 @@ def test_cli_monotonicity_outside_the_closed_form_exits_1_naming_keys(tmp_path, 
     err = capsys.readouterr().err
     assert all(key in err for key in ("scenario.n_elements", "scenario.mode_min", "scenario.mode_max")), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},  # the default link
+        {"monotonicity.s_coupling": 0.01, "monotonicity.count": 12},  # the benchmark's sir-lattice link
+        {"scenario.n_elements": 64, "scenario.mode_min": -31, "scenario.mode_max": 31, "monotonicity.count": 1000},
+        {"scenario.n_elements": 64, "scenario.mode_min": -31, "scenario.mode_max": 31, "monotonicity.s_coupling": 1e-8},
+    ],
+)
+def test_monotonicity_links_within_the_lattice_range_resolve(overrides):
+    assert ExperimentSpec.resolve("monotonicity", overrides)["monotonicity.s_coupling"] >= 1e-8
 
 
 def test_cli_residual_past_90_degrees_exits_1_naming_the_aoa_error(tmp_path, capsys):

@@ -596,6 +596,93 @@ def test_asymptotic_sir_keeps_the_per_pair_loop_bits(n, modes, s):
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+# The link-fixed tables the kernels build once per process, each in a bounded cache.
+_TABLE_CACHES = (metrics._closed_form_pairs, metrics._lattice_gather, metrics._order_tables)
+
+
+def _arrays(value):
+    """Every numpy array of a cached table, through nested tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    else:
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_table_caches_are_bounded_and_read_only():
+    grid = np.radians([1.0, 40.0, 89.0])
+    steered_sir(MODES, grid, 0.01, 10)
+    steered_sir(MODES, grid, 0.01, 9)  # odd N: one residue per pair
+    asymptotic_sir(MODES, grid, 0.01, 10)
+    q_max = metrics._order_max(0.01, 10)
+    tables = [
+        metrics._closed_form_pairs(MODES, 10),
+        metrics._lattice_gather(MODES, 10),
+        metrics._lattice_gather(MODES, 9),
+        metrics._order_tables(q_max),
+    ]
+    for cache in _TABLE_CACHES:
+        info = cache.cache_info()
+        assert info.maxsize is not None and 0 < info.maxsize <= 64, cache
+        assert info.hits > 0, cache  # the calls above built and then reused it
+    for array in (a for table in tables for a in _arrays(table)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def _sir_bits(n, modes):
+    grid = np.radians(np.linspace(1, 89, 12))
+    return [
+        f(modes, grid, 0.01, n).view(np.uint64).copy() for f in (steered_sir, steered_entries, asymptotic_sir)
+    ]
+
+
+@pytest.mark.parametrize("n, modes, other", [(10, range(-4, 5), (16, range(-7, 8))), (16, range(-7, 8), (10, range(-4, 5)))])
+def test_cached_tables_keep_the_bits_across_calls_and_links(n, modes, other):
+    modes, (other_n, other_modes) = tuple(modes), other
+    for cache in _TABLE_CACHES:
+        cache.cache_clear()
+    first = _sir_bits(n, modes)  # builds the tables
+    repeat = _sir_bits(n, modes)  # reads them
+    _sir_bits(other_n, tuple(other_modes))
+    after = _sir_bits(n, modes)
+    for got in (repeat, after):
+        assert all(np.array_equal(a, b) for a, b in zip(first, got))
+
+
+@pytest.mark.parametrize("n, modes", [(9, range(-4, 5)), (10, range(-5, 5)), (16, range(-7, 9))])
+def test_closed_form_domain_raises_on_every_call(n, modes):
+    # The pair table is cached per link; the domain check runs before it on every call.
+    for _ in range(3):
+        with pytest.raises(ValueError, match="closed forms"):
+            asymptotic_sir(tuple(modes), [0.5], 0.01, n)
+        asymptotic_sir(MODES, [0.5], 0.01, 10)
+
+
+@pytest.mark.parametrize("n, modes", [(10, range(-4, 5)), (16, range(-7, 8)), (64, range(-31, 32)), (64, range(5, 10)), (8, range(1, 4))])
+def test_least_lattice_coupling_keeps_the_sir_on_the_closed_form(n, modes):
+    # Just above the least S every leading entry is a normal double, from the least
+    # tilt a double resolves to 89.999 degrees: the steered SIR meets the closed form
+    # (off by S^2, below 1e-16 here) to rounding, and is inf only where it is.  Just
+    # below it the check raises.
+    modes = tuple(modes)
+    least = metrics.least_lattice_coupling(modes, n)
+    grid = np.radians([1e-6, 1e-4, 0.01, 1.0, 30.0, 60.0, 89.0, 89.999])
+    exact, closed = steered_sir(modes, grid, 1.01 * least, n)[0], asymptotic_sir(modes, grid, 1.01 * least, n)
+    finite = np.isfinite(closed)
+    assert np.array_equal(np.isfinite(exact), finite) and np.all(exact > 0)
+    assert np.all(np.abs(exact[finite] / closed[finite] - 1.0) <= 1e-12)
+    metrics.check_lattice_range(modes, 1.01 * least, n)
+    with pytest.raises(ValueError, match="smallest normal double"):
+        metrics.check_lattice_range(modes, least / 1.01, n)
+
+
+def test_least_lattice_coupling_at_the_found_underflow():
+    # At N = 64, S = 1e-9 the lattice gave modes +-31 an SIR of inf or 0 in 64 of 3150 cells.
+    assert 1e-9 < metrics.least_lattice_coupling(range(-31, 32), 64) < 1e-8
+    assert metrics.least_lattice_coupling((0,), 1) == 0.0
+
+
 def test_steered_mode_entry_validates_axis():
     cfg = default_link()
     with pytest.raises(ValueError):
