@@ -23,7 +23,8 @@ pass over their rows, from one backward recurrence (``_bessel_orders``) at
 the orders 0..q_max that the tail bound |J_q(x)| <= (x/2)^|q| / |q|! asks
 for, mirrored to the negative orders by J_-q = (-1)^q J_q (DLMF 10.4.1); it
 stays accurate where the plain double DFT sum cancels at small coupling, and
-``steered_sir`` gives their (2, A, U) SIRs.
+``steered_sir`` gives their (2, A, U) SIRs.  Its values carry one power-of-two
+scale of S (``_scale``), under which no leading entry underflows at any S > 0.
 """
 
 from __future__ import annotations
@@ -119,6 +120,11 @@ def check_closed_form_domain(modes: Sequence[int], n_elements: int) -> None:
         raise ValueError(f"the closed forms need no mode at N/2 = {n // 2} (mod N), got modes {tuple(map(int, modes))}")
 
 
+def _fold(x, n: int):
+    """|x|_N, the distance of the integers ``x`` from the nearest multiple of N."""
+    return np.minimum(x % n, -x % n)
+
+
 @lru_cache(maxsize=16)
 def _closed_form_pairs(modes: tuple[int, ...], n_elements: int) -> tuple[np.ndarray, ...]:
     """Read-only (V, 1, U) pair tables of ``asymptotic_sir`` for a link, built once per process.
@@ -130,7 +136,7 @@ def _closed_form_pairs(modes: tuple[int, ...], n_elements: int) -> tuple[np.ndar
     lu = np.array(modes, dtype=int)
     lv = lu[:, None, None]
     t = lu - lv
-    tau, tb, chi = (np.minimum(x % n_elements, -x % n_elements) for x in np.broadcast_arrays(lu, t // 2, lv + t // 2))
+    tau, tb, chi = (_fold(x, n_elements) for x in np.broadcast_arrays(lu, t // 2, lv + t // 2))
     e = tb + chi - tau
     interferes = (t % 2 == 0) & (t != 0)
     # One correctly rounded quotient of factorials per pair, scaled exactly by 4^-e
@@ -237,70 +243,48 @@ def _recurrence_top(x: float, q_max: int) -> int:
     return top
 
 
-def least_lattice_coupling(modes: Sequence[int], n_elements: int) -> float:
-    """The least S at which the steered lattice's leading entries stay normal doubles.
-
-    Entries are products of Bessel values in doubles; below 2^-1022 they lose
-    bits, then flush to 0, which reads as an SIR of 0 or inf.  With
-    T = max |l|_N over the modes, the row of order T holds the smallest leading
-    entries, at a, b = S (1 +- cos g) / 2: its signal, about (a/2)^T / T!, is
-    smallest as |g| nears 90 degrees, where a/2 = S/4; its leading interference,
-    from the mode two orders nearer 0, about (a/2)^(T-1) / (T-1)! b/2, is
-    smallest at the least tilt with b > 0, where a/2 = S/2 and b/2 = S 2^-55
-    (1 - cos g >= 2^-53 once cos g < 1).  Both are compared with 2^-1022 as
-    logs, as ``_order_max`` compares its tail; smaller interference entries then
-    move the SIR by at most 2^-52 of it.  8.8e-9 at N = 64 with modes -31..31,
-    4.4e-73 at N = 10 with modes -4..4; 0 where every mode is at 0 (mod N).
-    """
-    top = max((min(int(l) % n_elements, -int(l) % n_elements) for l in modes), default=0)
-    if top == 0:
-        return 0.0
-    log2 = math.log(2.0)
-    signal = math.log(4.0) + (math.lgamma(top + 1) - 1022 * log2) / top
-    interference = ((top + 54 - 1022) * log2 + math.lgamma(top)) / top
-    return math.exp(max(signal, interference))
+def _scale(s_coupling: float) -> int:
+    """The lattice's scale exponent e = min(E, 0), where 2^E <= S < 2^(E+1): S 2^-e is in [1, 2) for S < 1."""
+    return min(math.frexp(s_coupling)[1] - 1, 0)
 
 
-def check_lattice_range(modes: Sequence[int], s_coupling: float, n_elements: int) -> None:
-    """Raise ValueError below ``least_lattice_coupling``, where the steered SIR would lose its bits."""
-    least = least_lattice_coupling(modes, n_elements)
-    if s_coupling < least:
-        raise ValueError(
-            f"the steered lattice's leading entries fall below the smallest normal double under"
-            f" S = {least:.3g} at N = {n_elements} with modes {min(modes)}..{max(modes)}; got S = {s_coupling!r}"
-        )
-
-
-def _bessel_orders(x: np.ndarray, q_max: int) -> np.ndarray:
-    """(M, q_max + 1) table of J_0..J_q_max at each of M arguments ``x`` >= 0.
+def _bessel_orders(x: np.ndarray, q_max: int, e: int) -> np.ndarray:
+    """(M, q_max + 1) table of J_q(x 2^e) 2^(-q e), q = 0..q_max, at each of M scaled arguments ``x`` >= 0.
 
     Miller's backward recurrence (DLMF 3.6(vi)) in ratio form: from r = 0 past
-    ``_recurrence_top``, r_k = J_k / J_(k-1) = x / (2k - x r_(k+1)), then
-    J_k = r_1 ... r_k / (1 + 2 r_1 r_2 + 2 r_1 ... r_4 + ...), the sum
-    J_0 + 2 sum J_2k = 1 (DLMF 10.12.4) over J_0.  Products of ratios
-    underflow gracefully, so no rescaling is needed down to x = 5e-324, and
-    x = 0 gives J_q(0) exactly.  The sum runs up from order 0, so orders past
-    q_max, each below 2^-56 of it, leave its bits.
+    ``_recurrence_top``, r_k = J_k / J_(k-1) = y / (2k - y r_(k+1)) at y = x 2^e,
+    each carried times 2^-e, then J_k = r_1 ... r_k / (1 + 2 r_1 r_2 + ...),
+    the sum J_0 + 2 sum J_2k = 1 (DLMF 10.12.4) over J_0.  Powers of two keep
+    every rounding of the unscaled recurrence where its values are normal; below
+    S = 1 ``_scale``'s e puts every x below 2, so no value overflows and the
+    orders of x >= 1/2 stay normal down to y = 5e-324.  x = 0 gives J_q(0).  The
+    sum runs up from order 0, so orders past q_max, each below 2^-56 of it,
+    leave its bits.
     """
-    top = _recurrence_top(float(x.max(initial=0.0)), q_max)
-    ratios = np.zeros((top + 2, len(x)))  # r_0 = 1, ..., r_top, r_(top+1) = 0
+    top = _recurrence_top(math.ldexp(float(x.max(initial=0.0)), e), q_max)
+    small = np.ldexp(x, 2 * e)  # y 2^e
+    ratios = np.zeros((top + 2, len(x)))  # r_0 = 1, ..., r_top, r_(top+1) = 0, each times 2^-e
     ratios[0] = 1.0
-    for k in range(top, 0, -1):  # r_k = x / (2k - x r_(k+1)), in place
+    for k in range(top, 0, -1):  # r_k 2^-e = x / (2k - (y 2^e) (r_(k+1) 2^-e)), in place
         r = ratios[k]
-        np.divide(x, np.subtract(2.0 * k, np.multiply(x, ratios[k + 1], r), r), r)
-    products = np.cumprod(ratios[:-1], axis=0)  # J_k / J_0
-    return (products[: q_max + 1] / (2.0 * products[::2].sum(axis=0) - 1.0)).T
+        np.divide(x, np.subtract(2.0 * k, np.multiply(small, ratios[k + 1], r), r), r)
+    products = np.cumprod(ratios[:-1], axis=0)  # J_k / J_0 times 2^(-k e)
+    even = np.ldexp(products[::2], 2 * e * np.arange(len(products[::2]))[:, None])  # J_2k / J_0
+    return (products[: q_max + 1] / (2.0 * even.sum(axis=0) - 1.0)).T
 
 
 @lru_cache(maxsize=16)
-def _order_tables(q_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _order_tables(q_max: int, n: int, e: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only tables of ``_folded_sequences`` over the orders -q_max..q_max, built once per process.
 
     The (3, 1, 2 q_max + 1) i-powers i^(k q), with k = 1 for A^, 3 for B^_yaw
-    and 1 for B^_pitch, and the signs (-1)^q of the negative orders.
+    and 1 for B^_pitch, each times 2^((|q| - |q|_N) e), which takes order q
+    from its scale 2^(-|q| e) to its residue column's, and the signs (-1)^q of
+    the negative orders.
     """
     orders = np.arange(-q_max, q_max + 1)
-    powers = _I_POWERS[np.outer([1, 3, 1], orders) % 4][:, None]
+    scales = np.ldexp(1.0, (np.abs(orders) - _fold(orders, n)) * e)
+    powers = _I_POWERS[np.outer([1, 3, 1], orders) % 4][:, None] * scales
     signs = np.where(orders[:q_max] % 2, -1.0, 1.0)
     powers.flags.writeable = signs.flags.writeable = False
     return powers, signs
@@ -311,17 +295,18 @@ def _folded_sequences(angles, s_coupling: float, n: int) -> tuple[np.ndarray, np
 
     A_q = i^q J_q(a) and B_w = (i sigma)^w J_w(b), with a, b = S (1 +- cos) / 2
     and i sigma = -i for yaw, +i for pitch, over the orders |q| <= q_max of
-    ``_order_max``; column r sums every order q = r (mod N).  One
-    ``_bessel_orders`` call evaluates a and b at the orders 0..q_max, mirrored
-    to the negative ones by J_-q = (-1)^q J_q (DLMF 10.4.1), an exact sign
-    flip.  Both axes' B take their i-powers from the same J_w(b), and both
-    axes' rows share A^.
+    ``_order_max``; column r sums every order q = r (mod N), scaled by
+    2^(-|r|_N e) with e = ``_scale(S)``.  One ``_bessel_orders`` call
+    evaluates a and b at the orders 0..q_max, mirrored to the negative ones by
+    J_-q = (-1)^q J_q (DLMF 10.4.1), an exact sign flip.  Both axes' B take
+    their i-powers from the same J_w(b), and both axes' rows share A^.
     """
     c = np.cos(np.atleast_1d(np.asarray(angles, dtype=float)))
-    args = s_coupling * np.array([1.0 + c, 1.0 - c]) / 2.0
-    q_max = _order_max(float(args.max(initial=0.0)), n)
-    powers, signs = _order_tables(q_max)
-    half = _bessel_orders(args.ravel(), q_max).reshape(2, len(c), q_max + 1)
+    e = _scale(s_coupling)
+    args = math.ldexp(s_coupling, -e) * np.array([1.0 + c, 1.0 - c]) / 2.0  # a, b times 2^-e
+    q_max = _order_max(math.ldexp(float(args.max(initial=0.0)), e), n)
+    powers, signs = _order_tables(q_max, n, e)
+    half = _bessel_orders(args.ravel(), q_max, e).reshape(2, len(c), q_max + 1)
     j = np.concatenate([half[..., :0:-1] * signs, half], axis=-1)
     # Zero-pad so the first order is a multiple of N (np.pad takes 15 times as long here).
     lead = -q_max % n
@@ -333,11 +318,14 @@ def _folded_sequences(angles, s_coupling: float, n: int) -> tuple[np.ndarray, np
 
 
 @lru_cache(maxsize=16)
-def _lattice_gather(modes: tuple[int, ...], n: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """Read-only gather indices of ``_lattice_entries`` for a link, built once per process.
+def _lattice_gather(modes: tuple[int, ...], n: int, e: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, ...], ...]]:
+    """Read-only gather tables of ``_lattice_entries`` for a link and scale, built once per process.
 
     Returns the flattened (u, v) pairs whose entries can be non-zero and, per
-    residue r of a pair, the columns r and (l_u - r) mod N of A^ and B^.
+    residue r of a pair, the columns r and s = (l_u - r) mod N of A^ and B^
+    and the factor 2^((|r|_N + |s|_N - |l_u|_N) e) that takes their product
+    to row u's scale 2^(-|l_u|_N e).  As r + s = l_u (mod N), the triangle
+    inequality puts the factor at or below 1.
     """
     lu = np.array(modes, dtype=int)
     total = (lu[:, None] + lu).ravel()  # l_u + l_v, flattened (u, v)
@@ -348,25 +336,27 @@ def _lattice_gather(modes: tuple[int, ...], n: int) -> tuple[np.ndarray, tuple[t
         residues = [total[pairs] // 2, total[pairs] // 2 + n // 2]
     row_mode = lu[pairs // lu.size]
     columns = tuple((r % n, (row_mode - r) % n) for r in residues)
-    for index in (pairs, *(c for pair in columns for c in pair)):
-        index.flags.writeable = False
-    return pairs, columns
+    tables = tuple((a, b, np.ldexp(1.0, (_fold(a, n) + _fold(b, n) - _fold(row_mode, n)) * e)) for a, b in columns)
+    for table in (pairs, *(t for column in tables for t in column)):
+        table.flags.writeable = False
+    return pairs, tables
 
 
-def _lattice_entries(a_hat: np.ndarray, b_hat: np.ndarray, modes: Sequence[int], n: int) -> np.ndarray:
-    """(R, U, U) entries of R rows from their (R, N) folded sequences A^ and B^.
+def _lattice_entries(a_hat: np.ndarray, b_hat: np.ndarray, modes: Sequence[int], n: int, e: int) -> np.ndarray:
+    """(R, U, U) entries of R rows from their (R, N) folded sequences A^ and B^ at scale e.
 
     Entry [u, v] sums A^_r B^_{(l_u - r) mod N} over the residues r with
     2r = l_u + l_v (mod N), and only those are gathered: for odd N the one
     r = (l_u + l_v)(N + 1)/2; for even N, r and r + N/2 where l_u + l_v is even,
-    and none (a zero entry) where it is odd.  Every step is per row.
+    and none (a zero entry) where it is odd.  Row u comes out scaled by
+    2^(-|l_u|_N e), which no SIR of the row sees.  Every step is per row.
     """
-    pairs, columns = _lattice_gather(tuple(map(int, modes)), n)
+    pairs, columns = _lattice_gather(tuple(map(int, modes)), n, e)
     size = len(modes)
     entries = np.zeros((len(a_hat), size * size), complex)
     # einsum rounds each complex product unfused; numpy's multiply may fuse it (FMA),
     # which moves odd-N entries, whose A^ and B^ are fully complex, by an ulp.
-    entries[:, pairs] = sum(np.einsum("ap,ap->ap", a_hat[:, a], b_hat[:, b]) for a, b in columns)
+    entries[:, pairs] = sum(np.einsum("ap,ap,p->ap", a_hat[:, a], b_hat[:, b], f) for a, b, f in columns)
     return entries.reshape(-1, size, size)
 
 
@@ -384,8 +374,13 @@ def steered_entries(
     ``_bessel_orders`` call over 2A arguments and orders 0..q_max and are
     gathered in one stacked pass; nothing scales with angles times the (q, w)
     lattice.  The module docstring gives the folded-residue form it evaluates.
+    One ``ldexp`` removes the row scale of ``_lattice_entries``, rounding each
+    entry at most once, where it falls below the smallest normal double.
     """
-    rows = _lattice_entries(*_folded_sequences(angles, s_coupling, n_elements), modes, n_elements)
+    e = _scale(s_coupling)
+    rows = _lattice_entries(*_folded_sequences(angles, s_coupling, n_elements), modes, n_elements, e)
+    row_scale = e * _fold(np.array(modes, dtype=int), n_elements)[:, None]
+    rows = np.ldexp(rows.view(float), row_scale).view(complex)
     return rows.reshape((len(AXES), len(rows) // len(AXES)) + rows.shape[1:])
 
 
@@ -400,14 +395,15 @@ def steered_sir(
     One ``_bessel_orders`` call serves both axes.  Their rows are stacked, yaw
     then pitch, and their entries assembled ``SIR_CHUNK`` rows at a time in one
     pass; every step is per row, so the stacking and chunking keep the bits.
-    Below ``least_lattice_coupling`` leading entries underflow and SIRs lose
-    their bits; ``check_lattice_range`` raises there.
+    The rows keep the power-of-two scale of ``_lattice_entries``, under which
+    no leading entry underflows at any S > 0.
     """
+    e = _scale(s_coupling)
     a_hat, b_hat = _folded_sequences(angles, s_coupling, n_elements)
     sirs = np.empty((len(a_hat), len(modes)))
     for start in range(0, len(a_hat), SIR_CHUNK):
         rows = slice(start, start + SIR_CHUNK)
-        sirs[rows] = _entry_sir(np.abs(_lattice_entries(a_hat[rows], b_hat[rows], modes, n_elements)))
+        sirs[rows] = _entry_sir(np.abs(_lattice_entries(a_hat[rows], b_hat[rows], modes, n_elements, e)))
     return sirs.reshape(len(AXES), len(sirs) // len(AXES), len(modes))
 
 
@@ -440,5 +436,7 @@ def steered_mode_entry(
     """
     if axis not in AXES:
         raise ValueError(f"axis must be 'yaw' or 'pitch', got {axis!r}")
+    if not (0 <= u < len(modes) and 0 <= v < len(modes)):
+        raise IndexError(f"mode indices ({u}, {v}) outside 0..{len(modes) - 1}")
     return complex(steered_entries(modes, [angle], s_coupling, n_elements)[AXES.index(axis), 0, u, v])
 

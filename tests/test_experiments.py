@@ -575,9 +575,6 @@ _LINK_64 = "scenario.n_elements = 64\nscenario.mode_min = -31\nscenario.mode_max
         ("monotonicity", "monotonicity.s_coupling", "-1"),
         ("monotonicity", "monotonicity.s_coupling", "1e6"),
         ("monotonicity", "monotonicity.stop_deg", "inf"),
-        # Leading lattice entries below the smallest normal double: SIRs of inf or 0 (64 cells at 1e-9).
-        ("monotonicity", "monotonicity.s_coupling", f"1e-9\n{_LINK_64}"),
-        ("monotonicity", "monotonicity.s_coupling", f"1e-12\n{_LINK_64}"),
         ("complexity", "complexity.p_coarse", "10"),
         ("complexity", "complexity.n_min", "40"),
         ("sweep-yaw", "sweep.count", "10000000"),  # (A, P, U, U) channels: 72 GiB
@@ -618,9 +615,7 @@ def test_cli_out_of_domain_value_exits_1_naming_key(tmp_path, capsys, experiment
     assert not (tmp_path / "out").exists()
 
 
-# The last line takes the link's coupling below the lattice's range (the table above
-# checks that the message names monotonicity.s_coupling too).
-@pytest.mark.parametrize("line", ["scenario.mode_max = 5", "scenario.n_elements = 9", f"monotonicity.s_coupling = 1e-9\n{_LINK_64}"])
+@pytest.mark.parametrize("line", ["scenario.mode_max = 5", "scenario.n_elements = 9"])
 def test_cli_monotonicity_outside_the_closed_form_exits_1_naming_keys(tmp_path, capsys, line):
     # asymptotic_sir holds for even N with no mode at N/2 (mod N); with mode 5
     # at N = 10, sir_linear / sir_asymptotic reached 32.4 at 89 degrees yaw.
@@ -630,6 +625,20 @@ def test_cli_monotonicity_outside_the_closed_form_exits_1_naming_keys(tmp_path, 
     err = capsys.readouterr().err
     assert all(key in err for key in ("scenario.n_elements", "scenario.mode_min", "scenario.mode_max")), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("s_coupling", ["1e-9", "1e-12", "5e-324"])
+def test_cli_monotonicity_at_small_couplings_meets_the_closed_form(tmp_path, s_coupling):
+    # These couplings exited 1: unscaled, the lattice's leading entries fell below
+    # the smallest normal double and wrote SIRs of inf or 0 (64 cells at 1e-9).
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(f"monotonicity.s_coupling = {s_coupling}\n{_LINK_64}\n")
+    assert main(["monotonicity", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    _, rows = read_rows(tmp_path / "out" / "monotonicity.csv")
+    exact, closed = (np.array([float(r[k]) for r in rows]) for k in (3, 4))
+    finite = np.isfinite(closed)
+    assert len(rows) == 2 * 63 * 25 and np.array_equal(np.isfinite(exact), finite) and np.all(exact > 0)
+    assert np.all(np.abs(exact[finite] / closed[finite] - 1.0) <= max(float(s_coupling) ** 2, 1e-12))
 
 
 @pytest.mark.parametrize(

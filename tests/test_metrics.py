@@ -311,7 +311,7 @@ def folded_lattice(axis, modes, angles, s_coupling, n_elements, q_max):
     orders = np.arange(-q_max, q_max + 1)
     powers = np.repeat([1, 3 if axis == "yaw" else 1], len(c))[:, None] * orders
     lead = -q_max % n_elements
-    j = metrics._bessel_orders(args, q_max)[:, np.abs(orders)] * np.where((orders < 0) & (orders % 2 == 1), -1.0, 1.0)
+    j = metrics._bessel_orders(args, q_max, 0)[:, np.abs(orders)] * np.where((orders < 0) & (orders % 2 == 1), -1.0, 1.0)
     seq = np.array([1, 1j, -1, -1j])[powers % 4] * j
     seq = np.pad(seq, ((0, 0), (lead, -(lead + len(orders)) % n_elements)))
     a_hat, b_hat = np.split(seq.reshape(len(args), -1, n_elements).sum(axis=1), 2)
@@ -492,8 +492,8 @@ def test_steered_sir_and_entries_on_no_angles():
     assert asymptotic_sir(MODES, [], 0.01, 10).shape == (0, len(MODES))
 
 
-def _bessel_series(q: int, x: float) -> float:
-    """J_q(x) from its power series sum_m (-1)^m (x/2)^(2m+q) / (m! (m+q)!) in 90-digit decimals.
+def _bessel_series(q: int, x: float, e: int = 0) -> float:
+    """J_q(x) 2^(-q e) from its power series sum_m (-1)^m (x/2)^(2m+q) / (m! (m+q)!) in 90-digit decimals.
 
     x is converted exactly; at x = 100 the terms reach 1e41 and cancel to
     |J| <= 1, so 90 digits leave more than 30 beyond a double's.
@@ -508,7 +508,7 @@ def _bessel_series(q: int, x: float) -> float:
             term *= -half * half / (m * (m + q))
             total += term
             if m > half and abs(term) <= first * Decimal("1e-45"):
-                return float(total)
+                return float(total * Decimal(2) ** (-q * e))
 
 
 @pytest.mark.parametrize("x", [0.0, 5e-324, 1e-300, 1e-8, 0.01, 1.0, 5.6, 20.0, 100.0])
@@ -522,27 +522,30 @@ def test_bessel_orders_meet_the_recurrence_error_bound(x, n):
     # oscillates and relative error means nothing at a zero.  Every rounding of a
     # subnormal adds at most 2^-1074.  scipy's jv is no oracle at this accuracy:
     # it returns 0 for J_31(1e-8) = 5.7e-292, and is off by 157 eps at
-    # J_1(1e-300) and by 100 eps of max |J| at x = 100.
+    # J_1(1e-300) and by 100 eps of max |J| at x = 100.  The scaled table,
+    # J_q 2^(-q e), holds no subnormal order at these x, so it takes no floor.
     q_max = metrics._order_max(x, n)
     top = metrics._recurrence_top(x, q_max)
-    got = metrics._bessel_orders(np.array([x]), q_max)[0]
-    exact = np.array([_bessel_series(q, x) for q in range(q_max + 1)])
-    scale = np.where(np.arange(q_max + 1) >= x, np.abs(exact), np.abs(exact).max())
-    tol = (top + 1) * (2.0 * np.finfo(float).eps * scale + 2.0**-1074)
-    assert np.all(np.abs(got - exact) <= tol), np.max(np.abs(got - exact) / tol)
-    if x == 0.0:
-        assert got.tolist() == [1.0] + [0.0] * q_max
+    for e, floor in ((0, 2.0**-1074), (metrics._scale(x), 0.0)):  # unscaled, then scaled
+        got = metrics._bessel_orders(np.array([math.ldexp(x, -e)]), q_max, e)[0]
+        exact = np.array([_bessel_series(q, x, e) for q in range(q_max + 1)])
+        scale = np.where(np.arange(q_max + 1) >= x, np.abs(exact), np.abs(exact).max())
+        tol = (top + 1) * (2.0 * np.finfo(float).eps * scale + floor)
+        assert np.all(np.abs(got - exact) <= tol), (e, np.max(np.abs(got - exact) / tol))
+        if x == 0.0:
+            assert got.tolist() == [1.0] + [0.0] * q_max
 
 
 def _per_axis_sir(modes, angles, s_coupling, n):
     """(2, A, U) SIRs one axis and ``SIR_CHUNK`` angles at a time, the loop ``steered_sir`` had before it stacked the axes."""
     a_hat, b_hat = metrics._folded_sequences(angles, s_coupling, n)
+    e = metrics._scale(s_coupling)
     a_hat, b_hats = a_hat[: len(a_hat) // 2], np.split(b_hat, 2)
     sirs = np.empty((len(b_hats), len(a_hat), len(modes)))
     for k, b in enumerate(b_hats):
         for start in range(0, len(a_hat), SIR_CHUNK):
             rows = slice(start, start + SIR_CHUNK)
-            sirs[k, rows] = metrics._entry_sir(np.abs(metrics._lattice_entries(a_hat[rows], b[rows], modes, n)))
+            sirs[k, rows] = metrics._entry_sir(np.abs(metrics._lattice_entries(a_hat[rows], b[rows], modes, n, e)))
     return sirs
 
 
@@ -553,7 +556,10 @@ def test_stacked_axes_keep_the_per_axis_bits(n, modes, s):
     grid = np.radians(np.linspace(1, 89, 70))
     assert np.array_equal(steered_sir(modes, grid, s, n).view(np.uint64), _per_axis_sir(modes, grid, s, n).view(np.uint64))
     a_hat, b_hat = metrics._folded_sequences(grid, s, n)
-    per_axis = np.stack([metrics._lattice_entries(a_hat[:70], b, modes, n) for b in np.split(b_hat, 2)])
+    e = metrics._scale(s)
+    per_axis = np.stack([metrics._lattice_entries(a_hat[:70], b, modes, n, e) for b in np.split(b_hat, 2)])
+    # steered_entries's one ldexp that takes row u from its scale 2^(-|l_u|_N e)
+    per_axis = np.ldexp(per_axis.view(float), e * metrics._fold(np.array(modes), n)[:, None]).view(complex)
     assert np.array_equal(steered_entries(modes, grid, s, n).view(np.uint64), per_axis.view(np.uint64))
 
 
@@ -614,12 +620,12 @@ def test_table_caches_are_bounded_and_read_only():
     steered_sir(MODES, grid, 0.01, 10)
     steered_sir(MODES, grid, 0.01, 9)  # odd N: one residue per pair
     asymptotic_sir(MODES, grid, 0.01, 10)
-    q_max = metrics._order_max(0.01, 10)
+    q_max, e = metrics._order_max(0.01, 10), metrics._scale(0.01)
     tables = [
         metrics._closed_form_pairs(MODES, 10),
-        metrics._lattice_gather(MODES, 10),
-        metrics._lattice_gather(MODES, 9),
-        metrics._order_tables(q_max),
+        metrics._lattice_gather(MODES, 10, e),
+        metrics._lattice_gather(MODES, 9, e),
+        metrics._order_tables(q_max, 10, e),
     ]
     for cache in _TABLE_CACHES:
         info = cache.cache_info()
@@ -659,34 +665,27 @@ def test_closed_form_domain_raises_on_every_call(n, modes):
         asymptotic_sir(MODES, [0.5], 0.01, 10)
 
 
+@pytest.mark.parametrize("s_coupling", [1e-9, 1e-12, 1e-100, 5e-324])
 @pytest.mark.parametrize("n, modes", [(10, range(-4, 5)), (16, range(-7, 8)), (64, range(-31, 32)), (64, range(5, 10)), (8, range(1, 4))])
-def test_least_lattice_coupling_keeps_the_sir_on_the_closed_form(n, modes):
-    # Just above the least S every leading entry is a normal double, from the least
-    # tilt a double resolves to 89.999 degrees: the steered SIR meets the closed form
-    # (off by S^2, below 1e-16 here) to rounding, and is inf only where it is.  Just
-    # below it the check raises.
+def test_steered_sir_meets_the_closed_form_at_any_small_coupling(n, modes, s_coupling):
+    # From the least tilt a double resolves to 89.999 degrees, the steered SIR
+    # meets the closed form (off by S^2) to rounding, and is inf only where it
+    # is.  Unscaled, the lattice's leading entries underflowed here: at N = 64,
+    # S = 1e-9 modes +-31 had an SIR of inf or 0 in 64 of 3150 cells.
     modes = tuple(modes)
-    least = metrics.least_lattice_coupling(modes, n)
     grid = np.radians([1e-6, 1e-4, 0.01, 1.0, 30.0, 60.0, 89.0, 89.999])
-    exact, closed = steered_sir(modes, grid, 1.01 * least, n)[0], asymptotic_sir(modes, grid, 1.01 * least, n)
+    exact, closed = steered_sir(modes, grid, s_coupling, n)[0], asymptotic_sir(modes, grid, s_coupling, n)
     finite = np.isfinite(closed)
     assert np.array_equal(np.isfinite(exact), finite) and np.all(exact > 0)
-    assert np.all(np.abs(exact[finite] / closed[finite] - 1.0) <= 1e-12)
-    metrics.check_lattice_range(modes, 1.01 * least, n)
-    with pytest.raises(ValueError, match="smallest normal double"):
-        metrics.check_lattice_range(modes, least / 1.01, n)
-
-
-def test_least_lattice_coupling_at_the_found_underflow():
-    # At N = 64, S = 1e-9 the lattice gave modes +-31 an SIR of inf or 0 in 64 of 3150 cells.
-    assert 1e-9 < metrics.least_lattice_coupling(range(-31, 32), 64) < 1e-8
-    assert metrics.least_lattice_coupling((0,), 1) == 0.0
+    assert np.all(np.abs(exact[finite] / closed[finite] - 1.0) <= max(s_coupling**2, 1e-12))
 
 
 def test_steered_mode_entry_validates_axis():
     cfg = default_link()
     with pytest.raises(ValueError):
         steered_mode_entry("roll", cfg.modes, 0, 1, 0.1, 0.01, cfg.n_elements)
+    with pytest.raises(IndexError):  # u = -1 returned the entry of mode +4
+        steered_mode_entry("yaw", cfg.modes, -1, 1, 0.1, 0.01, cfg.n_elements)
 
 
 def test_asymptotic_sir_monotone_decreasing():
