@@ -10,12 +10,18 @@ repository's ``bench/workloads.py`` generates for units 0..K of the seed,
 runs unit 0 untimed as a warm-up and then times units 1..K.  A unit is one
 ``oamlink.cli.main`` call per experiment of the workload, as the benchmark
 makes it.  The report gives, per checkout, the minimum, 10th percentile and
-median unit time over all rounds, and each round's minimum.
+median unit time over all rounds, and each round's minimum.  For each checkout
+after the first it then gives, per round, the ratio of its round minimum to
+the first checkout's, with their median and range; with two checkouts those
+two interpreters run back to back in every round.
 
-The benchmark's probe-adjusted ``unit_p50_s`` spreads by more than a 10%
-change on a shared host; the minimum over many units in one process does
-not, so this resolves a per-unit change the benchmark cannot.  Times are raw
-wall-clock seconds of this host.
+A shared host's speed drifts within minutes: on 2 shared Xeon cores, three
+runs of one unchanged checkout (4 rounds x 800 ``sir-lattice`` units) gave
+unit minimums 19% apart, so a minimum compares only with one measured beside
+it.  A ratio pairs two such interpreters, but they drift too: one checkout
+given twice (6 rounds x 400 units) gave ratios from 0.87 to 1.36 over three
+runs.  That spread is what a change must exceed.  Times are raw wall-clock
+seconds of this host.
 """
 
 from __future__ import annotations
@@ -89,25 +95,32 @@ def main(argv=None) -> int:
     if args.units < 1 or args.rounds < 1:
         print("unit_timing: --units and --rounds must be at least 1", file=sys.stderr)
         return 1
-    times: dict[Path, list[list[float]]] = {checkout: [] for checkout in args.checkouts}
+    times: list[list[list[float]]] = [[] for _ in args.checkouts]  # per checkout, per round
     with tempfile.TemporaryDirectory() as tmp:
         for round_ in range(args.rounds):
             order = list(enumerate(args.checkouts))
             for index, checkout in order if round_ % 2 == 0 else order[::-1]:
                 scratch = Path(tmp) / f"{round_}-{index}"
                 try:
-                    times[checkout].append(_time_checkout(checkout, args.workload, args.seed, args.units, scratch))
+                    times[index].append(_time_checkout(checkout, args.workload, args.seed, args.units, scratch))
                 except RuntimeError as exc:
                     print(f"unit_timing: {exc}", file=sys.stderr)
                     return 1
     print(f"{args.workload}, seed {args.seed}: {args.units} units x {args.rounds} rounds per checkout, ms per unit")
-    for checkout, rounds in times.items():
+    for checkout, rounds in zip(args.checkouts, times):
         every = sorted(t for round_times in rounds for t in round_times)
         p10 = statistics.quantiles(every, n=10, method="inclusive")[0] if len(every) > 1 else every[0]
         mins = " ".join(f"{min(r) * 1e3:.3f}" for r in rounds)
         print(
             f"{checkout}: min {every[0] * 1e3:.3f}, p10 {p10 * 1e3:.3f}, median {statistics.median(every) * 1e3:.3f};"
             f" round minimums {mins}"
+        )
+    first = [min(r) for r in times[0]]
+    for checkout, rounds in zip(args.checkouts[1:], times[1:]):
+        ratios = [min(r) / f for r, f in zip(rounds, first)]
+        print(
+            f"{checkout} / {args.checkouts[0]}: round-minimum ratios {' '.join(f'{x:.4f}' for x in ratios)};"
+            f" median {statistics.median(ratios):.4f}, range {min(ratios):.4f} to {max(ratios):.4f}"
         )
     return 0
 

@@ -19,12 +19,11 @@ sum over r with 2r = l_u + l_v (mod N) of A^_r B^_{(l_u - r) mod N}, at most
 two products, and only those residues are gathered.  Yaw and pitch differ
 only in the i-powers that multiply J_w, so ``steered_entries`` evaluates all
 angles and mode pairs of both axes (``AXES``: yaw, then pitch) in one stacked
-pass over their rows, from one backward recurrence (``_bessel_orders``) at
-the orders 0..q_max that the tail bound |J_q(x)| <= (x/2)^|q| / |q|! asks
-for, mirrored to the negative orders by J_-q = (-1)^q J_q (DLMF 10.4.1); it
-stays accurate where the plain double DFT sum cancels at small coupling, and
-``steered_sir`` gives their (2, A, U) SIRs.  Its values carry one power-of-two
-scale of S (``_scale``), under which no leading entry underflows at any S > 0.
+pass over their rows.  They take J from ``_bessel_orders``, the library's one
+Bessel routine, which the roll objective's series also reads; the lattice stays
+accurate where the plain double DFT sum cancels at small coupling.
+``steered_sir`` gives their (2, A, U) SIRs, with one power-of-two scale of S
+(``_scale``) under which no leading entry underflows at any S > 0.
 """
 
 from __future__ import annotations
@@ -201,42 +200,54 @@ def asymptotic_sir(
 _I_POWERS = np.array([1, 1j, -1, -1j])
 # The tilt axes of the steered lattice, in the order of its leading axis.
 AXES = ("yaw", "pitch")
+# The log of 2^-56, an eighth of a double's rounding: the largest Bessel tail either series drops.
+_TAIL = -56.0 * math.log(2.0)
+
+
+def _tail_order(x: float, q: int, log_limit: float) -> int:
+    """The first order from ``q`` whose Bessel tail at arguments up to ``x`` > 0 is below exp(``log_limit``).
+
+    |J_q(x)| <= (x/2)^|q| / |q|! (DLMF 10.14.4), and once q + 2 >= x, as ``q``
+    must have it, successive bounds shrink by at least half, so the orders
+    beyond |q| add at most 4 (x/2)^(q+1) / (q+1)!.  The terms are compared as
+    logs, so no subnormal x underflows them; at its callers' limits the
+    search ends within 0.4 x + 31 steps (70 at x = 100).
+    """
+    log_half = math.log(x) - math.log(2.0)
+    while math.log(4.0) + (q + 1) * log_half - math.lgamma(q + 2) > log_limit:
+        q += 1
+    return q
 
 
 def _order_max(x: float, n: int) -> int:
     """The largest Bessel order |q| the lattice keeps for arguments up to ``x``.
 
-    |J_q(x)| <= (x/2)^|q| / |q|! (DLMF 10.14.4), and once q + 2 >= x successive
-    bounds shrink by at least half, so the orders beyond |q| > q_max add at most
-    4 (x/2)^(q_max+1) / (q_max+1)! to a folded residue.  Every residue has a
-    leading order |q| <= N//2, of size about (x/2)^(N//2) / (N//2)! or more at
-    small x.  q_max is the first order from N//2 where that tail is below 2^-56
-    of the smaller of 1 and that leading size: an eighth of a double's rounding,
-    relative at small coupling and absolute where |J| is of order 1.  The terms
-    are compared as logs, so no subnormal x underflows them, and the search ends
-    within 0.4 x + 31 steps (70 at x = 100).  ``_bessel_orders`` starts its
+    Every residue has a leading order |q| <= N//2, of size about
+    (x/2)^(N//2) / (N//2)! or more at small x.  q_max is the ``_tail_order``
+    from N//2 where the tail is below 2^-56 of the smaller of 1 and that
+    leading size: an eighth of a double's rounding, relative at small coupling
+    and absolute where |J| is of order 1.  ``_bessel_orders`` starts its
     recurrence a few orders above q_max.
     """
     h = n // 2
     if x == 0.0:  # J_q(0) = 0 for every q != 0
         return h
-    log_half = math.log(x) - math.log(2.0)
-    limit = -56.0 * math.log(2.0) + min(0.0, h * log_half - math.lgamma(h + 1))
-    q = max(h, math.ceil(x) - 2)
-    while math.log(4.0) + (q + 1) * log_half - math.lgamma(q + 2) > limit:
-        q += 1
-    return q
+    limit = _TAIL + min(0.0, h * (math.log(x) - math.log(2.0)) - math.lgamma(h + 1))
+    return _tail_order(x, max(h, math.ceil(x) - 2), limit)
 
 
 def _recurrence_top(x: float, q_max: int) -> int:
     """The order past q_max where ``_bessel_orders`` starts for arguments up to ``x``.
 
     The ratio continued fraction converges like (x / 2k)^2 per order, so this
-    is the first order where the factors (x / (2k - x))^2 past q_max put the
-    truncation error at q_max below 2^-54, half an ulp or less: q_max + 3 at
-    x = 0.01, N = 10, and q_max + 20 at x = 100.
+    is the first order where the factors (x / (2k - x))^2 put the truncation
+    error below 2^-54, half an ulp or less, counted from q_max or, if later,
+    the order where the tail falls below 2^-56 (``_tail_order``): nearer q = x
+    the factors are no bound, and from q_max = 6 at x = 5.6 they left 3.5e-12.
+    It is q_max + 3 at x = 0.01, N = 10, and q_max + 20 at x = 100.
     """
-    top, log_error = q_max, 0.0
+    top = _tail_order(x, max(q_max, math.ceil(x) - 2), _TAIL) if x > 0.0 else q_max
+    log_error = 0.0
     while x > 0.0 and log_error > -54.0 * math.log(2.0):
         top += 1
         log_error += 2.0 * (math.log(x) - math.log(2.0 * top - x))

@@ -18,7 +18,7 @@ orders q = kN - l of that sum, so with z = exp(-i N (theta + Delta))
     |h_l| = N^2 |eta_p| |sum_k i^q J_q(S_p) z^k|,  q = kN - l,
 
 a polynomial of a few terms whose period 2 pi / N is built in.  Its
-coefficients come from one FFT, so no Bessel routine is needed.  Where the
+coefficients come from the SIR lattice's Bessel routine.  Where the
 series would need more than N terms (large couplings), the same kernel sums
 the N element terms instead.  ``roll_objective`` and ``capacity_profile``
 share one kernel, ``_log_terms``, whose sum over k runs in the same order for
@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import LinkConfig
+from .metrics import _I_POWERS, _TAIL, _bessel_orders, _tail_order
 
 # Roll angles capacity_profile evaluates together; its complex (K, P, U, ANGLE_CHUNK)
 # products take 1.0 MB at the default link.  At P = 6 and 2881 angles, chunks of 16,
@@ -92,41 +93,28 @@ class SaTrace:
 def _series_orders(s_max: float, modes, n: int) -> range | None:
     """The k of the series terms, or None where it would need more than N of them.
 
-    Mode l takes the orders q = kN - l.  |J_q(S)| <= (S/2)^|q| / |q|! (DLMF
-    10.14.4), and once q + 2 >= S successive bounds shrink by at least half, so
-    the orders beyond |q| > q_max add at most 4 (S/2)^(q_max+1) / (q_max+1)!.
-    q_max is the first order, counting up from the largest order some mode needs
-    at all, where that is below 2^-56 at the largest coupling: in units of
-    N^2 |eta_p|, an eighth of the N-element sum's own rounding of about 2^-53.  The search stops
-    where the k range would pass N terms, so it takes at most about N^2 / 2
-    steps whatever the coupling.
+    Mode l takes the orders q = kN - l, up to the ``_tail_order`` from the
+    largest order some mode needs where the tail at the largest coupling falls
+    below 2^-56: in units of N^2 |eta_p|, an eighth of the N-element sum's own
+    rounding of about 2^-53.  The k range only grows with q, so no search runs
+    where it is too long at the search's first order, as at large couplings.
     """
     lo, hi = min(modes), max(modes)
-    q = max(min(l % n, -l % n) for l in modes)
-    tail = 4.0 * math.prod((s_max / 2.0) / m for m in range(1, q + 2))
-    while True:
-        ks = range(-((q - lo) // n), (hi + q) // n + 1)
-        if len(ks) > n:
-            return None
-        if q + 2 >= s_max and tail <= 2.0**-56:
-            return ks
-        q += 1
-        tail *= (s_max / 2.0) / (q + 1)
+    ks = lambda q: range(-((q - lo) // n), (hi + q) // n + 1)
+    q = max(math.ceil(s_max) - 2, *(min(l % n, -l % n) for l in modes))
+    if len(ks(q)) <= n:
+        q = _tail_order(s_max, q, _TAIL)
+    return ks(q) if len(ks(q)) <= n else None
 
 
 def _jacobi_anger(s: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """The coefficients i^q J_q(s) of exp(i s cos phi) = sum_q i^q J_q(s) exp(i q phi).
 
-    Shape (len(s),) + orders.shape.  One length-M FFT of exp(i s cos(2 pi m / M))
-    per coupling: its bin q is the sum of the coefficients of orders q + rM, so
-    M > 2 max|q| leaves only orders past max|q| as aliases, which
-    ``_series_orders`` has bounded.
+    Shape (len(s),) + orders.shape: i^|q| J_|q|(s), as J_-q = (-1)^q J_q (DLMF
+    10.4.1), from one ``_bessel_orders`` table at scale 0.
     """
-    m = 16
-    while m <= 2 * int(np.max(np.abs(orders))):
-        m *= 2
-    samples = np.exp(1j * np.outer(s, np.cos(2.0 * math.pi * np.arange(m) / m)))
-    return (np.fft.fft(samples, axis=1) / m)[:, orders % m]
+    q = np.abs(orders)
+    return _I_POWERS[q % 4] * _bessel_orders(s, int(q.max()), 0)[:, q]
 
 
 def _roll_model(cfg: LinkConfig):

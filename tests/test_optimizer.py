@@ -17,7 +17,9 @@ from oamlink import (
     optimize_roll,
     roll_objective,
 )
+from oamlink import metrics, optimizer
 from oamlink.optimizer import _jacobi_anger, _series_orders, _uniform_stream
+from test_metrics import _bessel_series
 
 # Links whose roll model takes the N-element sum instead of the series: the
 # couplings 16.7 (radii 50 wavelengths at range 1000) and 2.2e9 (the last
@@ -91,8 +93,10 @@ ORACLE_THETAS = {
             n_elements=16, modes=tuple(range(-7, 8)),
             rx_initial_angle=math.radians(20), tx_initial_angle=math.radians(1),
         ),
+        # one series term, order 0, whose recurrence must still start past the tail order of S
+        default_link(n_elements=64, modes=(0,)),
     ],
-    ids=["default", "P1", "N16", "wide", "S2e9", "rx5", "tx5", "wide-rx3-tx-11", "N16-rx20-tx1"],
+    ids=["default", "P1", "N16", "wide", "S2e9", "rx5", "tx5", "wide-rx3-tx-11", "N16-rx20-tx1", "N64-mode0"],
 )
 def test_capacity_objective_matches_closed_form_diag(cfg, theta_of):
     # the objective's closed-form diagonal against the explicit double DFT sum
@@ -105,22 +109,33 @@ def test_capacity_objective_matches_closed_form_diag(cfg, theta_of):
     assert capacity_objective(theta, cfg) == pytest.approx(total / cfg.n_subcarriers, rel=1e-12)
 
 
-def test_roll_model_branch_follows_term_count():
-    # the series where it needs at most N terms, else the N-element sum
+def test_roll_model_branch_follows_term_count(monkeypatch):
+    # At S = 1e12 the k range is too long already at the search's first order,
+    # so no tail search runs (one from order 1e12 would take about 4e11 steps).
     cfg = default_link()
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "_tail_order", lambda *args: pytest.fail("tail search ran"))
+        assert _series_orders(1e12, cfg.modes, cfg.n_elements) is None
+    # the series where it needs at most N terms, else the N-element sum
     ks = _series_orders(_largest_coupling(cfg), cfg.modes, cfg.n_elements)
     assert ks is not None and len(ks) <= cfg.n_elements
     for cfg in (WIDE_LINK, HUGE_COUPLING_LINK):
         assert _series_orders(_largest_coupling(cfg), cfg.modes, cfg.n_elements) is None
 
 
-def test_jacobi_anger_coefficients_match_jv():
-    from scipy.special import jv
-
+def test_jacobi_anger_coefficients_match_the_power_series():
+    # Against J_q from its power series in 90-digit decimals, within the
+    # recurrence's error bound of test_bessel_orders_meet_the_recurrence_error_bound.
     couplings = np.array([1e-3, 0.2, *(default_link().coupling(p) for p in range(8)), 16.7, 37.0])
     orders = np.arange(-40, 41)
-    expected = 1j ** (orders % 4) * jv(orders, couplings[:, None])
-    assert np.max(np.abs(_jacobi_anger(couplings, orders) - expected)) <= 3e-15
+    got = _jacobi_anger(couplings, orders)
+    top = metrics._recurrence_top(float(couplings.max()), 40)
+    for s, row in zip(couplings, got):
+        exact = np.array([_bessel_series(abs(q), s) * (-1) ** (q % 2 if q < 0 else 0) for q in orders])
+        scale = np.where(np.abs(orders) >= s, np.abs(exact), np.abs(exact).max())
+        tol = (top + 1) * (2.0 * np.finfo(float).eps * scale + 2.0**-1074)
+        expected = np.array([1, 1j, -1, -1j])[orders % 4] * exact
+        assert np.all(np.abs(row - expected) <= tol), (s, np.max(np.abs(row - expected) / tol))
 
 
 @pytest.mark.parametrize(
