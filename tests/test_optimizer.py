@@ -1,6 +1,9 @@
 """Roll-angle annealer, its grid-search reference, and the capacity objective."""
 
 import math
+import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -157,6 +160,50 @@ def test_roll_objective_bit_identical_to_profile(cfg):
     objective = roll_objective(cfg)
     assert np.array_equal([objective(t) for t in thetas], capacity_profile(thetas, cfg))
     assert capacity_objective(float(thetas[0]), cfg) == capacity_profile(thetas[:1], cfg)[0]
+
+
+@pytest.mark.parametrize("cfg", [default_link(), WIDE_LINK], ids=["series", "wide"])
+def test_interleaved_objectives_keep_their_own_bits(cfg):
+    # each objective evaluates into its own buffers: calls of two objectives
+    # of one link, interleaved, give the bits each gives alone
+    a_thetas, b_thetas = np.random.default_rng(7).uniform(-math.pi, math.pi, (2, 200))
+    alone = [tuple(map(roll_objective(cfg), thetas)) for thetas in (a_thetas, b_thetas)]
+    a, b = roll_objective(cfg), roll_objective(cfg)
+    interleaved = list(zip(*[(a(s), b(t)) for s, t in zip(a_thetas, b_thetas)]))
+    assert interleaved == alone
+    assert np.array_equal(interleaved, [capacity_profile(thetas, cfg) for thetas in (a_thetas, b_thetas)])
+    # one objective per thread, more threads than cores, switching often: a
+    # buffer shared between objectives would mix the threads' evaluations
+    thetas = np.random.default_rng(9).uniform(-math.pi, math.pi, (4, 300))
+    results = [None] * len(thetas)
+
+    def work(i):
+        results[i] = list(map(roll_objective(cfg), thetas[i]))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(thetas))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert np.array_equal(results, [capacity_profile(row, cfg) for row in thetas])
+
+
+@pytest.mark.parametrize("theta", [np.array([0.1, 0.2]), np.array([0.1]), np.zeros((1, 1))], ids=str)
+def test_objective_rejects_a_non_scalar_angle(theta):
+    # an array of angles used to come back as the sum of their capacities
+    cfg = default_link()
+    shape = re.escape(str(theta.shape))
+    with pytest.raises(ValueError, match=shape):
+        roll_objective(cfg)(theta)
+    with pytest.raises(ValueError, match=shape):
+        capacity_objective(theta, cfg)
+    assert roll_objective(cfg)(np.float64(0.1)) == roll_objective(cfg)(np.array(0.1)) == capacity_objective(0.1, cfg)
 
 
 # optimize_roll(default_link(), SaParams(rng_seed=0)), recorded before the
