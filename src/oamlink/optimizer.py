@@ -24,11 +24,9 @@ the N element terms instead.  ``roll_objective`` and ``capacity_profile``
 share one kernel, ``_log_terms``, whose sum over k runs in the same order for
 one angle as for a chunk of angles, so both give the same bits and the seeded
 trace the same accept decisions.  BLAS (``z @ c``, whose rows change in the
-last bit with the number of rows) would not keep those bits.  The profile
-allocates its arrays per chunk of angles; each objective takes one angle per
-call and evaluates it into buffers of its own, allocated once when it is
-built and shared with no other objective, so one objective must not be
-called from two threads at once.
+last bit with the number of rows) would not keep those bits.  An objective
+takes one angle per call and evaluates it into buffers of its own: two
+objectives never interfere, but one must not be called from two threads at once.
 
 A brute-force grid search over the same interval serves as the optimizer's
 reference; annealing runs are deterministic for a given seed.
@@ -162,11 +160,10 @@ def _roll_model(cfg: LinkConfig):
 def _log_terms(exponent, c: np.ndarray, theta, out=(None, None, None, None)) -> np.ndarray:
     """The (P, U, 1) log2(1 + rho |h|^2) of the roll model at theta, (P, U, T) at T thetas.
 
-    ``out`` holds the exponent, the (K, P, U, 1) products, their complex sum
-    and the real terms, each written in place; None allocates it, as the
-    profile's chunks do.  The ufuncs and their operand order are the same
-    either way, and so are the bits.  The outputs go in positionally: as
-    keywords they cost about 0.4 us of a 8 us call.
+    ``out`` holds buffers for the exponent, the products, their sum over k and
+    the real terms, written in place; None allocates, as the profile's chunks
+    do.  The same ufuncs run either way, so the bits are the same.  Outputs go
+    in positionally: as keywords they cost about 0.4 us of an 8 us call.
     """
     e, products, total, terms = out
     e = np.exp(exponent(theta, e), e)
@@ -217,11 +214,9 @@ def roll_objective(cfg: LinkConfig):
 
 
 def capacity_objective(theta: float, cfg: LinkConfig) -> float:
-    """Diagonal-model capacity at one roll angle: ``capacity_profile([theta], cfg)[0]``, bit for bit.
+    """Diagonal-model capacity at one roll angle, ``capacity_profile([theta], cfg)[0]`` bit for bit.
 
-    Builds a fresh ``roll_objective(cfg)``, buffers included, for the one
-    call, so it is safe from any thread; a non-scalar theta raises
-    ``ValueError``.
+    A fresh ``roll_objective(cfg)`` per call, buffers included, so any thread may call it.
     """
     return roll_objective(cfg)(theta)
 
@@ -275,7 +270,7 @@ def optimize_roll(cfg: LinkConfig, sa: SaParams) -> tuple[float, SaTrace]:
             cand = theta + e
             if not -half < cand < half:
                 cand = theta - e
-            if cand < -half:  # two comparisons: min(max(...)) took 3-4% of an anneal
+            if cand < -half:  # two comparisons: min(max(...)) costs 3-4% of an anneal
                 cand = -half
             elif cand > half:
                 cand = half
